@@ -19,7 +19,7 @@ from .algebra import DEFAULT_MAX_DIM, Algebra, tensor_power, validate_algebra
 from .algfile import load_presentation, presentation_to_dict, save_algebra
 from .catalog import builtin_names, builtin_presentation
 from .errors import ResourceLimitError, ValidationError, ZclkitError
-from .invariants import cup_length, verify_witness, zcl_bounds, zcl_exact
+from .invariants import DEFAULT_SEED_DIM, cup_length, verify_witness, zcl_bounds, zcl_exact
 from .pipeline import series_pipeline
 from .series import (
     DEFAULT_MIN_RUN,
@@ -201,7 +201,7 @@ def _cmd_zcl(alg, source, args):
     if args.method == "exact":
         res = zcl_exact(alg, args.r, max_dim=max_dim)
     else:
-        res = zcl_bounds(alg, args.r, max_seed_dim=min(256, max_dim))
+        res = zcl_bounds(alg, args.r, max_seed_dim=min(DEFAULT_SEED_DIM, max_dim))
     payload = {
         "kind": "zcl",
         "name": alg.name,
@@ -254,7 +254,7 @@ def _cmd_witness(alg, source, args):
     if alg.dim ** args.r <= max_dim:
         res = zcl_exact(alg, args.r, max_dim=max_dim)
     else:
-        res = zcl_bounds(alg, args.r, max_seed_dim=min(256, max_dim))
+        res = zcl_bounds(alg, args.r, max_seed_dim=min(DEFAULT_SEED_DIM, max_dim))
     payload = {
         "kind": "witness",
         "name": alg.name,

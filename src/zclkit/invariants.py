@@ -4,9 +4,14 @@ Both invariants are nilpotency lengths of ideals computed by exact linear
 algebra: the cup-length is the largest n with (A+)^n != 0 where A+ is the
 span of the positive-degree basis, and the r-th zero-divisor cup-length is
 the largest n with K^n != 0 where K is the kernel of the collapse map on
-the r-th tensor power.  Since K^n is spanned by n-fold products of any
-spanning set of K, iterated subspace products compute the exact value, and
-a greedy walk back through the power ladder extracts an explicit witness.
+the r-th tensor power.  K is generated as an ideal by the set G of zero
+divisors b^(s) - b^(1), for b a positive-degree basis element and s = 2..r,
+where b^(s) is b in slot s and 1 in every other slot.  (Modulo G a basis
+tuple a_1 x ... x a_r = a_1^(1) ... a_r^(r) becomes (a_1 ... a_r) x 1 x ... x 1;
+slot 1 embeds A and the collapse map splits it, in every characteristic.)
+Hence K^n = A^(x r) G^n is nonzero exactly when span(G^n) is, the ladder
+span G, span(G^2), ... computes the exact value, and a greedy walk back
+through it extracts an explicit witness whose factors are elements of G.
 
 Two inequalities frame every result: zcl_r <= r * cl (the product of more
 than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import DEFAULT_MAX_DIM, Algebra, Element, mu, mu_matrix
+from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu, mu_matrix
 from .errors import ResourceLimitError, ValidationError, WitnessInvariantError
 from .linalg import Matrix, Subspace, kernel_basis, normalize_sparse, subspace_product
 
@@ -199,8 +204,22 @@ def cup_length_oracle(a: Algebra, max_dim: int = DEFAULT_ORACLE_DIM) -> int:
 # -- zero-divisor cup-length --------------------------------------------------------
 
 
-def _kernel_letters(k: Subspace) -> list:
-    return _row_items(k)
+def _zero_divisor_generators(power: TensorPowerAlgebra) -> list:
+    """Sparse rows of b^(s) - b^(1) in a tensor power, ordered by (b, s)."""
+    a, r = power.base, power.r
+    one = a.field.one
+    minus_one = a.field.neg(one)
+    units = [a.unit_index] * r
+    gens = []
+    for b in range(a.dim):
+        if a.degree_of(b) == 0:
+            continue
+        first = power.index_of_tuple([b] + units[1:])
+        for s in range(1, r):
+            slots = list(units)
+            slots[s] = b
+            gens.append({power.index_of_tuple(slots): one, first: minus_one})
+    return gens
 
 
 def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
@@ -212,14 +231,18 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
     clres = cup_length(a)
     upper = r * clres.value
     power = a.tensor_power(r, max_dim)
-    kernel = kernel_basis(mu_matrix(power))
-    if kernel.is_zero:
+    gens = _zero_divisor_generators(power)
+    if not gens:
         return ZclResult(r, 0, "exact", 0, upper, None)
-    powers = ideal_powers(power, kernel, limit=upper)
+    span = Subspace.from_sparse_rows(a.field, gens, power.dim)
+    powers = ideal_powers(power, span, limit=upper)
     value = len(powers)
-    letters = _kernel_letters(kernel)
+    letters = [list(g.items()) for g in gens]
     picks = _greedy_chain(power, letters, powers)
-    factors = tuple(Element(power, kernel.basis.rows[p]) for p in picks)
+    zero = a.field.zero
+    factors = tuple(
+        Element(power, tuple(gens[p].get(k, zero) for k in range(power.dim))) for p in picks
+    )
     product = factors[0]
     for f in factors[1:]:
         product = product * f
@@ -385,7 +408,7 @@ def zcl_oracle(
         )
     power = a.tensor_power(r, max_dim=None)
     kernel = kernel_basis(mu_matrix(power))
-    letters = _kernel_letters(kernel)
+    letters = _row_items(kernel)
     if not letters:
         return 0
     return _longest_product_dp(power, letters)

@@ -72,7 +72,7 @@ def test_criterion_2_zcl_of_powers(stanley):
         assert res.value == r
         assert verify_witness(stanley, res.witness).ok
     elapsed = time.monotonic() - start
-    assert elapsed < 60.0, f"took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
     bounds = zcl_bounds(stanley, 5)
     assert bounds.method == "bounds"
     assert (bounds.lower, bounds.upper, bounds.value) == (5, 5, 5)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -99,6 +100,18 @@ def test_witness_listing():
     code, out, _ = cli("witness", "builtin:stanley-p3", "--r", "2")
     assert code == EXIT_OK
     assert "factor 1:" in out and "product:" in out
+
+
+def test_witness_on_the_torus_at_the_exact_size():
+    # dim 4^5 = 1024 is under the ceiling, so this runs the exact path
+    start = time.monotonic()
+    code, report, _ = cli_json("witness", "builtin:surface:1", "--r", "5")
+    elapsed = time.monotonic() - start
+    assert code == EXIT_OK
+    res = report["result"]
+    assert (res["method"], res["length"]) == ("exact", 8)
+    assert res["witness"]["verified"] is True
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
 def test_builtins_listing():

@@ -7,6 +7,7 @@ from zclkit import (
     builtin_algebra,
     cup_length,
     cup_length_oracle,
+    kernel_mu,
     tensor_power,
     validate_algebra,
     verify_witness,
@@ -17,7 +18,8 @@ from zclkit import (
 )
 from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantError
 from zclkit.fields import GF3, QQ
-from zclkit.invariants import Witness
+from zclkit.invariants import Witness, _zero_divisor_generators
+from zclkit.linalg import Subspace, subspace_product
 
 
 def _alg(name, field, basis, products=None):
@@ -277,9 +279,6 @@ def test_every_returned_witness_verifies(corpus):
 
 
 def test_exterior_kernel_squares_to_zero_as_a_subspace():
-    from zclkit import kernel_mu
-    from zclkit.linalg import subspace_product
-
     alg = exterior_line()
     square = tensor_power(alg, 2)
     kernel = kernel_mu(alg, 2)
@@ -309,3 +308,26 @@ def test_zcl_exact_matches_oracle_small(stanley):
     assert zcl_exact(stanley, 2).value == zcl_oracle(stanley, 2)
     assert zcl_exact(exterior_line(), 2).value == zcl_oracle(exterior_line(), 2)
     assert zcl_exact(even_sphere(), 3).value == zcl_oracle(even_sphere(), 3)
+
+
+def test_zero_divisor_generators_generate_the_kernel(corpus):
+    # zcl_exact relies on ker(mu_r) being the ideal generated by b^(s) - b^(1)
+    checked = 0
+    for alg in corpus:
+        for r in range(2, 7):
+            if alg.dim ** r > 81:
+                break
+            power = tensor_power(alg, r, max_dim=None)
+            gens = Subspace.from_sparse_rows(
+                alg.field, _zero_divisor_generators(power), power.dim
+            )
+            ideal = subspace_product(
+                Subspace.full(alg.field, power.dim),
+                gens,
+                power.multiply_coords,
+                product_items=power.product_items,
+            )
+            assert ideal.dim == power.dim - alg.dim, (alg.name, r)
+            assert ideal == kernel_mu(alg, r, max_dim=None), (alg.name, r)
+            checked += 1
+    assert checked > 300
