@@ -74,62 +74,86 @@ def _koszul_parity(deg_u: Sequence[int], deg_v: Sequence[int]) -> int:
 
 
 class Element:
-    """An exact coordinate vector over an algebra's basis."""
+    """An exact vector over an algebra's basis, stored by its nonzero terms.
 
-    __slots__ = ("algebra", "coords")
+    ``terms`` maps a basis index to its coefficient and never holds a zero,
+    so memory and arithmetic follow the support, not the dimension: a
+    zero divisor in a tensor power of dimension d^r with two terms costs two
+    entries.  :meth:`items` lists the terms in index order; ``coords`` is a
+    dense read-only view for small algebras.
+    """
 
-    def __init__(self, algebra: "Algebra", coords: tuple):
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: "Algebra", terms: dict):
+        if not isinstance(terms, dict):
+            raise ValidationError("Element takes a {index: coeff} dict; use Algebra.element")
         self.algebra = algebra
-        self.coords = coords
+        self.terms = terms
 
     def _match(self, other: "Element") -> None:
         if not isinstance(other, Element) or other.algebra is not self.algebra:
             raise ValidationError("elements belong to different algebras")
 
     @property
-    def is_zero(self) -> bool:
+    def coords(self) -> tuple:
         zero = self.algebra.field.zero
-        return all(c == zero for c in self.coords)
+        get = self.terms.get
+        return tuple(get(i, zero) for i in range(self.algebra.dim))
 
-    def support(self) -> list:
-        return [i for i, c in enumerate(self.coords) if c]
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def items(self) -> list:
-        return [(i, c) for i, c in enumerate(self.coords) if c]
+        return sorted(self.terms.items())
 
     @property
     def is_homogeneous(self) -> bool:
-        degs = {self.algebra.degree_of(i) for i in self.support()}
+        degs = {self.algebra.degree_of(i) for i in self.terms}
         return len(degs) <= 1
 
     def degree(self) -> Optional[int]:
         """Common degree of the support; None for zero or mixed elements."""
-        degs = {self.algebra.degree_of(i) for i in self.support()}
+        degs = {self.algebra.degree_of(i) for i in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "Element":
         self._match(other)
-        add = self.algebra._add
-        return Element(self.algebra, tuple(add(a, b) for a, b in zip(self.coords, other.coords)))
+        out = dict(self.terms)
+        zero = self.algebra.field.zero
+        for k, b in other.terms.items():
+            v = op(out.get(k, zero), b)
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+        return Element(self.algebra, out)
+
+    def __add__(self, other):
+        return self._combine(other, self.algebra._add)
 
     def __sub__(self, other):
-        self._match(other)
-        sub = self.algebra._sub
-        return Element(self.algebra, tuple(sub(a, b) for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, self.algebra._sub)
 
     def __neg__(self):
         neg = self.algebra._neg
-        return Element(self.algebra, tuple(neg(a) for a in self.coords))
+        return Element(self.algebra, {k: neg(a) for k, a in self.terms.items()})
 
     def scale(self, c) -> "Element":
         c = self.algebra.field.coerce(c)
+        if not c:
+            return Element(self.algebra, {})
         mul = self.algebra._mul
-        return Element(self.algebra, tuple(mul(c, a) for a in self.coords))
+        return Element(self.algebra, {k: mul(c, a) for k, a in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._match(other)
-            return Element(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
+            return Element(
+                self.algebra,
+                self.algebra.product_items(self.terms.items(), other.terms.items()),
+            )
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -139,7 +163,7 @@ class Element:
         return (
             isinstance(other, Element)
             and other.algebra is self.algebra
-            and other.coords == self.coords
+            and other.terms == self.terms
         )
 
     def __str__(self):
@@ -269,14 +293,13 @@ class Algebra:
             raise ValidationError(
                 f"coordinate length {len(coords)} does not match dim {self.dim}"
             )
-        return Element(self, coords)
+        return Element(self, {i: c for i, c in enumerate(coords) if c})
 
     def basis_element(self, i: int) -> Element:
-        zero, one = self.field.zero, self.field.one
-        return Element(self, tuple(one if k == i else zero for k in range(self.dim)))
+        return Element(self, {i: self.field.one})
 
     def zero_element(self) -> Element:
-        return Element(self, (self.field.zero,) * self.dim)
+        return Element(self, {})
 
     def one_element(self) -> Element:
         return self.basis_element(self.unit_index)
@@ -284,13 +307,14 @@ class Algebra:
     def element_from_labels(self, terms: Mapping) -> Element:
         """Element from a {label: coeff} mapping."""
         index = {lbl: i for i, lbl in enumerate(self.labels)}
-        zero = self.field.zero
-        out = [zero] * self.dim
+        out = {}
         for lbl, c in terms.items():
             if lbl not in index:
                 raise ValidationError(f"unknown basis label {lbl!r}")
-            out[index[lbl]] = self.field.coerce(c)
-        return Element(self, tuple(out))
+            c = self.field.coerce(c)
+            if c:
+                out[index[lbl]] = c
+        return Element(self, out)
 
     def multiply(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
@@ -486,12 +510,7 @@ class TensorPowerAlgebra(Algebra):
     def mu_element(self, u: Element) -> Element:
         if u.algebra is not self:
             raise ValidationError("element does not live in this tensor power")
-        acc = self.mu_items(u.items())
-        zero = self.field.zero
-        out = [zero] * self.base.dim
-        for k, c in acc.items():
-            out[k] = c
-        return Element(self.base, tuple(out))
+        return Element(self.base, self.mu_items(u.terms.items()))
 
 
 # -- validation ---------------------------------------------------------------

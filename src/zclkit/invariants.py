@@ -239,10 +239,7 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
     value = len(powers)
     letters = [list(g.items()) for g in gens]
     picks = _greedy_chain(power, letters, powers)
-    zero = a.field.zero
-    factors = tuple(
-        Element(power, tuple(gens[p].get(k, zero) for k in range(power.dim))) for p in picks
-    )
+    factors = tuple(Element(power, dict(gens[p])) for p in picks)
     product = factors[0]
     for f in factors[1:]:
         product = product * f
@@ -287,8 +284,12 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
     """Lift a length-l witness at r to a length l + len(chain) witness at r + 1.
 
     Each factor x becomes x tensor 1; each chain element y contributes
-    1 x ... x 1 x y - y x 1 x ... x 1, a zero divisor at r + 1.  The product
-    is recomputed and must be nonzero for valid inputs.
+    1 x ... x 1 x y - y x 1 x ... x 1, a zero divisor at r + 1.  Lifting by
+    tensor 1 is multiplicative with no Koszul sign (the new slot holds the
+    degree-0 unit), so the new product is the stored product tensor 1 times
+    the chain factors; it must be nonzero for valid inputs.  The stored
+    product is trusted here: :func:`verify_witness` recomputes it from the
+    factors.
     """
     if not w.factors:
         raise ValidationError("witness extension needs at least one factor")
@@ -305,39 +306,31 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
         yprod = y if yprod is None else yprod * y
     if yprod.is_zero:
         raise ValidationError("chain product must be nonzero")
-    for f in w.factors:
-        if f.algebra is not small:
-            raise ValidationError("witness factors do not live in the stated tensor power")
+    if w.product.algebra is not small or any(f.algebra is not small for f in w.factors):
+        raise ValidationError("witness factors do not live in the stated tensor power")
     big = a.tensor_power(w.r + 1, max_dim=None)
     d = a.dim
     unit = a.unit_index
-    zero = a.field.zero
-    sub = a._sub
-    add = a._add
 
-    factors = []
-    for f in w.factors:
-        out = [zero] * big.dim
-        for idx, c in f.items():
-            out[idx * d + unit] = c
-        factors.append(Element(big, tuple(out)))
-    unit_prefix = big.index_of_tuple((unit,) * w.r)
+    def lift(x: Element) -> Element:
+        return Element(big, {idx * d + unit: c for idx, c in x.terms.items()})
+
+    ones = small.unit_index  # 1 x ... x 1 in the r-th power
+    top = d ** w.r
+    new = []
     for y in chain:
-        out = [zero] * big.dim
-        for j, c in y.items():
-            last = unit_prefix * d + j
-            first = big.index_of_tuple((j,) + (unit,) * w.r)
-            out[last] = add(out[last], c)
-            out[first] = sub(out[first], c)
-        factors.append(Element(big, tuple(out)))
-    product = factors[0]
-    for f in factors[1:]:
+        one_y = Element(big, {ones * d + j: c for j, c in y.terms.items()})
+        y_one = Element(big, {j * top + ones: c for j, c in y.terms.items()})
+        new.append(one_y - y_one)
+    product = lift(w.product)
+    for f in new:
         product = product * f
     if product.is_zero:
         raise WitnessInvariantError(
             "extended witness product vanished; inputs violate the extension invariant"
         )
-    return Witness(w.r + 1, tuple(factors), product, chain=chain)
+    factors = tuple(lift(f) for f in w.factors) + tuple(new)
+    return Witness(w.r + 1, factors, product, chain=chain)
 
 
 def verify_witness(a: Algebra, w: Witness) -> WitnessReport:

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zclkit import (
     AlgebraPresentation,
+    Element,
     Field,
     builtin_algebra,
     kernel_mu,
@@ -294,6 +297,101 @@ def test_mu_is_an_algebra_homomorphism(random_corpus):
             u = power.element([rng.randint(-2, 2) for _ in range(power.dim)])
             v = power.element([rng.randint(-2, 2) for _ in range(power.dim)])
             assert mu(alg, 2, u * v) == mu(alg, 2, u) * mu(alg, 2, v)
+
+
+# -- sparse elements against a dense reference --------------------------------------
+
+
+def _dense_mul(alg, u, v):
+    """Coordinate lists multiplied through the completed table, one pair at a time."""
+    f = alg.field
+    out = [f.zero] * alg.dim
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, b in enumerate(v):
+            if not b:
+                continue
+            for c, k in alg.basis_product(i, j):
+                out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
+    return out
+
+
+def _dense_mu(power, u):
+    """Each basis tuple collapsed as the dense product of its slots."""
+    base = power.base
+    f = base.field
+
+    def unit_vector(k):
+        return [f.one if n == k else f.zero for n in range(base.dim)]
+
+    out = [f.zero] * base.dim
+    for idx, c in enumerate(u):
+        if not c:
+            continue
+        slots = power.tuple_of_index(idx)
+        image = unit_vector(slots[0])
+        for s in slots[1:]:
+            image = _dense_mul(base, image, unit_vector(s))
+        out = [f.add(o, f.mul(c, x)) for o, x in zip(out, image)]
+    return out
+
+
+@pytest.fixture(scope="session")
+def small_powers(corpus):
+    """(algebra, r) for every corpus algebra and every r >= 1 with dim**r <= 81."""
+    return [(alg, r) for alg in corpus for r in range(1, 7) if alg.dim ** r <= 81]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_elements_match_a_dense_reference(small_powers, data):
+    alg, r = data.draw(st.sampled_from(small_powers))
+    power = tensor_power(alg, r, max_dim=81)
+    f = power.field
+    coeffs = st.lists(
+        st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=power.dim, max_size=power.dim
+    )
+    u = [f.coerce(x) for x in data.draw(coeffs)]
+    v = [f.coerce(x) for x in data.draw(coeffs)]
+    c = f.coerce(data.draw(st.integers(-2, 2)))
+    x, y = power.element(u), power.element(v)
+
+    assert x.coords == tuple(u)
+    assert x.items() == [(i, a) for i, a in enumerate(u) if a]
+    assert x.is_zero == (not any(u))
+    assert (x == y) == (u == v)
+    assert x == power.element(u)
+    expected = {
+        "add": (x + y, [f.add(a, b) for a, b in zip(u, v)]),
+        "sub": (x - y, [f.sub(a, b) for a, b in zip(u, v)]),
+        "neg": (-x, [f.neg(a) for a in u]),
+        "scale": (x.scale(c), [f.mul(c, a) for a in u]),
+        "rscale": (c * x, [f.mul(c, a) for a in u]),
+        "zero scale": (x.scale(0), [f.zero] * power.dim),
+        "mul": (x * y, _dense_mul(power, u, v)),
+        "self sub": (x - x, [f.zero] * power.dim),
+    }
+    for op, (got, want) in expected.items():
+        assert got.coords == tuple(want), op
+        assert got.items() == [(i, a) for i, a in enumerate(want) if a], op
+        assert all(got.terms.values()), f"{op} kept a zero term"
+        assert got.is_zero == (not any(want)), op
+    assert str(x) == (
+        " + ".join(f"{f.format(a)}·{power.label_of(i)}" for i, a in enumerate(u) if a) or "0"
+    )
+    if r > 1:
+        image = mu(alg, r, x)
+        assert image.coords == tuple(_dense_mu(power, u))
+        assert all(image.terms.values())
+
+
+def test_element_rejects_a_coordinate_tuple(stanley):
+    # the constructor takes terms; dense coordinates go through Algebra.element
+    coords = stanley.one_element().coords
+    with pytest.raises(ValidationError):
+        Element(stanley, coords)
+    assert stanley.element(coords) == Element(stanley, {stanley.unit_index: stanley.field.one})
 
 
 def test_degree_additivity(corpus):

@@ -1,13 +1,23 @@
 """Cup-length, zero-divisor cup-length, witnesses, and their cross-checks."""
 
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import zclkit
 from zclkit import (
     AlgebraPresentation,
     builtin_algebra,
     cup_length,
     cup_length_oracle,
     kernel_mu,
+    series_pipeline,
     tensor_power,
     validate_algebra,
     verify_witness,
@@ -276,6 +286,122 @@ def test_every_returned_witness_verifies(corpus):
         if bounds.witness is not None:
             assert verify_witness(alg, bounds.witness).ok
     assert checked > 5
+
+
+def _product_from_scratch(w):
+    product = w.factors[0]
+    for f in w.factors[1:]:
+        product = product * f
+    return product
+
+
+def test_incremental_extension_matches_the_product_from_scratch(corpus):
+    # witness_extend multiplies only the new factors onto the lifted stored product
+    checked = 0
+    for alg in corpus:
+        if alg.dim ** 2 > 81:
+            continue
+        clres = cup_length(alg)
+        if clres.value == 0:
+            continue
+        w = seed = zcl_exact(alg, 2, max_dim=81).witness
+        while w.r < 8:
+            w = witness_extend(alg, w, clres.chain)
+            assert w.product == _product_from_scratch(w), (alg.name, w.r)
+            assert verify_witness(alg, w).ok, (alg.name, w.r)
+        assert len(w) == len(seed) + 6 * clres.value
+        checked += 1
+    assert checked > 50
+
+
+def test_extended_witness_built_on_a_forgery_is_rejected(stanley):
+    seed = zcl_exact(stanley, 2).witness
+    chain = cup_length(stanley).chain
+    forged = Witness(2, seed.factors, seed.product.scale(2))
+    report = verify_witness(stanley, witness_extend(stanley, forged, chain))
+    assert not report.ok
+    assert any("differs" in p for p in report.problems)
+    good = witness_extend(stanley, seed, chain)
+    cube = tensor_power(stanley, 3)
+    tampered = Witness(3, (cube.one_element(),) + good.factors[1:], good.product, good.chain)
+    report = verify_witness(stanley, tampered)
+    assert not report.ok
+    assert any("zero divisor" in p for p in report.problems)
+
+
+# -- the bounds route at large r ----------------------------------------------------------
+
+
+def test_bounds_route_at_r_100_in_under_a_second():
+    # dense elements would need 4^r coordinates here; an address-space cap
+    # 1 GiB above the current size turns such a regression into a MemoryError
+    # instead of letting it take the machine's memory
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    cap = size + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        alg = builtin_algebra("stanley-p3")
+        start = time.perf_counter()
+        res = zcl_bounds(alg, 100)
+        report = verify_witness(alg, res.witness)
+        elapsed = time.perf_counter() - start
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert (res.value, res.lower, res.upper) == (100, 100, 100)
+    assert report.ok and report.projection_checked
+    assert elapsed < 1.0
+
+
+# Linux keeps a process's peak RSS across fork and exec, so a child forked from
+# the test process would report the test process's peak; a small launcher
+# starts the command instead and reports the command's own rusage.  Its limits
+# (inherited by the command) stop a regressed command from running away.
+_PEAK_RSS_LAUNCHER = """
+import json, os, resource, subprocess, sys
+resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss, out.decode()]))
+"""
+
+
+def test_bounds_route_at_r_100_stays_under_100_mb():
+    src = str(Path(zclkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "100", "--json"]
+    launched = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "zclkit.cli", *argv],
+        stdout=subprocess.PIPE,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    code, peak_kb, out = json.loads(launched.stdout)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["value"] == 100
+    assert result["witness"]["verified"]
+    assert peak_kb < 100 * 1024  # ru_maxrss is in kilobytes on Linux
+
+
+def test_series_past_the_ceiling_to_r_30_is_certified(stanley):
+    outcome = series_pipeline(stanley, 30, max_dim=256)
+    assert outcome.certified
+    assert outcome.sequence.values == tuple(range(2, 32))
+    assert outcome.p_at_one == 1
+    assert [e.method for e in outcome.entries] == ["exact"] * 3 + ["bounds"] * 27
+    for e in outcome.entries:
+        if e.method == "exact":
+            assert e == zcl_exact(stanley, e.r, max_dim=256)
+        else:
+            assert e == zcl_bounds(stanley, e.r, max_seed_dim=256)
 
 
 def test_exterior_kernel_squares_to_zero_as_a_subspace():
