@@ -42,7 +42,7 @@ from .invariants import (
     zcl_exact,
     zcl_oracle,
 )
-from .linalg import Matrix, Subspace, kernel_basis, rref, subspace_product
+from .linalg import Subspace, kernel_basis, subspace_product
 from .pipeline import SeriesOutcome, series_pipeline
 from .series import (
     IntSequence,
@@ -64,7 +64,6 @@ __all__ = [
     "Field",
     "FieldMismatchError",
     "IntSequence",
-    "Matrix",
     "RationalityReport",
     "ResourceLimitError",
     "SeriesOutcome",
@@ -89,7 +88,6 @@ __all__ = [
     "mu_matrix",
     "polynomial_from_series",
     "reconstruct_series",
-    "rref",
     "sandwich_check",
     "series_pipeline",
     "subspace_product",

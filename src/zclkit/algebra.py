@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .fields import Field, Scalar
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import Subspace, kernel_basis
 
 DEFAULT_MAX_DIM = 4096
 
@@ -131,20 +131,20 @@ class Element:
         return Element(self.algebra, out)
 
     def __add__(self, other):
-        return self._combine(other, self.algebra._add)
+        return self._combine(other, self.algebra.field.add)
 
     def __sub__(self, other):
-        return self._combine(other, self.algebra._sub)
+        return self._combine(other, self.algebra.field.sub)
 
     def __neg__(self):
-        neg = self.algebra._neg
+        neg = self.algebra.field.neg
         return Element(self.algebra, {k: neg(a) for k, a in self.terms.items()})
 
     def scale(self, c) -> "Element":
         c = self.algebra.field.coerce(c)
         if not c:
             return Element(self.algebra, {})
-        mul = self.algebra._mul
+        mul = self.algebra.field.mul
         return Element(self.algebra, {k: mul(c, a) for k, a in self.terms.items()})
 
     def __mul__(self, other):
@@ -187,17 +187,6 @@ class Algebra:
         self.field = field
         self._pair_cache: dict = {}
         self._tensor_cache: dict = {}
-        p = field.p
-        if p is not None:
-            self._add = lambda a, b: (a + b) % p
-            self._sub = lambda a, b: (a - b) % p
-            self._mul = lambda a, b: a * b % p
-            self._neg = lambda a: (-a) % p
-        else:
-            self._add = lambda a, b: a + b
-            self._sub = lambda a, b: a - b
-            self._mul = lambda a, b: a * b
-            self._neg = lambda a: -a
 
     # -- basis data (overridden by lazy subclasses) -------------------------
 
@@ -251,8 +240,8 @@ class Algebra:
 
     def product_items(self, items_u, items_v) -> dict:
         """Sparse bilinear product of (index, coeff) item lists."""
-        mul = self._mul
-        add = self._add
+        mul = self.field.mul
+        add = self.field.add
         bp = self.basis_product
         acc: dict = {}
         for i, a in items_u:
@@ -272,18 +261,6 @@ class Algebra:
                         else:
                             del acc[k]
         return acc
-
-    def multiply_coords(self, u: Sequence, v: Sequence) -> tuple:
-        """Dense bilinear product of coordinate vectors."""
-        acc = self.product_items(
-            [(i, a) for i, a in enumerate(u) if a],
-            [(j, b) for j, b in enumerate(v) if b],
-        )
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for k, c in acc.items():
-            out[k] = c
-        return tuple(out)
 
     # -- element constructors ------------------------------------------------
 
@@ -395,7 +372,7 @@ class TableAlgebra(Algebra):
             return tuple(self._core.get((i, j), ()))
         terms = self.basis_product(j, i)
         if terms and self._degrees[i] & 1 and self._degrees[j] & 1:
-            neg = self._neg
+            neg = self.field.neg
             return tuple(Term(neg(c), k) for c, k in terms)
         return terms
 
@@ -458,8 +435,8 @@ class TensorPowerAlgebra(Algebra):
             slot_terms.append(terms)
         deg = base.degree_of
         parity = _koszul_parity([deg(s) for s in tu], [deg(s) for s in tv])
-        mul = self._mul
-        neg = self._neg
+        mul = self.field.mul
+        neg = self.field.neg
         d = base.dim
         out = []
         for combo in itertools.product(*slot_terms):
@@ -494,8 +471,8 @@ class TensorPowerAlgebra(Algebra):
         return cur
 
     def mu_items(self, items) -> dict:
-        mul = self._mul
-        add = self._add
+        mul = self.field.mul
+        add = self.field.add
         acc: dict = {}
         for idx, c in items:
             for k, v in self.mu_of_basis(idx).items():
@@ -649,8 +626,8 @@ def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM
             f"({a.label_of(i)})⊗({b.label_of(j)})" for i in range(a.dim) for j in range(b.dim)
         ]
     degrees = [a.degree_of(i) + b.degree_of(j) for i in range(a.dim) for j in range(b.dim)]
-    neg = a._neg
-    mul = a._mul
+    neg = a.field.neg
+    mul = a.field.mul
     core = {}
     for i in range(dim):
         if degrees[i] == 0:
@@ -695,15 +672,13 @@ def mu(a: Algebra, r: int, u: Element) -> Element:
     return power.mu_element(u)
 
 
-def mu_matrix(power: TensorPowerAlgebra) -> Matrix:
-    """Matrix of the collapse map, base dim x power dim."""
-    base = power.base
-    zero = base.field.zero
-    rows = [[zero] * power.dim for _ in range(base.dim)]
+def mu_matrix(power: TensorPowerAlgebra) -> list:
+    """Sparse rows of the collapse map's matrix, base dim x power dim."""
+    rows = [{} for _ in range(power.base.dim)]
     for col in range(power.dim):
         for k, c in power.mu_of_basis(col).items():
             rows[k][col] = c
-    return Matrix(base.field, tuple(tuple(r) for r in rows), power.dim)
+    return rows
 
 
 def kernel_mu(a: Algebra, r: int, max_dim: int | None = DEFAULT_MAX_DIM) -> Subspace:
@@ -711,4 +686,4 @@ def kernel_mu(a: Algebra, r: int, max_dim: int | None = DEFAULT_MAX_DIM) -> Subs
     if r < 2:
         raise ValidationError("the zero-divisor ideal needs r >= 2")
     power = a.tensor_power(r, max_dim)
-    return kernel_basis(mu_matrix(power))
+    return kernel_basis(a.field, mu_matrix(power), power.dim)

@@ -57,6 +57,16 @@ def _default_max_dim() -> int:
     return value
 
 
+def _max_dim_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="zclkit",
@@ -71,7 +81,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument(
             "--max-dim",
-            type=int,
+            type=_max_dim_arg,
             default=None,
             help=f"tensor dimension ceiling (default {DEFAULT_MAX_DIM}, env {ENV_MAX_DIM})",
         )
@@ -109,8 +119,12 @@ def _build_parser() -> _Parser:
 # -- input resolution ------------------------------------------------------------
 
 
-def _resolve_algebra(spec: str):
-    """Return (algebra, source info dict); accepts a path or builtin:<name>."""
+def _resolve_algebra(spec: str, max_dim: int):
+    """Return (algebra, source info dict); accepts a path or builtin:<name>.
+
+    A presentation whose basis exceeds ``max_dim`` is refused before the
+    cubic associativity check runs on it.
+    """
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         pres = builtin_presentation(name)
@@ -124,6 +138,11 @@ def _resolve_algebra(spec: str):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         pres = load_presentation(path)
         source = {"source": str(path), "sha256": digest}
+    if len(pres.basis) > max_dim:
+        raise ResourceLimitError(
+            f"algebra dim {len(pres.basis)} exceeds the ceiling {max_dim}; "
+            "raise the ceiling to opt in"
+        )
     return validate_algebra(pres), source
 
 
@@ -197,11 +216,10 @@ def _cmd_cl(alg, source, args):
 
 
 def _cmd_zcl(alg, source, args):
-    max_dim = args.max_dim if args.max_dim is not None else _default_max_dim()
     if args.method == "exact":
-        res = zcl_exact(alg, args.r, max_dim=max_dim)
+        res = zcl_exact(alg, args.r, max_dim=args.max_dim)
     else:
-        res = zcl_bounds(alg, args.r, max_seed_dim=min(DEFAULT_SEED_DIM, max_dim))
+        res = zcl_bounds(alg, args.r, max_seed_dim=min(DEFAULT_SEED_DIM, args.max_dim))
     payload = {
         "kind": "zcl",
         "name": alg.name,
@@ -217,8 +235,7 @@ def _cmd_zcl(alg, source, args):
 
 
 def _cmd_series(alg, source, args):
-    max_dim = args.max_dim if args.max_dim is not None else _default_max_dim()
-    outcome = series_pipeline(alg, args.rmax, min_run=args.min_run, max_dim=max_dim)
+    outcome = series_pipeline(alg, args.rmax, min_run=args.min_run, max_dim=args.max_dim)
     entries = [
         {
             "r": e.r,
@@ -250,11 +267,10 @@ def _cmd_series(alg, source, args):
 
 
 def _cmd_witness(alg, source, args):
-    max_dim = args.max_dim if args.max_dim is not None else _default_max_dim()
-    if alg.dim ** args.r <= max_dim:
-        res = zcl_exact(alg, args.r, max_dim=max_dim)
+    if alg.dim ** args.r <= args.max_dim:
+        res = zcl_exact(alg, args.r, max_dim=args.max_dim)
     else:
-        res = zcl_bounds(alg, args.r, max_seed_dim=min(DEFAULT_SEED_DIM, max_dim))
+        res = zcl_bounds(alg, args.r, max_seed_dim=min(DEFAULT_SEED_DIM, args.max_dim))
     payload = {
         "kind": "witness",
         "name": alg.name,
@@ -268,8 +284,7 @@ def _cmd_witness(alg, source, args):
 
 
 def _cmd_tensor(alg, source, args):
-    max_dim = args.max_dim if args.max_dim is not None else _default_max_dim()
-    power = tensor_power(alg, args.r, max_dim=max_dim)
+    power = tensor_power(alg, args.r, max_dim=args.max_dim)
     save_algebra(power, args.out)
     payload = {
         "kind": "tensor",
@@ -394,7 +409,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         elif args.cmd == "analyze":
             payload, status = _cmd_analyze(args)
         else:
-            alg, source = _resolve_algebra(args.algebra)
+            if args.max_dim is None:
+                args.max_dim = _default_max_dim()
+            alg, source = _resolve_algebra(args.algebra, args.max_dim)
             warnings = _warnings_for(alg)
             handler = {
                 "check": _cmd_check,

@@ -4,14 +4,17 @@ Scalars are plain Python values: residues in ``range(p)`` for a prime
 field, :class:`fractions.Fraction` for the rationals.  All normalization
 rules (canonical residues, lowest terms with positive denominator) are
 therefore enforced by construction; keeping scalars unboxed keeps the
-row-reduction inner loops fast.
+row-reduction inner loops fast.  A :class:`Field` carries the one bundle of
+scalar arithmetic every other module uses: ``add``, ``sub``, ``mul`` and
+``neg`` are chosen once per instance, so no call branches on the modulus.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import FieldMismatchError, ValidationError
 
@@ -49,16 +52,35 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """F_p when ``p`` is a prime, the rationals when ``p`` is ``None``."""
+    """F_p when ``p`` is a prime, the rationals when ``p`` is ``None``.
+
+    ``add(x, y)``, ``sub(x, y)``, ``mul(x, y)`` and ``neg(x)`` act on
+    canonical operands and are bound per instance in ``__post_init__``.
+    """
 
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.p is not None:
-            if not isinstance(self.p, int) or isinstance(self.p, bool):
+        p = self.p
+        if p is None:
+            ops = (operator.add, operator.sub, operator.mul, operator.neg)
+        else:
+            if not isinstance(p, int) or isinstance(p, bool):
                 raise ValidationError("field modulus must be an integer")
-            if not is_prime(self.p):
-                raise ValidationError(f"field modulus {self.p} is not prime")
+            if not is_prime(p):
+                raise ValidationError(f"field modulus {p} is not prime")
+            ops = (
+                lambda x, y: (x + y) % p,
+                lambda x, y: (x - y) % p,
+                lambda x, y: x * y % p,
+                lambda x: -x % p,
+            )
+        for name, op in zip(("add", "sub", "mul", "neg"), ops):
+            object.__setattr__(self, name, op)
+
+    def __reduce__(self):
+        # the bound operations are closures; rebuild them from the modulus
+        return (Field, (self.p,))
 
     @classmethod
     def prime(cls, p: int) -> "Field":
@@ -119,18 +141,6 @@ class Field:
 
     # -- arithmetic (operands assumed canonical) ---------------------------
 
-    def add(self, x: Scalar, y: Scalar) -> Scalar:
-        return (x + y) % self.p if self.p is not None else x + y
-
-    def sub(self, x: Scalar, y: Scalar) -> Scalar:
-        return (x - y) % self.p if self.p is not None else x - y
-
-    def mul(self, x: Scalar, y: Scalar) -> Scalar:
-        return (x * y) % self.p if self.p is not None else x * y
-
-    def neg(self, x: Scalar) -> Scalar:
-        return (-x) % self.p if self.p is not None else -x
-
     def inv(self, x: Scalar) -> Scalar:
         if not x:
             raise ZeroDivisionError(f"inverse of zero in {self}")
@@ -140,20 +150,6 @@ class Field:
         if not y:
             raise ZeroDivisionError(f"division by zero in {self}")
         return x * pow(y, -1, self.p) % self.p if self.p is not None else x / y
-
-    def arith(self, op: str, x: Scalar, y: Scalar) -> Scalar:
-        """Checked entry point: validates operands, then computes ``x op y``."""
-        x = self.check(x)
-        y = self.check(y)
-        if op == "add":
-            return self.add(x, y)
-        if op == "sub":
-            return self.sub(x, y)
-        if op == "mul":
-            return self.mul(x, y)
-        if op == "div":
-            return self.div(x, y)
-        raise ValidationError(f"unknown scalar operation {op!r}")
 
     # -- text form ----------------------------------------------------------
 
@@ -183,12 +179,6 @@ class Field:
 
     def format(self, x: Scalar) -> str:
         return str(x)
-
-    def iter_elements(self) -> Iterator[Scalar]:
-        """All field elements; prime fields only (used by exhaustive tests)."""
-        if self.p is None:
-            raise ValidationError("cannot enumerate the rationals")
-        return iter(range(self.p))
 
 
 QQ = Field.rationals()

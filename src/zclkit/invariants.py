@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu, mu_matrix
 from .errors import ResourceLimitError, ValidationError, WitnessInvariantError
-from .linalg import Matrix, Subspace, kernel_basis, normalize_sparse, subspace_product
+from .linalg import Subspace, kernel_basis, normalize_sparse, subspace_product
 
 DEFAULT_ORACLE_DIM = 64
 DEFAULT_ORACLE_AMBIENT = 81
@@ -85,12 +85,9 @@ class WitnessReport:
 
 def augmentation_ideal(a: Algebra) -> Subspace:
     """Span of the positive-degree basis vectors (already in RREF)."""
-    pos = [i for i in range(a.dim) if a.degree_of(i) > 0]
-    zero, one = a.field.zero, a.field.one
-    rows = tuple(
-        tuple(one if j == i else zero for j in range(a.dim)) for i in pos
-    )
-    return Subspace(Matrix(a.field, rows, a.dim), tuple(pos))
+    pos = tuple(i for i in range(a.dim) if a.degree_of(i) > 0)
+    one = a.field.one
+    return Subspace(a.field, a.dim, tuple({i: one} for i in pos), pos)
 
 
 def ideal_powers(a: Algebra, s: Subspace, limit: Optional[int] = None) -> list:
@@ -103,17 +100,11 @@ def ideal_powers(a: Algebra, s: Subspace, limit: Optional[int] = None) -> list:
         return []
     powers = [s]
     while limit is None or len(powers) < limit:
-        nxt = subspace_product(
-            s, powers[-1], a.multiply_coords, product_items=a.product_items
-        )
+        nxt = subspace_product(s, powers[-1], a.product_items)
         if nxt.is_zero:
             break
         powers.append(nxt)
     return powers
-
-
-def _row_items(sub: Subspace) -> list:
-    return [[(j, x) for j, x in enumerate(row) if x] for row in sub.basis.rows]
 
 
 def _greedy_chain(a: Algebra, letters: Sequence, powers: Sequence) -> list:
@@ -124,7 +115,6 @@ def _greedy_chain(a: Algebra, letters: Sequence, powers: Sequence) -> list:
     down the ladder; bilinearity guarantees such a letter exists.
     """
     n = len(powers)
-    power_rows = [_row_items(p) for p in powers]
     picks = []
     current = None
     for step in range(n):
@@ -136,7 +126,7 @@ def _greedy_chain(a: Algebra, letters: Sequence, powers: Sequence) -> list:
                 continue
             cand_items = list(cand.items())
             if rem == 0 or any(
-                a.product_items(cand_items, row) for row in power_rows[rem - 1]
+                a.product_items(cand_items, row.items()) for row in powers[rem - 1].rows
             ):
                 chosen = li
                 current = cand_items
@@ -370,8 +360,8 @@ def verify_witness(a: Algebra, w: Witness) -> WitnessReport:
             items = yprod.items()
             cstar, lam = items[0]
             inv_lam = a.field.inv(lam)
-            mul = a._mul
-            add = a._add
+            mul = a.field.mul
+            add = a.field.add
             acc: dict = {}
             d = a.dim
             for idx, c in product.items():
@@ -400,8 +390,8 @@ def zcl_oracle(
             f"oracle guard: ambient dimension {a.dim ** r} exceeds {max_ambient}"
         )
     power = a.tensor_power(r, max_dim=None)
-    kernel = kernel_basis(mu_matrix(power))
-    letters = _row_items(kernel)
+    kernel = kernel_basis(a.field, mu_matrix(power), power.dim)
+    letters = [row.items() for row in kernel.rows]
     if not letters:
         return 0
     return _longest_product_dp(power, letters)

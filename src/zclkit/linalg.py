@@ -1,142 +1,27 @@
-"""Exact dense linear algebra: RREF, rank, kernels, and subspace products.
+"""Exact sparse linear algebra: RREF, kernels, and subspace products.
 
 Everything is computed over a :class:`~zclkit.fields.Field` with no
-floating point.  The reduced row echelon form of a row space is unique,
-so both the textbook dense elimination in :func:`rref` and the sparse
-insertion elimination used internally produce bit-identical bases; the
-sparse path exists because ideal-power enumeration generates large piles
-of mostly-zero product rows.
+floating point.  Vectors are sparse rows, dicts from column index to
+nonzero coefficient, because ideal-power enumeration generates large piles
+of mostly-zero product rows.  A :class:`Subspace` is stored as its reduced
+row echelon basis, which is unique, so two subspaces are equal exactly
+when their stored rows and pivots are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable
 
 from .errors import ValidationError
-from .fields import Field, Scalar
+from .fields import Field
 
-Vector = Sequence[Scalar]
 SparseRow = dict  # column index -> nonzero coefficient
-
-
-def _row_ops(field: Field):
-    """Per-field row kernels: (inv, scale_row, row_minus_f_times_pivot)."""
-    p = field.p
-    if p is not None:
-        def inv(a):
-            return pow(a, -1, p)
-
-        def scale(row, a):
-            return [x * a % p for x in row]
-
-        def axpy(row, f, piv):
-            return [(x - f * y) % p for x, y in zip(row, piv)]
-    else:
-        def inv(a):
-            return 1 / a
-
-        def scale(row, a):
-            return [x * a for x in row]
-
-        def axpy(row, f, piv):
-            return [x - f * y for x, y in zip(row, piv)]
-    return inv, scale, axpy
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """A rectangular matrix of canonical field elements."""
-
-    field: Field
-    rows: tuple
-    ncols: int
-
-    def __post_init__(self) -> None:
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValidationError("matrix rows must all have the same length")
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Iterable], ncols: int | None = None) -> "Matrix":
-        canon = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if ncols is None:
-            if not canon:
-                raise ValidationError("ncols is required for a matrix with no rows")
-            ncols = len(canon[0])
-        return cls(field, canon, ncols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-class RrefResult(NamedTuple):
-    matrix: Matrix
-    rank: int
-    pivots: tuple
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form with zero rows dropped.
-
-    Pivoting is deterministic: for each column the first remaining row
-    with a nonzero entry is used.
-    """
-    field = m.field
-    zero = field.zero
-    one = field.one
-    inv, scale, axpy = _row_ops(field)
-    rows = [list(r) for r in m.rows]
-    nrows = len(rows)
-    pivots = []
-    rank = 0
-    for col in range(m.ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col] != zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        if lead != one:
-            rows[rank] = scale(rows[rank], inv(lead))
-        for i in range(nrows):
-            if i != rank and rows[i][col] != zero:
-                rows[i] = axpy(rows[i], rows[i][col], rows[rank])
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    reduced = Matrix(field, tuple(tuple(r) for r in rows[:rank]), m.ncols)
-    return RrefResult(reduced, rank, tuple(pivots))
 
 
 def _sparse_rref(rows: Iterable[SparseRow], field: Field):
     """RREF of sparse rows; returns (list of pivot-sorted sparse rows, pivots)."""
-    p = field.p
-    if p is not None:
-        def inv(a):
-            return pow(a, -1, p)
-
-        def mul(a, b):
-            return a * b % p
-
-        def sub(a, b):
-            return (a - b) % p
-    else:
-        def inv(a):
-            return 1 / a
-
-        def mul(a, b):
-            return a * b
-
-        def sub(a, b):
-            return a - b
-
+    mul, sub = field.mul, field.sub
     one = field.one
     zero = field.zero
     piv: dict = {}
@@ -148,7 +33,7 @@ def _sparse_rref(rows: Iterable[SparseRow], field: Field):
             if prow is None:
                 c = row[lead]
                 if c != one:
-                    ic = inv(c)
+                    ic = field.inv(c)
                     row = {k: mul(v, ic) for k, v in row.items()}
                 piv[lead] = row
                 break
@@ -168,7 +53,7 @@ def _sparse_rref(rows: Iterable[SparseRow], field: Field):
             if not f:
                 continue
             for k, v in piv[c2].items():
-                nv = sub(row.get(k, field.zero), mul(f, v))
+                nv = sub(row.get(k, zero), mul(f, v))
                 if nv:
                     row[k] = nv
                 else:
@@ -177,104 +62,55 @@ def _sparse_rref(rows: Iterable[SparseRow], field: Field):
     return [piv[c] for c in pivots], pivots
 
 
-def _densify(field: Field, sparse_rows, pivots, ncols: int) -> Matrix:
-    zero = field.zero
-    dense = []
-    for row in sparse_rows:
-        out = [zero] * ncols
-        for k, v in row.items():
-            out[k] = v
-        dense.append(tuple(out))
-    return Matrix(field, tuple(dense), ncols)
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace stored as its unique RREF basis (no zero rows)."""
+    """A subspace stored as its unique RREF basis of sparse rows (no zero rows)."""
 
-    basis: Matrix
+    field: Field
+    ambient_dim: int
+    rows: tuple  # RREF rows as {column: coeff}, in pivot order
     pivots: tuple
 
     @property
-    def field(self) -> Field:
-        return self.basis.field
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.ncols
-
-    @property
     def dim(self) -> int:
-        return len(self.basis.rows)
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis.rows
+        return not self.rows
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(Matrix(field, (), ambient_dim), ())
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        zero, one = field.zero, field.one
-        rows = tuple(
-            tuple(one if j == i else zero for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(Matrix(field, rows, ambient_dim), tuple(range(ambient_dim)))
-
-    @classmethod
-    def span(cls, field: Field, rows: Iterable[Vector], ambient_dim: int) -> "Subspace":
-        sparse = ({j: x for j, x in enumerate(row) if x} for row in rows)
-        return cls.from_sparse_rows(field, sparse, ambient_dim)
+        one = field.one
+        rows = tuple({i: one} for i in range(ambient_dim))
+        return cls(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
     @classmethod
     def from_sparse_rows(cls, field: Field, rows: Iterable[SparseRow], ambient_dim: int) -> "Subspace":
         reduced, pivots = _sparse_rref(rows, field)
-        return cls(_densify(field, reduced, pivots, ambient_dim), tuple(pivots))
-
-    def reduce(self, v: Vector) -> list:
-        """Residual of ``v`` after elimination against the basis rows."""
-        if len(v) != self.ambient_dim:
-            raise ValidationError(
-                f"vector length {len(v)} does not match ambient dimension {self.ambient_dim}"
-            )
-        field = self.field
-        zero = field.zero
-        _, _, axpy = _row_ops(field)
-        out = list(v)
-        for row, col in zip(self.basis.rows, self.pivots):
-            f = out[col]
-            if f != zero:
-                out = axpy(out, f, row)
-        return out
-
-    def contains(self, v: Vector) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.reduce(v))
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.basis.rows)
+        return cls(field, ambient_dim, tuple(reduced), tuple(pivots))
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Null space ``{v : m v = 0}`` as an RREF subspace of dimension ncols - rank."""
-    field = m.field
-    zero = field.zero
-    red, rank, pivots = rref(m)
+def kernel_basis(field: Field, rows: Iterable[SparseRow], ncols: int) -> Subspace:
+    """Null space ``{v : m v = 0}`` of the matrix with these sparse rows."""
+    reduced, pivots = _sparse_rref(rows, field)
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
     neg = field.neg
-    rows = []
-    for f in free:
+    kernel = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         row = {f: field.one}
-        for i, pc in enumerate(pivots):
-            x = red.rows[i][f]
-            if x != zero:
+        for red, pc in zip(reduced, pivots):
+            x = red.get(f)
+            if x:
                 row[pc] = neg(x)
-        rows.append(row)
-    return Subspace.from_sparse_rows(field, rows, m.ncols)
+        kernel.append(row)
+    return Subspace.from_sparse_rows(field, kernel, ncols)
 
 
 def normalize_sparse(field: Field, row: SparseRow):
@@ -283,61 +119,34 @@ def normalize_sparse(field: Field, row: SparseRow):
     c = row[lead]
     if c != field.one:
         ic = field.inv(c)
-        p = field.p
-        if p is not None:
-            row = {k: v * ic % p for k, v in row.items()}
-        else:
-            row = {k: v * ic for k, v in row.items()}
+        mul = field.mul
+        row = {k: mul(v, ic) for k, v in row.items()}
     return tuple(sorted(row.items())), row
 
 
-def subspace_product(
-    s: Subspace,
-    t: Subspace,
-    multiply: Optional[Callable[[Vector, Vector], Vector]] = None,
-    *,
-    product_items: Optional[Callable] = None,
-) -> Subspace:
-    """Span of ``{multiply(u, w)}`` over basis rows of ``s`` and ``t``.
+def subspace_product(s: Subspace, t: Subspace, product_items: Callable) -> Subspace:
+    """Span of the products of basis rows of ``s`` and ``t``.
 
-    ``multiply`` is a bilinear map on dense coordinate vectors.  When the
-    caller can supply ``product_items`` (the same map on sparse
-    ``(index, coeff)`` item lists, returning a dict), enumeration skips the
-    dense scans.  All pairwise products are collected first and reduced in
-    one pass; bilinearity makes basis products span the full product set.
+    ``product_items`` is a bilinear map on sparse ``(index, coeff)`` item
+    lists that returns a dict.  All pairwise products are collected first
+    and reduced in one pass; bilinearity makes basis products span the full
+    product set.
     """
     if s.ambient_dim != t.ambient_dim:
         raise ValidationError("subspace product requires matching ambient dimensions")
     field = s.field
-    n = s.ambient_dim
-    if s.is_zero or t.is_zero:
-        return Subspace.zero(field, n)
     seen = set()
     collected = []
-    if product_items is not None:
-        items_s = [[(j, x) for j, x in enumerate(row) if x] for row in s.basis.rows]
-        items_t = [[(j, x) for j, x in enumerate(row) if x] for row in t.basis.rows]
-        for iu in items_s:
-            for iv in items_t:
-                prod = product_items(iu, iv)
-                if not prod:
-                    continue
-                key, norm = normalize_sparse(field, prod)
-                if key not in seen:
-                    seen.add(key)
-                    collected.append(norm)
-    else:
-        if multiply is None:
-            raise ValidationError("subspace_product needs a multiply callback")
-        for u in s.basis.rows:
-            for w in t.basis.rows:
-                prod = {j: x for j, x in enumerate(multiply(u, w)) if x}
-                if not prod:
-                    continue
-                key, norm = normalize_sparse(field, prod)
-                if key not in seen:
-                    seen.add(key)
-                    collected.append(norm)
+    for u in s.rows:
+        items_u = u.items()
+        for v in t.rows:
+            prod = product_items(items_u, v.items())
+            if not prod:
+                continue
+            key, norm = normalize_sparse(field, prod)
+            if key not in seen:
+                seen.add(key)
+                collected.append(norm)
     if not collected:
-        return Subspace.zero(field, n)
-    return Subspace.from_sparse_rows(field, collected, n)
+        return Subspace.zero(field, s.ambient_dim)
+    return Subspace.from_sparse_rows(field, collected, s.ambient_dim)

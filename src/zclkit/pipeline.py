@@ -61,10 +61,10 @@ def series_pipeline(
     cl_value = cup_length(a).value
     entries = []
     for r in range(2, rmax + 2):
-        if max_dim is not None and a.dim ** r <= max_dim:
+        if a.dim ** r <= max_dim:
             entries.append(zcl_exact(a, r, max_dim=max_dim))
         else:
-            entries.append(zcl_bounds(a, r, max_seed_dim=min(seed_dim, max_dim or seed_dim)))
+            entries.append(zcl_bounds(a, r, max_seed_dim=min(seed_dim, max_dim)))
     sequence = None
     analysis = None
     if all(e.value is not None for e in entries):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import contains
 from zclkit import (
     AlgebraPresentation,
     Element,
@@ -414,7 +415,7 @@ def test_kernel_mu_exterior():
     assert ker.dim == 2
     sq = tensor_power(alg, 2)
     x = sq.element_from_labels({"a⊗1": 1, "1⊗a": -1})
-    assert ker.contains(x.coords)
+    assert contains(ker, x.coords)
 
 
 def test_difference_always_in_kernel(corpus):
@@ -430,7 +431,7 @@ def test_difference_always_in_kernel(corpus):
             x = [alg.field.zero] * sq.dim
             x[sq.index_of_tuple((i, unit))] = alg.field.one
             x[sq.index_of_tuple((unit, i))] = alg.field.neg(alg.field.one)
-            assert ker.contains(tuple(x))
+            assert contains(ker, tuple(x))
 
 
 def test_kernel_mu_requires_r_at_least_two(stanley):

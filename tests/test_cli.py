@@ -256,3 +256,33 @@ def test_env_var_sets_ceiling(monkeypatch):
     monkeypatch.setenv("ZCLKIT_MAX_DIM", "not-a-number")
     code, _, err = cli("zcl", "builtin:stanley-p3", "--r", "2")
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zcl", "builtin:stanley-p3", "--r", "3"),
+        ("zcl", "builtin:stanley-p3", "--r", "3", "--method", "bounds"),
+        ("series", "builtin:stanley-p3", "--rmax", "3"),
+        ("witness", "builtin:stanley-p3", "--r", "3"),
+        ("check", "builtin:stanley-p3"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[4:]),
+)
+@pytest.mark.parametrize("max_dim", ["0", "-5", "ten"])
+def test_max_dim_below_one_is_a_usage_error(argv, max_dim, capsys):
+    code, out, _ = cli(*argv, "--max-dim", max_dim)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--max-dim" in capsys.readouterr().err
+
+
+def test_file_above_the_ceiling_is_refused_before_validation(tmp_path, monkeypatch):
+    path = tmp_path / "square.json"
+    assert cli("tensor", "builtin:stanley-p3", "--r", "2", "--out", str(path))[0] == EXIT_OK
+    code, _, err = cli("check", str(path), "--max-dim", "8")
+    assert code == EXIT_RESOURCE
+    assert "dim 16 exceeds the ceiling 8" in err
+    monkeypatch.setenv("ZCLKIT_MAX_DIM", "15")
+    assert cli("check", str(path))[0] == EXIT_RESOURCE
+    assert cli("check", str(path), "--max-dim", "16")[0] == EXIT_OK

@@ -1,7 +1,9 @@
 """Cup-length, zero-divisor cup-length, witnesses, and their cross-checks."""
 
+import itertools
 import json
 import os
+import pickle
 import resource
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import zclkit
+from dense_reference import dense_rows, null_space
 from zclkit import (
     AlgebraPresentation,
     builtin_algebra,
@@ -27,7 +30,7 @@ from zclkit import (
     zcl_oracle,
 )
 from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantError
-from zclkit.fields import GF3, QQ
+from zclkit.fields import GF3, QQ, Field
 from zclkit.invariants import Witness, _zero_divisor_generators
 from zclkit.linalg import Subspace, subspace_product
 
@@ -409,9 +412,7 @@ def test_exterior_kernel_squares_to_zero_as_a_subspace():
     square = tensor_power(alg, 2)
     kernel = kernel_mu(alg, 2)
     assert kernel.dim == 2
-    product = subspace_product(
-        kernel, kernel, square.multiply_coords, product_items=square.product_items
-    )
+    product = subspace_product(kernel, kernel, square.product_items)
     assert product.is_zero
 
 
@@ -448,12 +449,62 @@ def test_zero_divisor_generators_generate_the_kernel(corpus):
                 alg.field, _zero_divisor_generators(power), power.dim
             )
             ideal = subspace_product(
-                Subspace.full(alg.field, power.dim),
-                gens,
-                power.multiply_coords,
-                product_items=power.product_items,
+                Subspace.full(alg.field, power.dim), gens, power.product_items
             )
             assert ideal.dim == power.dim - alg.dim, (alg.name, r)
             assert ideal == kernel_mu(alg, r, max_dim=None), (alg.name, r)
             checked += 1
     assert checked > 300
+
+
+def _dense_collapse_matrix(alg, r):
+    """The collapse map's matrix, multiplying basis tuples out slot by slot."""
+    field = alg.field
+    d = alg.dim
+    columns = []
+    for t in itertools.product(range(d), repeat=r):
+        v = [field.zero] * d
+        v[t[0]] = field.one
+        for slot in t[1:]:
+            out = [field.zero] * d
+            for i, c in enumerate(v):
+                if c:
+                    for coeff, k in alg.basis_product(i, slot):
+                        out[k] = field.add(out[k], field.mul(c, coeff))
+            v = out
+        columns.append(v)
+    return [tuple(col[k] for col in columns) for k in range(d)]
+
+
+def test_kernel_mu_matches_the_dense_null_space(corpus):
+    # kernel_mu, the oracle's kernel, against an elimination it shares no code with
+    checked = 0
+    for alg in corpus:
+        for r in range(2, 7):
+            if alg.dim ** r > 81:
+                break
+            expected = null_space(alg.field, _dense_collapse_matrix(alg, r), alg.dim ** r)
+            assert dense_rows(kernel_mu(alg, r, max_dim=None)) == expected, (alg.name, r)
+            checked += 1
+    assert checked > 300
+
+
+def test_fields_and_algebras_survive_pickling():
+    for field in (GF3, QQ):
+        copy = pickle.loads(pickle.dumps(field))
+        assert copy == field and str(copy) == str(field)
+        assert copy.mul(copy.one, copy.neg(copy.one)) == field.neg(field.one)
+    assert pickle.loads(pickle.dumps(Field.prime(7))).sub(2, 5) == 4
+
+    def summary(alg):
+        cl = cup_length(alg)
+        res = zcl_exact(alg, 2)
+        witness = [str(f) for f in res.witness.factors] + [str(res.witness.product)]
+        return cl.value, [str(e) for e in cl.chain], res.value, res.upper, witness
+
+    alg = builtin_algebra("surface:1")
+    fresh = pickle.loads(pickle.dumps(alg))
+    expected = summary(alg)
+    warmed = pickle.loads(pickle.dumps(alg))  # caches filled by the run above
+    assert summary(fresh) == expected == summary(warmed)
+    assert verify_witness(warmed, zcl_exact(warmed, 2).witness).ok

@@ -44,3 +44,12 @@ def test_entries_fall_back_to_bounds_beyond_the_ceiling(stanley):
     assert [e.value for e in out.entries] == [2, 3, 4, 5]
     assert out.certified
     assert out.p_at_one == 1
+
+
+@pytest.mark.parametrize("max_dim", [0, 1])
+def test_a_tiny_ceiling_is_honoured(stanley, max_dim):
+    # no tensor power fits, so every entry is an uncertified sandwich
+    out = series_pipeline(stanley, 3, max_dim=max_dim)
+    assert [e.method for e in out.entries] == ["bounds"] * 3
+    assert all(e.value is None and e.lower == 0 for e in out.entries)
+    assert not out.certified
