@@ -57,14 +57,19 @@ def _default_max_dim() -> int:
     return value
 
 
-def _max_dim_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer >= ``low``, so a bad value is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -81,7 +86,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument(
             "--max-dim",
-            type=_max_dim_arg,
+            type=_int_at_least(1),
             default=None,
             help=f"tensor dimension ceiling (default {DEFAULT_MAX_DIM}, env {ENV_MAX_DIM})",
         )
@@ -91,24 +96,24 @@ def _build_parser() -> _Parser:
     alg_cmd("cl", "cup-length with a maximal chain")
 
     sp = alg_cmd("zcl", "zero-divisor cup-length at a given r")
-    sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--r", type=_int_at_least(2), required=True)
     sp.add_argument("--method", choices=["exact", "bounds"], default="exact")
 
     sp = alg_cmd("series", "zcl profile for r = 2..rmax+1 plus sequence analysis")
-    sp.add_argument("--rmax", type=int, required=True)
-    sp.add_argument("--min-run", type=int, default=DEFAULT_MIN_RUN)
+    sp.add_argument("--rmax", type=_int_at_least(3), required=True)
+    sp.add_argument("--min-run", type=_int_at_least(2), default=DEFAULT_MIN_RUN)
 
     sp = alg_cmd("witness", "explicit zero-divisor witness at a given r")
-    sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--r", type=_int_at_least(2), required=True)
 
     sp = alg_cmd("tensor", "write the r-th tensor power as an algebra file")
-    sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--r", type=_int_at_least(1), required=True)
     sp.add_argument("--out", required=True, help="output file path")
 
     sp = sub.add_parser("analyze", help="analyze an integer sequence directly")
     sp.add_argument("--seq", required=True, help="comma-separated integers")
     sp.add_argument("--offset", type=int, default=0)
-    sp.add_argument("--min-run", type=int, default=DEFAULT_MIN_RUN)
+    sp.add_argument("--min-run", type=_int_at_least(2), default=DEFAULT_MIN_RUN)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("builtins", help="list builtin algebras")
@@ -122,8 +127,8 @@ def _build_parser() -> _Parser:
 def _resolve_algebra(spec: str, max_dim: int):
     """Return (algebra, source info dict); accepts a path or builtin:<name>.
 
-    A presentation whose basis exceeds ``max_dim`` is refused before the
-    cubic associativity check runs on it.
+    A presentation whose basis exceeds ``max_dim`` is refused before it is
+    validated.
     """
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]

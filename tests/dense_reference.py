@@ -1,9 +1,12 @@
-"""Textbook dense elimination, the reference the sparse core is tested against.
+"""Textbook dense references the sparse core is tested against.
 
 Nothing here calls zclkit's elimination: :func:`rref` is Gauss-Jordan on
 dense rows, and the helpers that take a :class:`~zclkit.linalg.Subspace`
 only read its stored rows.  Only :func:`span` builds a subspace, through
 ``Subspace.from_sparse_rows``, for tests that need one from dense rows.
+:func:`associativity_failures` completes a presentation's table itself and
+compares both sides on every positive triple, with no call into zclkit's
+algebra code.
 """
 
 from zclkit.errors import ValidationError
@@ -85,3 +88,57 @@ def contains(sub, v):
 
 def is_subspace_of(s, t):
     return all(contains(t, row) for row in dense_rows(s))
+
+
+def associativity_failures(pres):
+    """Label triples ``(i, j, k)`` with ``(e_i e_j) e_k != e_i (e_j e_k)``.
+
+    Every positive triple is compared, in ``(j, i, k)`` index order, on dense
+    vectors.  The table is completed here from the raw presentation: the
+    unit laws, summed terms, and ``e_j e_i = -e_i e_j`` when both degrees
+    are odd.
+    """
+    field = pres.field
+    labels = [lbl for lbl, _ in pres.basis]
+    degrees = [deg for _, deg in pres.basis]
+    dim = len(degrees)
+    unit = degrees.index(0)
+
+    def vector(terms):
+        v = [field.zero] * dim
+        for c, k in terms:
+            v[k] = field.add(v[k], field.coerce(c))
+        return v
+
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            if i == unit or j == unit:
+                table[i, j] = vector([(1, j if i == unit else i)])
+            elif i <= j:
+                table[i, j] = vector(pres.products.get((i, j), ()))
+            else:
+                v = vector(pres.products.get((j, i), ()))
+                if degrees[i] & 1 and degrees[j] & 1:
+                    v = [field.neg(x) for x in v]
+                table[i, j] = v
+
+    def combine(coeffs, column):
+        out = [field.zero] * dim
+        for m, c in enumerate(coeffs):
+            if c == field.zero:
+                continue
+            for n, x in enumerate(column(m)):
+                out[n] = field.add(out[n], field.mul(c, x))
+        return out
+
+    pos = [i for i in range(dim) if i != unit]
+    failures = []
+    for j in pos:
+        for i in pos:
+            for k in pos:
+                lhs = combine(table[i, j], lambda m: table[m, k])
+                rhs = combine(table[j, k], lambda m: table[i, m])
+                if lhs != rhs:
+                    failures.append((labels[i], labels[j], labels[k]))
+    return failures

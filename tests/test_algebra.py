@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import contains
+from dense_reference import associativity_failures, contains
 from zclkit import (
     AlgebraPresentation,
     Element,
@@ -114,8 +114,77 @@ def test_associativity_violation_reported():
         [("1", 0), ("x", 2), ("y", 4), ("u", 8)],
         {("x", "x"): [(1, "y")], ("y", "y"): [(1, "u")]},
     )
-    with pytest.raises(ValidationError, match="associativity"):
+    with pytest.raises(ValidationError, match=r"associativity fails on \(x, x, y\)"):
         validate_algebra(bad)
+
+
+def test_mirrored_associativity_violation_reported():
+    # (x*x)*y = 0 but x*(x*y) = x*z = u: only the right side is nonzero
+    bad = _pres(
+        "nonassoc-mirror",
+        QQ,
+        [("1", 0), ("x", 2), ("y", 4), ("z", 6), ("u", 8)],
+        {("x", "y"): [(1, "z")], ("x", "z"): [(1, "u")]},
+    )
+    with pytest.raises(ValidationError, match=r"associativity fails on \(x, x, y\)"):
+        validate_algebra(bad)
+
+
+def _perturbed(pres, rng, edits):
+    """A seeded copy of a table with ``edits`` edits, each drawn at random.
+
+    An edit changes a coefficient, drops a term, or adds a term of the right
+    degree.  A drawn edit that does not apply is left out, and so is an
+    added odd-degree square outside characteristic 2: homogeneity and the
+    odd-square rule keep holding, so only associativity can reject the copy.
+    """
+    field = pres.field
+    degrees = [deg for _, deg in pres.basis]
+    pos = [i for i, deg in enumerate(degrees) if deg]
+    products = {key: list(terms) for key, terms in pres.products.items()}
+    for _ in range(edits):
+        kind = rng.choice(["change", "drop", "add"])
+        entries = sorted(key for key, terms in products.items() if terms)
+        if kind in ("change", "drop") and entries:
+            key = rng.choice(entries)
+            n = rng.randrange(len(products[key]))
+            if kind == "drop":
+                del products[key][n]
+            else:
+                c, k = products[key][n]
+                products[key][n] = (field.add(c, field.coerce(rng.choice([1, 2, -1]))), k)
+        elif kind == "add" and pos:
+            i, j = sorted((rng.choice(pos), rng.choice(pos)))
+            targets = [k for k, deg in enumerate(degrees) if deg == degrees[i] + degrees[j]]
+            if targets and not (i == j and degrees[i] & 1 and field.characteristic != 2):
+                products.setdefault((i, j), []).append((field.one, rng.choice(targets)))
+    return AlgebraPresentation(pres.name, field, pres.basis, products)
+
+
+def test_associativity_check_agrees_with_the_brute_force_oracle(corpus):
+    rng = random.Random(20251018)
+    tables = [alg.to_presentation() for alg in corpus]
+    # Few edits of a table of dim 5 or less break associativity; the tensor
+    # squares of the smallest corpus algebras leave more room for it.
+    squares = [tensor_power(alg, 2).to_presentation() for alg in corpus if alg.dim <= 3]
+    cases = tables + [
+        _perturbed(pres, rng, rng.randint(1, 3))
+        for pres, count in [(p, 2) for p in tables] + [(p, 15) for p in squares]
+        for _ in range(count)
+    ]
+    rejected = 0
+    for pres in cases:
+        failures = associativity_failures(pres)
+        try:
+            validate_algebra(pres)
+        except ValidationError as exc:
+            assert failures, str(exc)
+            i, j, k = failures[0]
+            assert str(exc).endswith(f"associativity fails on ({i}, {j}, {k})")
+            rejected += 1
+        else:
+            assert not failures, (pres.name, failures[:3])
+    assert rejected >= 50
 
 
 def test_zero_coefficients_are_dropped():

@@ -8,8 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from zclkit import builtin_algebra, validate_algebra
-from zclkit.algfile import load_presentation
+from zclkit import builtin_algebra, tensor_power, validate_algebra
+from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INVALID,
@@ -275,6 +275,40 @@ def test_max_dim_below_one_is_a_usage_error(argv, max_dim, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "--max-dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zcl", "builtin:stanley-p3", "--r", "1"),
+        ("zcl", "builtin:stanley-p3", "--r", "0"),
+        ("witness", "builtin:stanley-p3", "--r", "1"),
+        ("witness", "builtin:stanley-p3", "--r", "0"),
+        ("tensor", "builtin:stanley-p3", "--r", "0", "--out", "unused.json"),
+        ("series", "builtin:stanley-p3", "--rmax", "0"),
+        ("series", "builtin:stanley-p3", "--rmax", "2"),
+        ("series", "builtin:stanley-p3", "--rmax", "3", "--min-run", "0"),
+        ("analyze", "--seq", "1,2,3,4", "--min-run", "1"),
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_arguments_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = cli(*argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "unused.json").exists()
+
+
+def test_large_tensor_file_validates_quickly(tmp_path):
+    path = tmp_path / "stanley-p3-r5.json"
+    save_algebra(tensor_power(builtin_algebra("stanley-p3"), 5), path)
+    start = time.monotonic()
+    alg = validate_algebra(load_presentation(path))
+    elapsed = time.monotonic() - start
+    assert alg.dim == 1024
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
 
 def test_file_above_the_ceiling_is_refused_before_validation(tmp_path, monkeypatch):
