@@ -220,10 +220,6 @@ class Algebra:
             self._labels = cached
         return cached
 
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees)
-
     def _compute_pair(self, i: int, j: int) -> tuple:
         raise NotImplementedError
 

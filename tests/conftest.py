@@ -124,7 +124,7 @@ def make_random_corpus(count: int = CORPUS_SIZE, seed: int = CORPUS_SEED):
         pres = make_random_presentation(rng, f"rand-{n:03d}")
         alg = validate_algebra(pres)
         assert alg.dim <= MAX_CORPUS_DIM
-        assert alg.max_degree <= MAX_CORPUS_DEG
+        assert max(alg.degrees) <= MAX_CORPUS_DEG
         algebras.append(alg)
     return algebras
 

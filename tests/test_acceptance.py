@@ -119,7 +119,7 @@ def test_criterion_4_series_pipeline(stanley):
 def test_criterion_5_oracle_equivalence(corpus, random_corpus, corpus_zcl_table):
     assert len(random_corpus) >= 100
     assert all(alg.dim <= 5 for alg in random_corpus)
-    assert all(alg.max_degree <= 6 for alg in random_corpus)
+    assert all(max(alg.degrees) <= 6 for alg in random_corpus)
     fields = {str(alg.field) for alg in random_corpus}
     assert fields == {"F2", "F3", "F5", "Q"}
     mismatches = []
