@@ -13,10 +13,7 @@ from .algebra import (
     Element,
     TableAlgebra,
     TensorPowerAlgebra,
-    kernel_mu,
     mu,
-    mu_matrix,
-    tensor_power,
     tensor_product,
     validate_algebra,
 )
@@ -35,22 +32,18 @@ from .invariants import (
     WitnessReport,
     ZclResult,
     cup_length,
-    cup_length_oracle,
     verify_witness,
     witness_extend,
     zcl_bounds,
     zcl_exact,
-    zcl_oracle,
 )
-from .linalg import Subspace, kernel_basis, subspace_product
+from .linalg import Subspace, subspace_product
 from .pipeline import SeriesOutcome, series_pipeline
 from .series import (
     IntSequence,
     RationalityReport,
     analyze_sequence,
     polynomial_from_series,
-    reconstruct_series,
-    sandwich_check,
 )
 
 __version__ = "0.1.0"
@@ -81,22 +74,14 @@ __all__ = [
     "builtin_names",
     "builtin_presentation",
     "cup_length",
-    "cup_length_oracle",
-    "kernel_basis",
-    "kernel_mu",
     "mu",
-    "mu_matrix",
     "polynomial_from_series",
-    "reconstruct_series",
-    "sandwich_check",
     "series_pipeline",
     "subspace_product",
-    "tensor_power",
     "tensor_product",
     "validate_algebra",
     "verify_witness",
     "witness_extend",
     "zcl_bounds",
     "zcl_exact",
-    "zcl_oracle",
 ]

@@ -10,7 +10,9 @@ Tensor powers carry the induced product
         = (-1)^{sum_{s<t} |v_s||u_t|} (u_1 v_1) x ... x (u_r v_r)
 
 on the basis of r-tuples in lexicographic order, and the collapse map
-sends a basis tuple to the product of its slots.
+sends a basis tuple to the product of its slots.  The matrix and kernel of
+that map, and dense coordinate views of elements, are test references in
+``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .fields import Field, Scalar
-from .linalg import Subspace, kernel_basis
 
 DEFAULT_MAX_DIM = 4096
 
@@ -79,8 +80,7 @@ class Element:
     ``terms`` maps a basis index to its coefficient and never holds a zero,
     so memory and arithmetic follow the support, not the dimension: a
     zero divisor in a tensor power of dimension d^r with two terms costs two
-    entries.  :meth:`items` lists the terms in index order; ``coords`` is a
-    dense read-only view for small algebras.
+    entries.  :meth:`items` lists the terms in index order.
     """
 
     __slots__ = ("algebra", "terms")
@@ -94,12 +94,6 @@ class Element:
     def _match(self, other: "Element") -> None:
         if not isinstance(other, Element) or other.algebra is not self.algebra:
             raise ValidationError("elements belong to different algebras")
-
-    @property
-    def coords(self) -> tuple:
-        zero = self.algebra.field.zero
-        get = self.terms.get
-        return tuple(get(i, zero) for i in range(self.algebra.dim))
 
     @property
     def is_zero(self) -> bool:
@@ -271,9 +265,6 @@ class Algebra:
     def basis_element(self, i: int) -> Element:
         return Element(self, {i: self.field.one})
 
-    def zero_element(self) -> Element:
-        return Element(self, {})
-
     def one_element(self) -> Element:
         return self.basis_element(self.unit_index)
 
@@ -288,11 +279,6 @@ class Algebra:
             if c:
                 out[index[lbl]] = c
         return Element(self, out)
-
-    def multiply(self, u: Element, v: Element) -> Element:
-        if u.algebra is not self or v.algebra is not self:
-            raise ValidationError("elements belong to a different algebra")
-        return u * v
 
     # -- derived algebras ----------------------------------------------------
 
@@ -315,7 +301,11 @@ class Algebra:
         return power
 
     def to_presentation(self) -> AlgebraPresentation:
-        """Positive-degree (i <= j) table entries, suitable for serialization."""
+        """Positive-degree (i <= j) table entries, suitable for serialization.
+
+        Entries bypass the pair cache: this scan visits every pair, and most
+        of them are zero in a tensor power.
+        """
         core = {}
         for i in range(self.dim):
             if self.degree_of(i) == 0:
@@ -323,7 +313,7 @@ class Algebra:
             for j in range(i, self.dim):
                 if self.degree_of(j) == 0:
                     continue
-                terms = self.basis_product(i, j)
+                terms = self._compute_pair(i, j)
                 if terms:
                     core[(i, j)] = tuple(terms)
         basis = tuple((self.label_of(i), self.degree_of(i)) for i in range(self.dim))
@@ -480,11 +470,6 @@ class TensorPowerAlgebra(Algebra):
                     acc.pop(k, None)
         return acc
 
-    def mu_element(self, u: Element) -> Element:
-        if u.algebra is not self:
-            raise ValidationError("element does not live in this tensor power")
-        return Element(self.base, self.mu_items(u.terms.items()))
-
 
 # -- validation ---------------------------------------------------------------
 
@@ -618,10 +603,6 @@ def validate_algebra(pres: AlgebraPresentation) -> TableAlgebra:
 # -- tensor constructions ------------------------------------------------------
 
 
-def tensor_power(a: Algebra, r: int, max_dim: int | None = DEFAULT_MAX_DIM) -> Algebra:
-    return a.tensor_power(r, max_dim)
-
-
 def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM) -> TableAlgebra:
     """Binary tensor product with the sign rule (a x b)(a' x b') = ±(aa' x bb')."""
     if a.field != b.field:
@@ -667,7 +648,7 @@ def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM
     return TableAlgebra(name, a.field, labels, degrees, core)
 
 
-# -- the collapse map as a linear object ----------------------------------------
+# -- the collapse map ----------------------------------------------------------
 
 
 def mu(a: Algebra, r: int, u: Element) -> Element:
@@ -679,21 +660,4 @@ def mu(a: Algebra, r: int, u: Element) -> Element:
         raise ValidationError("element does not live in the r-th tensor power")
     if r == 1:
         return u
-    return power.mu_element(u)
-
-
-def mu_matrix(power: TensorPowerAlgebra) -> list:
-    """Sparse rows of the collapse map's matrix, base dim x power dim."""
-    rows = [{} for _ in range(power.base.dim)]
-    for col in range(power.dim):
-        for k, c in power.mu_of_basis(col).items():
-            rows[k][col] = c
-    return rows
-
-
-def kernel_mu(a: Algebra, r: int, max_dim: int | None = DEFAULT_MAX_DIM) -> Subspace:
-    """RREF basis of the zero-divisor ideal ker(mu_r) inside the r-th power."""
-    if r < 2:
-        raise ValidationError("the zero-divisor ideal needs r >= 2")
-    power = a.tensor_power(r, max_dim)
-    return kernel_basis(a.field, mu_matrix(power), power.dim)
+    return Element(a, power.mu_items(u.terms.items()))

@@ -15,11 +15,11 @@ import os
 import sys
 from pathlib import Path
 
-from .algebra import DEFAULT_MAX_DIM, Algebra, tensor_power, validate_algebra
+from .algebra import DEFAULT_MAX_DIM, Algebra, validate_algebra
 from .algfile import load_presentation, presentation_to_dict, save_algebra
 from .catalog import builtin_names, builtin_presentation
 from .errors import ResourceLimitError, ValidationError, ZclkitError
-from .invariants import DEFAULT_SEED_DIM, cup_length, verify_witness, zcl_bounds, zcl_exact
+from .invariants import cup_length, verify_witness, zcl_auto, zcl_bounds, zcl_exact
 from .pipeline import series_pipeline
 from .series import (
     DEFAULT_MIN_RUN,
@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("analyze", help="analyze an integer sequence directly")
     sp.add_argument("--seq", required=True, help="comma-separated integers")
-    sp.add_argument("--offset", type=int, default=0)
+    sp.add_argument("--offset", type=_int_at_least(0), default=0)
     sp.add_argument("--min-run", type=_int_at_least(2), default=DEFAULT_MIN_RUN)
     sp.add_argument("--json", action="store_true")
 
@@ -224,7 +224,7 @@ def _cmd_zcl(alg, source, args):
     if args.method == "exact":
         res = zcl_exact(alg, args.r, max_dim=args.max_dim)
     else:
-        res = zcl_bounds(alg, args.r, max_seed_dim=min(DEFAULT_SEED_DIM, args.max_dim))
+        res = zcl_bounds(alg, args.r, max_dim=args.max_dim)
     payload = {
         "kind": "zcl",
         "name": alg.name,
@@ -272,10 +272,7 @@ def _cmd_series(alg, source, args):
 
 
 def _cmd_witness(alg, source, args):
-    if alg.dim ** args.r <= args.max_dim:
-        res = zcl_exact(alg, args.r, max_dim=args.max_dim)
-    else:
-        res = zcl_bounds(alg, args.r, max_seed_dim=min(DEFAULT_SEED_DIM, args.max_dim))
+    res = zcl_auto(alg, args.r, max_dim=args.max_dim)
     payload = {
         "kind": "witness",
         "name": alg.name,
@@ -289,7 +286,7 @@ def _cmd_witness(alg, source, args):
 
 
 def _cmd_tensor(alg, source, args):
-    power = tensor_power(alg, args.r, max_dim=args.max_dim)
+    power = alg.tensor_power(args.r, max_dim=args.max_dim)
     save_algebra(power, args.out)
     payload = {
         "kind": "tensor",

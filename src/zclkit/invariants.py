@@ -17,6 +17,12 @@ Two inequalities frame every result: zcl_r <= r * cl (the product of more
 than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
 certified constructively by extending a witness with the factors y x 1...x 1
 - 1 x ... x 1 x y built from a maximal cup-length chain.
+
+The route is decided here and nowhere else: :func:`zcl_auto` computes zcl_r
+exactly while d^r fits the dimension ceiling, and otherwise by
+:func:`zcl_bounds`, which seeds at the largest r0 with d^r0 within both the
+ceiling and DEFAULT_SEED_DIM.  The brute-force oracles that check these
+results live beside the tests, in ``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -24,12 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu, mu_matrix
-from .errors import ResourceLimitError, ValidationError, WitnessInvariantError
-from .linalg import Subspace, kernel_basis, normalize_sparse, subspace_product
+from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu
+from .errors import ValidationError, WitnessInvariantError
+from .linalg import Subspace, subspace_product
 
-DEFAULT_ORACLE_DIM = 64
-DEFAULT_ORACLE_AMBIENT = 81
 DEFAULT_SEED_DIM = 256
 
 
@@ -155,42 +159,6 @@ def cup_length(a: Algebra) -> ClResult:
     return ClResult(len(powers), chain)
 
 
-def _longest_product_dp(a: Algebra, letters: Sequence) -> int:
-    """Exhaustive search over products of the letters, memoized up to scaling."""
-    if not letters:
-        return 0
-    field = a.field
-    best: dict = {}
-    work = []
-    for lit in letters:
-        key, norm = normalize_sparse(field, dict(lit))
-        if best.get(key, 0) < 1:
-            best[key] = 1
-            work.append((list(norm.items()), 1))
-    while work:
-        items, length = work.pop()
-        for lit in letters:
-            prod = a.product_items(items, lit)
-            if not prod:
-                continue
-            key, norm = normalize_sparse(field, prod)
-            if best.get(key, 0) < length + 1:
-                best[key] = length + 1
-                work.append((list(norm.items()), length + 1))
-    return max(best.values())
-
-
-def cup_length_oracle(a: Algebra, max_dim: int = DEFAULT_ORACLE_DIM) -> int:
-    """Independent brute-force cup-length; small algebras only."""
-    if a.dim > max_dim:
-        raise ResourceLimitError(
-            f"oracle guard: dim {a.dim} exceeds {max_dim}"
-        )
-    one = a.field.one
-    letters = [[(i, one)] for i in range(a.dim) if a.degree_of(i) > 0]
-    return _longest_product_dp(a, letters)
-
-
 # -- zero-divisor cup-length --------------------------------------------------------
 
 
@@ -239,35 +207,45 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
     return ZclResult(r, value, "exact", value, upper, witness)
 
 
-def zcl_bounds(
-    a: Algebra,
-    r: int,
-    max_seed_dim: int = DEFAULT_SEED_DIM,
-) -> ZclResult:
+def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
     """Certified sandwich for zcl_r without iterating ideal powers at full size.
 
-    Seeds an exact witness at the largest r0 whose tensor power stays within
-    ``max_seed_dim``, then extends it one factor-count of cl(A) per step up
-    to r.  The value is reported only when the certified lower bound meets
-    the r*cl upper bound.
+    Seeds an exact witness at the largest r0 <= r whose tensor power fits
+    min(DEFAULT_SEED_DIM, ``max_dim``), then extends it one factor-count of
+    cl(A) per step up to r.  The value is reported only when the certified
+    lower bound meets the r*cl upper bound.
     """
     if r < 2:
         raise ValidationError("zero-divisor cup-length needs r >= 2")
+    if max_dim is None:
+        max_dim = DEFAULT_MAX_DIM
     clres = cup_length(a)
     upper = r * clres.value
     if clres.value == 0:
         return ZclResult(r, 0, "bounds", 0, 0, None)
-    feasible = [s for s in range(2, r + 1) if a.dim ** s <= max_seed_dim]
-    if not feasible:
+    seed_dim = min(DEFAULT_SEED_DIM, max_dim)
+    d = a.dim
+    if d * d > seed_dim:
         return ZclResult(r, None, "bounds", 0, upper, None)
-    r0 = feasible[-1]
-    seed = zcl_exact(a, r0, max_dim=max_seed_dim)
+    r0, size = 2, d * d
+    while r0 < r and size * d <= seed_dim:
+        r0, size = r0 + 1, size * d
+    seed = zcl_exact(a, r0, max_dim=seed_dim)
     witness = seed.witness
     for _ in range(r - r0):
         witness = witness_extend(a, witness, clres.chain)
     lower = len(witness.factors)
     value = lower if lower == upper else None
     return ZclResult(r, value, "bounds", lower, upper, witness)
+
+
+def zcl_auto(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
+    """zcl_r exactly while the r-th tensor power fits ``max_dim``, else by bounds."""
+    if max_dim is None:
+        max_dim = DEFAULT_MAX_DIM
+    if a.dim ** r <= max_dim:
+        return zcl_exact(a, r, max_dim=max_dim)
+    return zcl_bounds(a, r, max_dim=max_dim)
 
 
 def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
@@ -377,21 +355,3 @@ def verify_witness(a: Algebra, w: Witness) -> WitnessReport:
             if not acc:
                 problems.append("degree-functional projection of the product vanished")
     return WitnessReport(not problems, tuple(problems), projection_checked)
-
-
-def zcl_oracle(
-    a: Algebra, r: int, max_ambient: int = DEFAULT_ORACLE_AMBIENT
-) -> int:
-    """Independent brute force: exhaustive products of kernel basis rows."""
-    if r < 2:
-        raise ValidationError("zero-divisor cup-length needs r >= 2")
-    if a.dim ** r > max_ambient:
-        raise ResourceLimitError(
-            f"oracle guard: ambient dimension {a.dim ** r} exceeds {max_ambient}"
-        )
-    power = a.tensor_power(r, max_dim=None)
-    kernel = kernel_basis(a.field, mu_matrix(power), power.dim)
-    letters = [row.items() for row in kernel.rows]
-    if not letters:
-        return 0
-    return _longest_product_dp(power, letters)

@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra: RREF, kernels, and subspace products.
+"""Exact sparse linear algebra: RREF and subspace products.
 
 Everything is computed over a :class:`~zclkit.fields.Field` with no
 floating point.  Vectors are sparse rows, dicts from column index to
@@ -84,33 +84,9 @@ class Subspace:
         return cls(field, ambient_dim, (), ())
 
     @classmethod
-    def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        one = field.one
-        rows = tuple({i: one} for i in range(ambient_dim))
-        return cls(field, ambient_dim, rows, tuple(range(ambient_dim)))
-
-    @classmethod
     def from_sparse_rows(cls, field: Field, rows: Iterable[SparseRow], ambient_dim: int) -> "Subspace":
         reduced, pivots = _sparse_rref(rows, field)
         return cls(field, ambient_dim, tuple(reduced), tuple(pivots))
-
-
-def kernel_basis(field: Field, rows: Iterable[SparseRow], ncols: int) -> Subspace:
-    """Null space ``{v : m v = 0}`` of the matrix with these sparse rows."""
-    reduced, pivots = _sparse_rref(rows, field)
-    pivot_set = set(pivots)
-    neg = field.neg
-    kernel = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        row = {f: field.one}
-        for red, pc in zip(reduced, pivots):
-            x = red.get(f)
-            if x:
-                row[pc] = neg(x)
-        kernel.append(row)
-    return Subspace.from_sparse_rows(field, kernel, ncols)
 
 
 def normalize_sparse(field: Field, row: SparseRow):

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import DEFAULT_MAX_DIM, Algebra
+from .algebra import Algebra
 from .errors import ValidationError
-from .invariants import DEFAULT_SEED_DIM, ZclResult, cup_length, zcl_bounds, zcl_exact
+from .invariants import cup_length, zcl_auto
 from .series import (
     DEFAULT_MIN_RUN,
     RATIONAL_FORM_DETECTED,
@@ -46,25 +46,17 @@ def series_pipeline(
     rmax: int,
     min_run: int = DEFAULT_MIN_RUN,
     max_dim: Optional[int] = None,
-    seed_dim: int = DEFAULT_SEED_DIM,
 ) -> SeriesOutcome:
     """Compute zcl_r for r = 2..rmax+1 and analyze t_r = zcl_{r+1}.
 
-    Each r is computed exactly while the tensor power fits the ceiling and
-    by certified bounds beyond it; entries keep their method tag so callers
-    can tell certified values from sandwiches that did not close.
+    Each r takes the route :func:`~zclkit.invariants.zcl_auto` picks for the
+    ceiling ``max_dim``; entries keep their method tag so callers can tell
+    certified values from sandwiches that did not close.
     """
     if rmax < 3:
         raise ValidationError("series pipeline needs rmax >= 3")
-    if max_dim is None:
-        max_dim = DEFAULT_MAX_DIM
     cl_value = cup_length(a).value
-    entries = []
-    for r in range(2, rmax + 2):
-        if a.dim ** r <= max_dim:
-            entries.append(zcl_exact(a, r, max_dim=max_dim))
-        else:
-            entries.append(zcl_bounds(a, r, max_seed_dim=min(seed_dim, max_dim)))
+    entries = [zcl_auto(a, r, max_dim=max_dim) for r in range(2, rmax + 2)]
     sequence = None
     analysis = None
     if all(e.value is not None for e in entries):

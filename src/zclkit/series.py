@@ -5,10 +5,12 @@ the coefficient sequence of P(x)/(1-x)^2 for an integer polynomial P with
 P(1) = a.  Given a finite window this module detects the arithmetic tail,
 assembles P exactly as
 
-    P(x) = (1-x)^2 * sum_{r<stab} (t_r - r*a - d) x^r + a*x + d*(1-x),
+    P(x) = (1-x)^2 * sum_{r<stab} (t_r - r*a - d) x^r + a*x + d*(1-x).
 
-and can reconstruct any prefix back from P by convolution.  Verdicts only
-ever speak about the supplied window; nothing is extrapolated.
+Verdicts only ever speak about the supplied window; nothing is
+extrapolated.  The convolution that rebuilds a window from P, and the
+sandwich check on a window, are test references in
+``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -109,32 +111,6 @@ def polynomial_from_series(t: IntSequence, a: int, d: int, stab: int) -> list:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def reconstruct_series(p_coeffs: Sequence[int], n: int) -> IntSequence:
-    """First n coefficients of P(x)/(1-x)^2 by exact convolution with (r+1)."""
-    if n < 1:
-        raise ValidationError("need at least one coefficient")
-    values = []
-    for r in range(n):
-        acc = 0
-        for k, c in enumerate(p_coeffs):
-            if k > r:
-                break
-            acc += c * (r - k + 1)
-        values.append(acc)
-    return IntSequence(0, tuple(values))
-
-
-def sandwich_check(t: IntSequence, a: int, c: int) -> bool:
-    """True iff t_{r-1} + a <= t_r and t_r <= r*a + c across the window."""
-    for i, v in enumerate(t.values):
-        r = t.offset + i
-        if v > r * a + c:
-            return False
-        if i > 0 and t.values[i - 1] + a > v:
-            return False
-    return True
 
 
 def polynomial_to_text(p_coeffs: Sequence[int], var: str = "x") -> str:

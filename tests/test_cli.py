@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from zclkit import builtin_algebra, tensor_power, validate_algebra
+from zclkit import builtin_algebra, validate_algebra
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
     EXIT_INCONCLUSIVE,
@@ -289,6 +289,7 @@ def test_max_dim_below_one_is_a_usage_error(argv, max_dim, capsys):
         ("series", "builtin:stanley-p3", "--rmax", "2"),
         ("series", "builtin:stanley-p3", "--rmax", "3", "--min-run", "0"),
         ("analyze", "--seq", "1,2,3,4", "--min-run", "1"),
+        ("analyze", "--seq", "1,2,3,4", "--offset", "-1"),
     ],
     ids=" ".join,
 )
@@ -303,7 +304,7 @@ def test_out_of_range_arguments_are_usage_errors(argv, tmp_path, monkeypatch, ca
 
 def test_large_tensor_file_validates_quickly(tmp_path):
     path = tmp_path / "stanley-p3-r5.json"
-    save_algebra(tensor_power(builtin_algebra("stanley-p3"), 5), path)
+    save_algebra(builtin_algebra("stanley-p3").tensor_power(5), path)
     start = time.monotonic()
     alg = validate_algebra(load_presentation(path))
     elapsed = time.monotonic() - start

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_reference import reconstruct_series, sandwich_check
 from zclkit.errors import ValidationError
 from zclkit.series import (
     INCONCLUSIVE,
@@ -16,8 +17,6 @@ from zclkit.series import (
     polynomial_at_one,
     polynomial_from_series,
     polynomial_to_text,
-    reconstruct_series,
-    sandwich_check,
 )
 
 
