@@ -4,14 +4,18 @@ An algebra is presented by a homogeneous basis with degrees and a partial
 multiplication table for positive-degree pairs ``(i, j)`` with ``i <= j``;
 the remaining entries are filled in by the unit laws and the sign rule
 ``e_j e_i = (-1)^{deg_i deg_j} e_i e_j``.  Missing entries default to zero.
-Tensor powers carry the induced product
+Tensor powers and binary tensor products carry the induced product
 
     (u_1 x ... x u_r) (v_1 x ... x v_r)
         = (-1)^{sum_{s<t} |v_s||u_t|} (u_1 v_1) x ... x (u_r v_r)
 
 on the basis of r-tuples in lexicographic order, and the collapse map
-sends a basis tuple to the product of its slots.  The matrix and kernel of
-that map, and dense coordinate views of elements, are test references in
+sends a basis tuple to the product of its slots.  Each rule is written
+once: the sign and the term expansion in :func:`_koszul_product`, the scan
+of positive pairs ``i <= j`` in :func:`_positive_table`, and the zero
+divisor y^(s) - y^(1) in :meth:`TensorPowerAlgebra.zero_divisor`.  The
+matrix and kernel of the collapse map, dense coordinate views of
+elements, and a swap-counting sign reference are test references in
 ``tests/dense_reference.py``.
 """
 
@@ -63,15 +67,41 @@ class AlgebraPresentation:
         return cls(name, field, basis, table)
 
 
-def _koszul_parity(deg_u: Sequence[int], deg_v: Sequence[int]) -> int:
-    """Parity of sum_{s<t} deg_v[s] * deg_u[t]."""
-    par = 0
-    sv = 0
-    for du, dv in zip(deg_u, deg_v):
-        if du & 1 and sv:
-            par ^= 1
-        sv ^= dv & 1
-    return par
+def _koszul_product(slots: Sequence["Algebra"], tu: Sequence[int], tv: Sequence[int]) -> tuple:
+    """e_u e_v in slots[0] x ... x slots[-1] for slot basis tuples u and v, as Terms.
+
+    Indices are mixed radix, slot 0 most significant.  All slot products are
+    looked up before the sign, so a pair that dies in one slot costs no more.
+    """
+    slot_terms = []
+    for alg, i, j in zip(slots, tu, tv):
+        terms = alg.basis_product(i, j)
+        if not terms:
+            return ()
+        slot_terms.append(terms)
+    parity = odd_v = 0
+    for alg, i, j in zip(slots, tu, tv):
+        if odd_v and alg.degree_of(i) & 1:
+            parity ^= 1
+        odd_v ^= alg.degree_of(j) & 1
+    field = slots[0].field
+    mul = field.mul
+    radices = [alg.dim for alg in slots[1:]]
+    out = []
+    for (coeff, idx), *rest in itertools.product(*slot_terms):
+        for radix, (c, k) in zip(radices, rest):
+            coeff = mul(coeff, c)
+            idx = idx * radix + k
+        out.append(Term(field.neg(coeff) if parity else coeff, idx))
+    out.sort(key=lambda t: t.basis)
+    return tuple(out)
+
+
+def _positive_table(degrees: Sequence[int], pair) -> dict:
+    """{(i, j): pair(i, j)} over positive-degree i <= j, nonzero entries only."""
+    pos = [i for i, deg in enumerate(degrees) if deg]
+    keys = ((i, j) for n, i in enumerate(pos) for j in pos[n:])
+    return {key: terms for key in keys if (terms := pair(*key))}
 
 
 class Element:
@@ -101,11 +131,6 @@ class Element:
 
     def items(self) -> list:
         return sorted(self.terms.items())
-
-    @property
-    def is_homogeneous(self) -> bool:
-        degs = {self.algebra.degree_of(i) for i in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> Optional[int]:
         """Common degree of the support; None for zero or mixed elements."""
@@ -306,16 +331,7 @@ class Algebra:
         Entries bypass the pair cache: this scan visits every pair, and most
         of them are zero in a tensor power.
         """
-        core = {}
-        for i in range(self.dim):
-            if self.degree_of(i) == 0:
-                continue
-            for j in range(i, self.dim):
-                if self.degree_of(j) == 0:
-                    continue
-                terms = self._compute_pair(i, j)
-                if terms:
-                    core[(i, j)] = tuple(terms)
+        core = _positive_table(self.degrees, self._compute_pair)
         basis = tuple((self.label_of(i), self.degree_of(i)) for i in range(self.dim))
         return AlgebraPresentation(self.name, self.field, basis, core)
 
@@ -370,6 +386,7 @@ class TensorPowerAlgebra(Algebra):
         super().__init__(f"{base.name}^tensor{r}", base.field)
         self.base = base
         self.r = r
+        self._slots = (base,) * r
         self._dim = base.dim ** r
         self._degree_cache: dict = {}
         self._mu_cache: dict = {}
@@ -410,33 +427,20 @@ class TensorPowerAlgebra(Algebra):
         return "⊗".join(base_lbl(s) for s in self.tuple_of_index(i))
 
     def _compute_pair(self, i, j):
-        base = self.base
-        tu = self.tuple_of_index(i)
-        tv = self.tuple_of_index(j)
-        slot_terms = []
-        for a, b in zip(tu, tv):
-            terms = base.basis_product(a, b)
-            if not terms:
-                return ()
-            slot_terms.append(terms)
-        deg = base.degree_of
-        parity = _koszul_parity([deg(s) for s in tu], [deg(s) for s in tv])
-        mul = self.field.mul
+        return _koszul_product(self._slots, self.tuple_of_index(i), self.tuple_of_index(j))
+
+    def zero_divisor(self, y: Mapping, s: int) -> dict:
+        """y^(s) - y^(1) as {index: coeff}, for y = {base index: coeff}.
+
+        y has positive degree and s >= 2 counts slots from 1, so the two
+        sides share no index.
+        """
+        ones, unit = self.unit_index, self.base.unit_index
+        at_s, at_1 = self.base.dim ** (self.r - s), self.base.dim ** (self.r - 1)
         neg = self.field.neg
-        d = base.dim
-        out = []
-        for combo in itertools.product(*slot_terms):
-            idx = 0
-            coeff = combo[0][0]
-            idx = idx * d + combo[0][1]
-            for c, k in combo[1:]:
-                coeff = mul(coeff, c)
-                idx = idx * d + k
-            if parity:
-                coeff = neg(coeff)
-            out.append(Term(coeff, idx))
-        out.sort(key=lambda t: t.basis)
-        return tuple(out)
+        out = {ones + (j - unit) * at_s: c for j, c in y.items()}
+        out.update((ones + (j - unit) * at_1, neg(c)) for j, c in y.items())
+        return out
 
     # -- the collapse (multiplication) map -----------------------------------
 
@@ -617,33 +621,10 @@ def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM
             f"({a.label_of(i)})⊗({b.label_of(j)})" for i in range(a.dim) for j in range(b.dim)
         ]
     degrees = [a.degree_of(i) + b.degree_of(j) for i in range(a.dim) for j in range(b.dim)]
-    neg = a.field.neg
-    mul = a.field.mul
-    core = {}
-    for i in range(dim):
-        if degrees[i] == 0:
-            continue
-        i1, i2 = divmod(i, db)
-        for j in range(i, dim):
-            if degrees[j] == 0:
-                continue
-            j1, j2 = divmod(j, db)
-            ta = a.basis_product(i1, j1)
-            if not ta:
-                continue
-            tb = b.basis_product(i2, j2)
-            if not tb:
-                continue
-            sign = b.degree_of(i2) & 1 and a.degree_of(j1) & 1
-            terms = []
-            for ca, ka in ta:
-                for cb, kb in tb:
-                    c = mul(ca, cb)
-                    if sign:
-                        c = neg(c)
-                    terms.append(Term(c, ka * db + kb))
-            terms.sort(key=lambda t: t.basis)
-            core[(i, j)] = tuple(terms)
+    slots = (a, b)
+    core = _positive_table(
+        degrees, lambda i, j: _koszul_product(slots, divmod(i, db), divmod(j, db))
+    )
     name = f"{a.name}⊗{b.name}"
     return TableAlgebra(name, a.field, labels, degrees, core)
 

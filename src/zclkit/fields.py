@@ -21,13 +21,15 @@ from .errors import FieldMismatchError, ValidationError
 Scalar = Union[int, Fraction]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to every base above
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for anything we will ever see."""
+    """Miller-Rabin to the bases 2..37: exact below _MR_EXACT_BELOW, as Field enforces."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -67,6 +69,11 @@ class Field:
         else:
             if not isinstance(p, int) or isinstance(p, bool):
                 raise ValidationError("field modulus must be an integer")
+            if p >= _MR_EXACT_BELOW:
+                raise ValidationError(
+                    f"field modulus {p} is too large: Miller-Rabin to bases 2..37 "
+                    f"certifies primality only below {_MR_EXACT_BELOW}"
+                )
             if not is_prime(p):
                 raise ValidationError(f"field modulus {p} is not prime")
             ops = (

@@ -12,11 +12,17 @@ slot 1 embeds A and the collapse map splits it, in every characteristic.)
 Hence K^n = A^(x r) G^n is nonzero exactly when span(G^n) is, the ladder
 span G, span(G^2), ... computes the exact value, and a greedy walk back
 through it extracts an explicit witness whose factors are elements of G.
+The cup-length is the same walk over the positive-degree basis: both go
+through :func:`_walk`, which builds the ladder with :func:`ideal_powers`
+and picks the letters with :func:`_greedy_chain`.  cl(A) is computed once
+per algebra and kept on it.
 
 Two inequalities frame every result: zcl_r <= r * cl (the product of more
 than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
-certified constructively by extending a witness with the factors y x 1...x 1
-- 1 x ... x 1 x y built from a maximal cup-length chain.
+certified constructively by extending a witness with the zero divisors
+y^(r+1) - y^(1) built from a maximal cup-length chain.
+Every zero divisor here, generator or extension factor, is built by
+:meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor`.
 
 The route is decided here and nowhere else: :func:`zcl_auto` computes zcl_r
 exactly while d^r fits the dimension ceiling, and otherwise by
@@ -28,6 +34,8 @@ results live beside the tests, in ``tests/dense_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu
@@ -87,13 +95,6 @@ class WitnessReport:
 # -- ideal powers ---------------------------------------------------------------
 
 
-def augmentation_ideal(a: Algebra) -> Subspace:
-    """Span of the positive-degree basis vectors (already in RREF)."""
-    pos = tuple(i for i in range(a.dim) if a.degree_of(i) > 0)
-    one = a.field.one
-    return Subspace(a.field, a.dim, tuple({i: one} for i in pos), pos)
-
-
 def ideal_powers(a: Algebra, s: Subspace, limit: Optional[int] = None) -> list:
     """Nonzero powers [s, s^2, ...], stopping at zero or after ``limit`` entries.
 
@@ -111,36 +112,38 @@ def ideal_powers(a: Algebra, s: Subspace, limit: Optional[int] = None) -> list:
     return powers
 
 
-def _greedy_chain(a: Algebra, letters: Sequence, powers: Sequence) -> list:
+def _greedy_chain(a: Algebra, letters: Sequence, powers: Sequence) -> tuple:
     """Indices of letters whose ordered product is nonzero, one per power level.
 
     At each step the lexicographically first letter is kept whose partial
     product can still be completed, which is checked against the next power
-    down the ladder; bilinearity guarantees such a letter exists.
+    down the ladder; bilinearity guarantees such a letter exists.  Returns
+    the picks and their ordered product as {index: coeff} (None for no picks).
     """
     n = len(powers)
     picks = []
     current = None
     for step in range(n):
         rem = n - step - 1
-        chosen = None
         for li, lit in enumerate(letters):
-            cand = dict(lit) if current is None else a.product_items(current, lit)
-            if not cand:
-                continue
-            cand_items = list(cand.items())
-            if rem == 0 or any(
-                a.product_items(cand_items, row.items()) for row in powers[rem - 1].rows
-            ):
-                chosen = li
-                current = cand_items
+            cand = dict(lit) if current is None else a.product_items(current.items(), lit.items())
+            if cand and (rem == 0 or any(
+                a.product_items(cand.items(), row.items()) for row in powers[rem - 1].rows
+            )):
+                picks.append(li)
+                current = cand
                 break
-        if chosen is None:
+        else:
             raise WitnessInvariantError(
                 "no letter extends the partial product; the power ladder is inconsistent"
             )
-        picks.append(chosen)
-    return picks
+    return picks, current
+
+
+def _walk(a: Algebra, letters: Sequence, limit: Optional[int] = None) -> tuple:
+    """(picks, product) of :func:`_greedy_chain` down the ladder of span(letters)."""
+    powers = ideal_powers(a, Subspace.from_sparse_rows(a.field, letters, a.dim), limit)
+    return _greedy_chain(a, letters, powers)
 
 
 # -- cup-length -------------------------------------------------------------------
@@ -148,15 +151,13 @@ def _greedy_chain(a: Algebra, letters: Sequence, powers: Sequence) -> list:
 
 def cup_length(a: Algebra) -> ClResult:
     """Largest number of positive-degree elements with nonzero product."""
-    pos = [i for i in range(a.dim) if a.degree_of(i) > 0]
-    if not pos:
-        return ClResult(0, ())
-    powers = ideal_powers(a, augmentation_ideal(a))
-    one = a.field.one
-    letters = [[(i, one)] for i in pos]
-    picks = _greedy_chain(a, letters, powers)
-    chain = tuple(a.basis_element(pos[li]) for li in picks)
-    return ClResult(len(powers), chain)
+    cached = getattr(a, "_cup_length", None)
+    if cached is None:
+        pos = [i for i in range(a.dim) if a.degree_of(i) > 0]
+        picks, _ = _walk(a, [{i: a.field.one} for i in pos])
+        cached = ClResult(len(picks), tuple(a.basis_element(pos[li]) for li in picks))
+        a._cup_length = cached
+    return cached
 
 
 # -- zero-divisor cup-length --------------------------------------------------------
@@ -164,20 +165,13 @@ def cup_length(a: Algebra) -> ClResult:
 
 def _zero_divisor_generators(power: TensorPowerAlgebra) -> list:
     """Sparse rows of b^(s) - b^(1) in a tensor power, ordered by (b, s)."""
-    a, r = power.base, power.r
-    one = a.field.one
-    minus_one = a.field.neg(one)
-    units = [a.unit_index] * r
-    gens = []
-    for b in range(a.dim):
-        if a.degree_of(b) == 0:
-            continue
-        first = power.index_of_tuple([b] + units[1:])
-        for s in range(1, r):
-            slots = list(units)
-            slots[s] = b
-            gens.append({power.index_of_tuple(slots): one, first: minus_one})
-    return gens
+    a = power.base
+    return [
+        power.zero_divisor({b: a.field.one}, s)
+        for b in range(a.dim)
+        if a.degree_of(b) > 0
+        for s in range(2, power.r + 1)
+    ]
 
 
 def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
@@ -186,25 +180,17 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
         raise ValidationError("zero-divisor cup-length needs r >= 2")
     if max_dim is None:
         max_dim = DEFAULT_MAX_DIM
-    clres = cup_length(a)
-    upper = r * clres.value
+    upper = r * cup_length(a).value
     power = a.tensor_power(r, max_dim)
     gens = _zero_divisor_generators(power)
-    if not gens:
+    picks, product = _walk(power, gens, limit=upper)
+    if not picks:
         return ZclResult(r, 0, "exact", 0, upper, None)
-    span = Subspace.from_sparse_rows(a.field, gens, power.dim)
-    powers = ideal_powers(power, span, limit=upper)
-    value = len(powers)
-    letters = [list(g.items()) for g in gens]
-    picks = _greedy_chain(power, letters, powers)
-    factors = tuple(Element(power, dict(gens[p])) for p in picks)
-    product = factors[0]
-    for f in factors[1:]:
-        product = product * f
-    if product.is_zero:
+    if not product:
         raise WitnessInvariantError("extracted witness has zero product")
-    witness = Witness(r, factors, product)
-    return ZclResult(r, value, "exact", value, upper, witness)
+    factors = tuple(Element(power, dict(gens[p])) for p in picks)
+    witness = Witness(r, factors, Element(power, product))
+    return ZclResult(r, len(picks), "exact", len(picks), upper, witness)
 
 
 def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
@@ -265,14 +251,12 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
     if not chain:
         raise ValidationError("witness extension needs a nonempty chain")
     small = a.tensor_power(w.r, max_dim=None)
-    yprod = None
     for y in chain:
         if y.algebra is not a:
             raise ValidationError("chain elements must live in the base algebra")
-        if not y.is_homogeneous or (y.degree() or 0) <= 0:
+        if (y.degree() or 0) <= 0:
             raise ValidationError("chain elements must be homogeneous of positive degree")
-        yprod = y if yprod is None else yprod * y
-    if yprod.is_zero:
+    if reduce(mul, chain).is_zero:
         raise ValidationError("chain product must be nonzero")
     if w.product.algebra is not small or any(f.algebra is not small for f in w.factors):
         raise ValidationError("witness factors do not live in the stated tensor power")
@@ -283,16 +267,8 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
     def lift(x: Element) -> Element:
         return Element(big, {idx * d + unit: c for idx, c in x.terms.items()})
 
-    ones = small.unit_index  # 1 x ... x 1 in the r-th power
-    top = d ** w.r
-    new = []
-    for y in chain:
-        one_y = Element(big, {ones * d + j: c for j, c in y.terms.items()})
-        y_one = Element(big, {j * top + ones: c for j, c in y.terms.items()})
-        new.append(one_y - y_one)
-    product = lift(w.product)
-    for f in new:
-        product = product * f
+    new = [Element(big, big.zero_divisor(y.terms, w.r + 1)) for y in chain]
+    product = reduce(mul, new, lift(w.product))
     if product.is_zero:
         raise WitnessInvariantError(
             "extended witness product vanished; inputs violate the extension invariant"
@@ -320,38 +296,21 @@ def verify_witness(a: Algebra, w: Witness) -> WitnessReport:
         image = mu(a, w.r, f)
         if not image.is_zero:
             problems.append(f"factor {n} is not a zero divisor (collapses to {image})")
-    product = w.factors[0]
-    for f in w.factors[1:]:
-        product = product * f
+    product = reduce(mul, w.factors)
     if product != w.product:
         problems.append("stored product differs from the recomputed one")
     if product.is_zero:
         problems.append("product of the factors is zero")
     projection_checked = False
     if w.chain and not product.is_zero:
-        yprod = None
-        for y in w.chain:
-            yprod = y if yprod is None else yprod * y
-        if yprod.is_zero or not yprod.is_homogeneous:
+        yprod = reduce(mul, w.chain)
+        if yprod.degree() is None:
             problems.append("chain product is zero or inhomogeneous")
         else:
-            items = yprod.items()
-            cstar, lam = items[0]
-            inv_lam = a.field.inv(lam)
-            mul = a.field.mul
-            add = a.field.add
-            acc: dict = {}
-            d = a.dim
-            for idx, c in product.items():
-                q, s = divmod(idx, d)
-                if s == cstar:
-                    prev = acc.get(q)
-                    nv = mul(c, inv_lam) if prev is None else add(prev, mul(c, inv_lam))
-                    if nv:
-                        acc[q] = nv
-                    else:
-                        acc.pop(q, None)
+            # Terms of the product with c* = min(supp yprod) in the last slot
+            # differ in the other slots, so the projection cancels nothing.
+            cstar = min(yprod.terms)
             projection_checked = True
-            if not acc:
+            if not any(idx % a.dim == cstar for idx in product.terms):
                 problems.append("degree-functional projection of the product vanished")
     return WitnessReport(not problems, tuple(problems), projection_checked)

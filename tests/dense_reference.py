@@ -8,7 +8,8 @@ compare it with the dense one.  The oracles search every product of their
 letters, and :func:`zcl_oracle` takes its kernel from :func:`null_space`,
 so it shares no elimination code with ``zcl_exact``.
 :func:`associativity_failures` completes a presentation's table itself,
-with no call into zclkit's algebra code.
+with no call into zclkit's algebra code, and :func:`tensor_basis_product`
+derives the Koszul sign of a tensor product by counting swaps.
 """
 
 import itertools
@@ -165,6 +166,39 @@ def associativity_failures(pres):
                     failures.append((labels[i], labels[j], labels[k]))
     return failures
 
+
+
+def tensor_basis_product(slots, i, j):
+    """e_i e_j in slots[0] x ... x slots[-1] as {index: coeff}, from the slot tables.
+
+    Indices are mixed radix with slot 0 most significant.  The sign comes
+    from moving each v_s leftward past u_{s+1}, ..., u_r, one swap at a
+    time, and counting the swaps of two odd-degree elements; the terms are
+    every choice of one term from each slot product, multiplied out here.
+    """
+    dims = [alg.dim for alg in slots]
+    tu, tv = [], []
+    for d in reversed(dims):
+        i, iu = divmod(i, d)
+        j, jv = divmod(j, d)
+        tu.insert(0, iu)
+        tv.insert(0, jv)
+    swaps = 0
+    for s, (alg, v) in enumerate(zip(slots, tv)):
+        for t in range(s + 1, len(slots)):
+            if alg.degree_of(v) % 2 == 1 and slots[t].degree_of(tu[t]) % 2 == 1:
+                swaps += 1
+    field = slots[0].field
+    sign = field.coerce(-1 if swaps % 2 else 1)
+    out = {}
+    tables = [alg.basis_product(u, v) for alg, u, v in zip(slots, tu, tv)]
+    for choice in itertools.product(*tables):
+        coeff, idx = sign, 0
+        for d, (c, k) in zip(dims, choice):
+            coeff = field.mul(coeff, c)
+            idx = idx * d + k
+        out[idx] = field.add(out.get(idx, field.zero), coeff)
+    return {k: c for k, c in out.items() if c}
 
 
 def kernel_basis(field, rows, ncols):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import associativity_failures, contains, coords, kernel_mu
+from dense_reference import (
+    associativity_failures,
+    contains,
+    coords,
+    kernel_mu,
+    tensor_basis_product,
+)
 from zclkit import (
     AlgebraPresentation,
     Element,
@@ -344,6 +350,25 @@ def test_power_signs_match_iterated_binary_products(random_corpus):
                     i,
                     j,
                 )
+
+
+def test_tensor_signs_match_a_swap_counting_reference(corpus):
+    # every product of A^(x3) and of A x B against signs counted swap by swap
+    small = [a for a in corpus if 1 < a.dim <= 4][:8]
+    cases = [(a.tensor_power(3, max_dim=None), (a,) * 3) for a in small]
+    cases += [
+        (tensor_product(a, b), (a, b)) for a in small for b in small if a.field == b.field
+    ]
+    for alg, slots in cases:
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                terms = alg.basis_product(i, j)
+                assert [k for _, k in terms] == sorted(k for _, k in terms)
+                expected = tensor_basis_product(slots, i, j)
+                assert {k: c for c, k in terms} == expected, (alg.name, i, j)
+    assert any(d % 2 for a in small for d in a.degrees)  # odd slots: signs occur
+    ext = exterior()
+    assert tensor_basis_product((ext, ext), 1, 2) == {3: QQ.coerce(-1)}  # (1x a)(a x1)
 
 
 # -- the collapse map ------------------------------------------------------------------

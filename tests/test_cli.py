@@ -142,6 +142,21 @@ def test_check_reads_files(tmp_path):
     assert report["input"]["source"] == str(path)
 
 
+def test_check_refuses_a_modulus_beyond_the_certified_range(tmp_path):
+    doc = {
+        "name": "psi12",
+        "field": {"kind": "prime", "p": 318665857834031151167461},
+        "basis": [{"label": "1", "degree": 0}, {"label": "t", "degree": 3}],
+        "products": [],
+    }
+    path = tmp_path / "psi12.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = cli("check", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "certifies primality only below" in err
+
+
 # -- tensor files ----------------------------------------------------------------------
 
 

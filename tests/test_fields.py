@@ -27,6 +27,19 @@ def test_field_construction_checks_primality():
         Field.prime(-3)
 
 
+PSI_12 = 399165290221 * 798330580441  # least strong pseudoprime to bases 2..37
+
+
+def test_modulus_beyond_the_certified_range_is_refused():
+    # Miller-Rabin to bases 2..37 passes this composite, so Field must not ask it
+    assert PSI_12 == 318665857834031151167461
+    with pytest.raises(ValidationError, match="certifies primality only below"):
+        Field.prime(PSI_12)
+    with pytest.raises(ValidationError, match="too large"):
+        Field.prime(2**89 - 1)  # a Mersenne prime, but above the bound
+    assert Field.prime(PSI_12 - 20).p == PSI_12 - 20  # the largest prime below it
+
+
 def test_is_prime_spot_values():
     primes = {2, 3, 5, 7, 11, 97, 7919, 2**31 - 1}
     assert all(is_prime(p) for p in primes)

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from zclkit import (
 )
 from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantError
 from zclkit.fields import GF3, QQ, Field
-from zclkit.invariants import Witness, _zero_divisor_generators
+from zclkit.invariants import Witness, WitnessReport, _zero_divisor_generators
 from zclkit.linalg import Subspace, subspace_product
 
 
@@ -280,6 +281,20 @@ def test_projection_of_extended_witness_matches_parent_up_to_sign(stanley):
     projected = sq.element(collapsed)
     assert projected == seed.witness.product or projected == -seed.witness.product
     assert not projected.is_zero
+
+
+def test_verify_witness_checks_the_chain_of_an_extension(stanley):
+    seed = zcl_exact(stanley, 2).witness
+    extended = witness_extend(stanley, seed, cup_length(stanley).chain)
+    assert verify_witness(stanley, extended).projection_checked
+    a2, a11 = (stanley.element_from_labels({lbl: 1}) for lbl in ("a2", "a11"))
+    # a11 is the top class: no product term has it in the last slot
+    report = verify_witness(stanley, replace(extended, chain=(a11,)))
+    assert report == WitnessReport(
+        False, ("degree-functional projection of the product vanished",), True
+    )
+    report = verify_witness(stanley, replace(extended, chain=(a2 + a11,)))
+    assert report == WitnessReport(False, ("chain product is zero or inhomogeneous",), False)
 
 
 def test_every_returned_witness_verifies(corpus):

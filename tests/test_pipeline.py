@@ -2,7 +2,7 @@
 
 import pytest
 
-from zclkit import builtin_algebra, series_pipeline
+from zclkit import builtin_algebra, invariants, series_pipeline
 from zclkit.errors import ValidationError
 from zclkit.series import RATIONAL_FORM_DETECTED
 
@@ -53,3 +53,20 @@ def test_a_tiny_ceiling_is_honoured(stanley, max_dim):
     assert [e.method for e in out.entries] == ["bounds"] * 3
     assert all(e.value is None and e.lower == 0 for e in out.entries)
     assert not out.certified
+
+
+def test_series_builds_the_cup_length_ladder_once(monkeypatch):
+    # cl(A) feeds every entry's upper bound; it is computed once per algebra
+    alg = builtin_algebra("stanley-p3")
+    ladders = []
+    ideal_powers = invariants.ideal_powers
+
+    def recording(a, *args, **kwargs):
+        ladders.append(a)
+        return ideal_powers(a, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "ideal_powers", recording)
+    out = series_pipeline(alg, 3)
+    assert [e.method for e in out.entries] == ["exact"] * 3
+    assert sum(a is alg for a in ladders) == 1
+    assert len(ladders) == 4  # the cl ladder, then one per r = 2, 3, 4
