@@ -70,8 +70,9 @@ class AlgebraPresentation:
 def _koszul_product(slots: Sequence["Algebra"], tu: Sequence[int], tv: Sequence[int]) -> tuple:
     """e_u e_v in slots[0] x ... x slots[-1] for slot basis tuples u and v, as Terms.
 
-    Indices are mixed radix, slot 0 most significant.  All slot products are
-    looked up before the sign, so a pair that dies in one slot costs no more.
+    The sign is (-1)^{sum_{s<t} |v_s||u_t|}; indices are mixed radix, slot 0
+    most significant.  Every slot product is looked up before the sign, so a
+    pair that dies in one slot costs no more.
     """
     slot_terms = []
     for alg, i, j in zip(slots, tu, tv):

@@ -31,7 +31,7 @@ PSI_12 = 399165290221 * 798330580441  # least strong pseudoprime to bases 2..37
 
 
 def test_modulus_beyond_the_certified_range_is_refused():
-    # Miller-Rabin to bases 2..37 passes this composite, so Field must not ask it
+    # a composite that passes Miller-Rabin to every base 2..37
     assert PSI_12 == 318665857834031151167461
     with pytest.raises(ValidationError, match="certifies primality only below"):
         Field.prime(PSI_12)
