@@ -37,7 +37,6 @@ from .invariants import (
     zcl_bounds,
     zcl_exact,
 )
-from .linalg import Subspace, subspace_product
 from .pipeline import SeriesOutcome, series_pipeline
 from .series import (
     IntSequence,
@@ -60,7 +59,6 @@ __all__ = [
     "RationalityReport",
     "ResourceLimitError",
     "SeriesOutcome",
-    "Subspace",
     "TableAlgebra",
     "TensorPowerAlgebra",
     "ValidationError",
@@ -77,7 +75,6 @@ __all__ = [
     "mu",
     "polynomial_from_series",
     "series_pipeline",
-    "subspace_product",
     "tensor_product",
     "validate_algebra",
     "verify_witness",

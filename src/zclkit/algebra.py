@@ -55,15 +55,14 @@ class AlgebraPresentation:
         table = {}
         for (left, right), terms in (products or {}).items():
             try:
-                i, j = index[left], index[right]
+                table[(index[left], index[right])] = tuple(
+                    (coeff, index[lbl]) if isinstance(lbl, str) else (coeff, lbl)
+                    for coeff, lbl in terms
+                )
             except KeyError as exc:
                 raise ValidationError(
                     f"algebra {name!r}: product references unknown label {exc.args[0]!r}"
                 ) from None
-            table[(i, j)] = tuple(
-                (coeff, index[lbl]) if isinstance(lbl, str) else (coeff, lbl)
-                for coeff, lbl in terms
-            )
         return cls(name, field, basis, table)
 
 

@@ -125,7 +125,11 @@ def presentation_from_dict(doc) -> AlgebraPresentation:
                 )
             if lbl not in index:
                 raise ValidationError(f"{where}.value[{m}]: unknown basis label {lbl!r}")
-            terms.append((field.parse(coeff), index[lbl]))
+            try:
+                value = field.parse(coeff)
+            except ZeroDivisionError as exc:
+                raise ValidationError(f"{where}.value[{m}]: {exc}") from None
+            terms.append((value, index[lbl]))
         products[(i, j)] = tuple(terms)
     return AlgebraPresentation(name, field, tuple(basis), products)
 

@@ -9,13 +9,14 @@ divisors b^(s) - b^(1), for b a positive-degree basis element and s = 2..r,
 where b^(s) is b in slot s and 1 in every other slot.  (Modulo G a basis
 tuple a_1 x ... x a_r = a_1^(1) ... a_r^(r) becomes (a_1 ... a_r) x 1 x ... x 1;
 slot 1 embeds A and the collapse map splits it, in every characteristic.)
-Hence K^n = A^(x r) G^n is nonzero exactly when span(G^n) is, the ladder
-span G, span(G^2), ... computes the exact value, and a greedy walk back
-through it extracts an explicit witness whose factors are elements of G.
-The cup-length is the same walk over the positive-degree basis: both go
-through :func:`_walk`, which builds the ladder with :func:`ideal_powers`
-and picks the letters with :func:`_greedy_chain`.  cl(A) is computed once
-per algebra and kept on it.
+Hence K^n = A^(x r) G^n is nonzero exactly when span(G^n) is, and one
+forward pass over words in G, :func:`_walk`, finds the largest such n
+together with a word of that length whose product is nonzero: the
+witness, whose factors are elements of G.  The pass keeps, level by level,
+the words whose products are independent of those before them, and makes
+every product as (kept word) x (letter).  The cup-length is the same walk
+over the positive-degree basis.  cl(A) is computed once per algebra and
+kept on it.
 
 Two inequalities frame every result: zcl_r <= r * cl (the product of more
 than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu
 from .errors import ValidationError, WitnessInvariantError
-from .linalg import Subspace, subspace_product
+from .linalg import normalize_sparse, reduce_into
 
 DEFAULT_SEED_DIM = 256
 
@@ -62,8 +63,8 @@ class Witness:
     """Zero divisors whose nonzero ordered product certifies a lower bound.
 
     ``chain`` records the cup-length chain used by the most recent witness
-    extension (None for witnesses read off directly from ideal powers); it
-    feeds the degree-functional projection check in :func:`verify_witness`.
+    extension (None for witnesses read off by the walk); it feeds the
+    degree-functional projection check in :func:`verify_witness`.
     """
 
     r: int
@@ -92,58 +93,55 @@ class WitnessReport:
     projection_checked: bool = False
 
 
-# -- ideal powers ---------------------------------------------------------------
+# -- the walk over words ------------------------------------------------------------
 
 
-def ideal_powers(a: Algebra, s: Subspace, limit: Optional[int] = None) -> list:
-    """Nonzero powers [s, s^2, ...], stopping at zero or after ``limit`` entries.
+def _walk(a: Algebra, letters: Sequence) -> tuple:
+    """(word, product): the lexicographically first nonzero word of maximal length.
 
-    Terminates unconditionally for ideals inside the positive-degree part:
-    an n-fold product has degree at least n.
+    A word is a tuple of indices into ``letters`` and its product is the
+    ordered product of those letters.  Level 1 keeps each letter that is
+    independent of the letters before it.  Level n+1 multiplies each kept
+    word of level n, in order, by each kept letter, in order, and keeps a
+    product unless its normalised key was already seen at that level or it
+    reduces to zero against the level's echelon.  By bilinearity the kept
+    products of level n span span(letters)^n, so the walk stops at the first
+    empty level; it terminates because a word of length n has degree >= n.
+    The first word of the last nonempty level and its product are returned
+    (``((), None)`` when no letter is nonzero).
+
+    That word is the lexicographically first nonzero word W of maximal
+    length n.  Levels list their words in lexicographic order, and every
+    kept word is a nonzero word of its length.  If some prefix of W (or one
+    of its letters) were dropped, its product would be a combination of
+    products of lexicographically smaller words of the same length;
+    multiplying out the rest of W, one of those smaller words would extend
+    to a nonzero word of length n before W, a contradiction.  So every
+    prefix of W is kept and W comes first in level n.
     """
-    if s.is_zero:
-        return []
-    powers = [s]
-    while limit is None or len(powers) < limit:
-        nxt = subspace_product(s, powers[-1], a.product_items)
-        if nxt.is_zero:
-            break
-        powers.append(nxt)
-    return powers
-
-
-def _greedy_chain(a: Algebra, letters: Sequence, powers: Sequence) -> tuple:
-    """Indices of letters whose ordered product is nonzero, one per power level.
-
-    At each step the lexicographically first letter is kept whose partial
-    product can still be completed, which is checked against the next power
-    down the ladder; bilinearity guarantees such a letter exists.  Returns
-    the picks and their ordered product as {index: coeff} (None for no picks).
-    """
-    n = len(powers)
-    picks = []
-    current = None
-    for step in range(n):
-        rem = n - step - 1
-        for li, lit in enumerate(letters):
-            cand = dict(lit) if current is None else a.product_items(current.items(), lit.items())
-            if cand and (rem == 0 or any(
-                a.product_items(cand.items(), row.items()) for row in powers[rem - 1].rows
-            )):
-                picks.append(li)
-                current = cand
-                break
-        else:
-            raise WitnessInvariantError(
-                "no letter extends the partial product; the power ladder is inconsistent"
-            )
-    return picks, current
-
-
-def _walk(a: Algebra, letters: Sequence, limit: Optional[int] = None) -> tuple:
-    """(picks, product) of :func:`_greedy_chain` down the ladder of span(letters)."""
-    powers = ideal_powers(a, Subspace.from_sparse_rows(a.field, letters, a.dim), limit)
-    return _greedy_chain(a, letters, powers)
+    field = a.field
+    product = a.product_items
+    echelon: dict = {}
+    basis = [(i, lit) for i, lit in enumerate(letters) if reduce_into(field, echelon, lit)]
+    level = [((i,), dict(lit)) for i, lit in basis]
+    if not level:
+        return (), None
+    while True:
+        echelon, seen, nxt = {}, set(), []
+        for word, prod in level:
+            items = prod.items()
+            for i, lit in basis:
+                p = product(items, lit.items())
+                if not p:
+                    continue
+                key, norm = normalize_sparse(field, p)
+                if key not in seen:
+                    seen.add(key)
+                    if reduce_into(field, echelon, norm):
+                        nxt.append((word + (i,), p))
+        if not nxt:
+            return level[0]
+        level = nxt
 
 
 # -- cup-length -------------------------------------------------------------------
@@ -154,8 +152,8 @@ def cup_length(a: Algebra) -> ClResult:
     cached = getattr(a, "_cup_length", None)
     if cached is None:
         pos = [i for i in range(a.dim) if a.degree_of(i) > 0]
-        picks, _ = _walk(a, [{i: a.field.one} for i in pos])
-        cached = ClResult(len(picks), tuple(a.basis_element(pos[li]) for li in picks))
+        word, _ = _walk(a, [{i: a.field.one} for i in pos])
+        cached = ClResult(len(word), tuple(a.basis_element(pos[li]) for li in word))
         a._cup_length = cached
     return cached
 
@@ -174,42 +172,42 @@ def _zero_divisor_generators(power: TensorPowerAlgebra) -> list:
     ]
 
 
-def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
-    """Nilpotency length of the zero-divisor ideal in the r-th tensor power."""
+def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
+    """Nilpotency length of the zero-divisor ideal in the r-th tensor power.
+
+    ``max_dim`` caps the tensor power's dimension; None means no ceiling.
+    """
     if r < 2:
         raise ValidationError("zero-divisor cup-length needs r >= 2")
-    if max_dim is None:
-        max_dim = DEFAULT_MAX_DIM
     upper = r * cup_length(a).value
     power = a.tensor_power(r, max_dim)
     gens = _zero_divisor_generators(power)
-    picks, product = _walk(power, gens, limit=upper)
-    if not picks:
+    word, product = _walk(power, gens)
+    if not word:
         return ZclResult(r, 0, "exact", 0, upper, None)
     if not product:
         raise WitnessInvariantError("extracted witness has zero product")
-    factors = tuple(Element(power, dict(gens[p])) for p in picks)
+    factors = tuple(Element(power, dict(gens[p])) for p in word)
     witness = Witness(r, factors, Element(power, product))
-    return ZclResult(r, len(picks), "exact", len(picks), upper, witness)
+    return ZclResult(r, len(word), "exact", len(word), upper, witness)
 
 
-def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
+def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
     """Certified sandwich for zcl_r without iterating ideal powers at full size.
 
     Seeds an exact witness at the largest r0 <= r whose tensor power fits
     min(DEFAULT_SEED_DIM, ``max_dim``), then extends it one factor-count of
-    cl(A) per step up to r.  The value is reported only when the certified
-    lower bound meets the r*cl upper bound.
+    cl(A) per step up to r.  ``max_dim=None`` leaves the seed at
+    DEFAULT_SEED_DIM.  The value is reported only when the certified lower
+    bound meets the r*cl upper bound.
     """
     if r < 2:
         raise ValidationError("zero-divisor cup-length needs r >= 2")
-    if max_dim is None:
-        max_dim = DEFAULT_MAX_DIM
     clres = cup_length(a)
     upper = r * clres.value
     if clres.value == 0:
         return ZclResult(r, 0, "bounds", 0, 0, None)
-    seed_dim = min(DEFAULT_SEED_DIM, max_dim)
+    seed_dim = DEFAULT_SEED_DIM if max_dim is None else min(DEFAULT_SEED_DIM, max_dim)
     d = a.dim
     if d * d > seed_dim:
         return ZclResult(r, None, "bounds", 0, upper, None)
@@ -225,11 +223,9 @@ def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
     return ZclResult(r, value, "bounds", lower, upper, witness)
 
 
-def zcl_auto(a: Algebra, r: int, max_dim: Optional[int] = None) -> ZclResult:
+def zcl_auto(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
     """zcl_r exactly while the r-th tensor power fits ``max_dim``, else by bounds."""
-    if max_dim is None:
-        max_dim = DEFAULT_MAX_DIM
-    if a.dim ** r <= max_dim:
+    if max_dim is None or a.dim ** r <= max_dim:
         return zcl_exact(a, r, max_dim=max_dim)
     return zcl_bounds(a, r, max_dim=max_dim)
 

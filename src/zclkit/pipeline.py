@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra
+from .algebra import DEFAULT_MAX_DIM, Algebra
 from .errors import ValidationError
 from .invariants import cup_length, zcl_auto
 from .series import (
@@ -45,13 +45,13 @@ def series_pipeline(
     a: Algebra,
     rmax: int,
     min_run: int = DEFAULT_MIN_RUN,
-    max_dim: Optional[int] = None,
+    max_dim: Optional[int] = DEFAULT_MAX_DIM,
 ) -> SeriesOutcome:
     """Compute zcl_r for r = 2..rmax+1 and analyze t_r = zcl_{r+1}.
 
     Each r takes the route :func:`~zclkit.invariants.zcl_auto` picks for the
-    ceiling ``max_dim``; entries keep their method tag so callers can tell
-    certified values from sandwiches that did not close.
+    ceiling ``max_dim`` (None for no ceiling); entries keep their method tag
+    so callers can tell certified values from sandwiches that did not close.
     """
     if rmax < 3:
         raise ValidationError("series pipeline needs rmax >= 3")

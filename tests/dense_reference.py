@@ -1,22 +1,29 @@
 """Textbook references the sparse core and the invariants are tested against.
 
 :func:`rref` is Gauss-Jordan on dense rows and :func:`null_space` takes its
-kernel from it.  The helpers that take a :class:`~zclkit.linalg.Subspace`
-only read its stored rows; only :func:`span`, :func:`kernel_basis` and
-:func:`kernel_mu` eliminate through the sparse core, for the tests that
-compare it with the dense one.  The oracles search every product of their
-letters, and :func:`zcl_oracle` takes its kernel from :func:`null_space`,
-so it shares no elimination code with ``zcl_exact``.
+kernel from it.  A :class:`Subspace` is a canonical RREF basis of sparse
+rows: :func:`_sparse_rref` runs zclkit's one elimination step,
+:func:`~zclkit.linalg.reduce_into`, over its rows and then back-substitutes,
+so comparing :func:`span` with :func:`rref` checks that step.  The helpers
+that take a Subspace only read its stored rows; only :func:`span`,
+:func:`kernel_basis`, :func:`kernel_mu` and :func:`subspace_product`
+eliminate through the sparse core.  The oracles search every product of
+their letters, and :func:`zcl_oracle` takes its kernel from
+:func:`null_space`, so it shares no elimination code with ``zcl_exact``.
+:func:`first_longest_word` is the lexicographic depth-first search that
+``zcl_exact``'s walk must agree with.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from zclkit.algebra import DEFAULT_MAX_DIM
 from zclkit.errors import ResourceLimitError, ValidationError
-from zclkit.linalg import Subspace, normalize_sparse
+from zclkit.fields import Field
+from zclkit.linalg import normalize_sparse, reduce_into
 from zclkit.series import IntSequence
 
 DEFAULT_ORACLE_DIM = 64
@@ -70,6 +77,86 @@ def null_space(field, rows, ncols):
             v[pc] = field.neg(row[f])
         basis.append(v)
     return rref(field, basis, ncols)[0]
+
+
+def _sparse_rref(rows, field):
+    """RREF of sparse rows; returns (list of pivot-sorted sparse rows, pivots)."""
+    mul, sub = field.mul, field.sub
+    zero = field.zero
+    piv = {}
+    for incoming in rows:
+        reduce_into(field, piv, incoming)
+    # Back-substitution: a row's non-lead keys are all larger than its lead,
+    # so sweeping pivot columns in descending order leaves each row fully reduced.
+    for c in sorted(piv, reverse=True):
+        row = piv[c]
+        for c2 in [k for k in row if k != c and k in piv]:
+            f = row.get(c2)
+            if not f:
+                continue
+            for k, v in piv[c2].items():
+                nv = sub(row.get(k, zero), mul(f, v))
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+    pivots = sorted(piv)
+    return [piv[c] for c in pivots], pivots
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace stored as its unique RREF basis of sparse rows (no zero rows)."""
+
+    field: Field
+    ambient_dim: int
+    rows: tuple  # RREF rows as {column: coeff}, in pivot order
+    pivots: tuple
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @property
+    def is_zero(self):
+        return not self.rows
+
+    @classmethod
+    def zero(cls, field, ambient_dim):
+        return cls(field, ambient_dim, (), ())
+
+    @classmethod
+    def from_sparse_rows(cls, field, rows, ambient_dim):
+        reduced, pivots = _sparse_rref(rows, field)
+        return cls(field, ambient_dim, tuple(reduced), tuple(pivots))
+
+
+def subspace_product(s, t, product_items):
+    """Span of the products of basis rows of ``s`` and ``t``.
+
+    ``product_items`` is a bilinear map on sparse ``(index, coeff)`` item
+    lists that returns a dict.  All pairwise products are collected first
+    and reduced in one pass; bilinearity makes basis products span the full
+    product set.
+    """
+    if s.ambient_dim != t.ambient_dim:
+        raise ValidationError("subspace product requires matching ambient dimensions")
+    field = s.field
+    seen = set()
+    collected = []
+    for u in s.rows:
+        items_u = u.items()
+        for v in t.rows:
+            prod = product_items(items_u, v.items())
+            if not prod:
+                continue
+            key, norm = normalize_sparse(field, prod)
+            if key not in seen:
+                seen.add(key)
+                collected.append(norm)
+    if not collected:
+        return Subspace.zero(field, s.ambient_dim)
+    return Subspace.from_sparse_rows(field, collected, s.ambient_dim)
 
 
 def coords(element):
@@ -278,6 +365,45 @@ def _longest_product_dp(a, letters):
                 best[key] = length + 1
                 work.append((list(norm.items()), length + 1))
     return max(best.values())
+
+
+def first_longest_word(a, letters):
+    """(word, product) of the lexicographically first nonzero word of maximal length.
+
+    A depth-first search over words of the letters, in letter order, that
+    prunes every prefix whose product is zero.  The longest extension of a
+    prefix, and the first one among the longest, depend only on the line of
+    the prefix's product, so they are memoized on its normalised key.
+    Returns ``((), None)`` when every letter is zero.
+    """
+    field = a.field
+    memo = {}
+
+    def longest_suffix(prod):
+        key = normalize_sparse(field, prod)[0]
+        if key not in memo:
+            best = ()
+            for i, lit in enumerate(letters):
+                nxt = a.product_items(prod.items(), lit.items())
+                if nxt:
+                    suffix = (i,) + longest_suffix(nxt)
+                    if len(suffix) > len(best):
+                        best = suffix
+            memo[key] = best
+        return memo[key]
+
+    word = ()
+    for i, lit in enumerate(letters):
+        if lit:
+            candidate = (i,) + longest_suffix(dict(lit))
+            if len(candidate) > len(word):
+                word = candidate
+    if not word:
+        return (), None
+    product = dict(letters[word[0]])
+    for i in word[1:]:
+        product = a.product_items(product.items(), letters[i].items())
+    return word, product
 
 
 def cup_length_oracle(a, max_dim=DEFAULT_ORACLE_DIM):

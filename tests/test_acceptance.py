@@ -20,6 +20,7 @@ from dense_reference import (
     cup_length_oracle,
     kernel_mu,
     reconstruct_series,
+    subspace_product,
     zcl_oracle,
 )
 from zclkit import (
@@ -32,7 +33,6 @@ from zclkit import (
     zcl_exact,
 )
 from zclkit.cli import run as cli_run
-from zclkit.linalg import subspace_product
 from zclkit.series import (
     NOT_ARITHMETIC_IN_WINDOW,
     RATIONAL_FORM_DETECTED,

@@ -85,6 +85,16 @@ def test_duplicate_labels_rejected():
         validate_algebra(AlgebraPresentation("dup", QQ, (("1", 0), ("1", 2)), {}))
 
 
+@pytest.mark.parametrize(
+    "products",
+    [{("a", "zz"): [(1, "a")]}, {("a", "a"): [(1, "zz")]}],
+    ids=["factor", "term"],
+)
+def test_unknown_labels_in_products_are_rejected(products):
+    with pytest.raises(ValidationError, match="unknown label 'zz'"):
+        _pres("unknown", QQ, [("1", 0), ("a", 2)], products)
+
+
 def test_unit_products_must_be_implicit():
     with pytest.raises(ValidationError, match="implicit"):
         validate_algebra(

@@ -14,7 +14,6 @@ PUBLIC = [
     "RationalityReport",
     "ResourceLimitError",
     "SeriesOutcome",
-    "Subspace",
     "TableAlgebra",
     "TensorPowerAlgebra",
     "ValidationError",
@@ -31,7 +30,6 @@ PUBLIC = [
     "mu",
     "polynomial_from_series",
     "series_pipeline",
-    "subspace_product",
     "tensor_product",
     "validate_algebra",
     "verify_witness",
@@ -42,6 +40,6 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 33
     assert sorted(zclkit.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(zclkit, name)] == []

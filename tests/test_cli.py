@@ -237,6 +237,27 @@ def test_invalid_algebra_file(tmp_path):
     assert "degree" in err
 
 
+@pytest.mark.parametrize(
+    "field, coeff",
+    [({"kind": "rational"}, "1/0"), ({"kind": "prime", "p": 3}, "1/3")],
+    ids=["Q", "F3"],
+)
+def test_zero_denominator_is_an_invalid_file(tmp_path, field, coeff):
+    doc = {
+        "name": "zero-den",
+        "field": field,
+        "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2}],
+        "products": [{"left": "x", "right": "x", "value": [{"coeff": coeff, "basis": "1"}]}],
+    }
+    path = tmp_path / "zero-den.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = cli("check", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("zclkit: error: ") and err.count("\n") == 1
+    assert "products[0].value[0]" in err and coeff in err
+
+
 def test_usage_error_exit_code():
     code, _, err = cli("zcl", "builtin:stanley-p3")  # missing --r
     assert code == EXIT_USAGE

@@ -14,12 +14,15 @@ import pytest
 
 import zclkit
 from dense_reference import (
+    Subspace,
     collapse_matrix,
     cup_length_oracle,
     dense_rows,
+    first_longest_word,
     full_space,
     kernel_mu,
     null_space,
+    subspace_product,
     zcl_oracle,
 )
 from zclkit import (
@@ -35,8 +38,9 @@ from zclkit import (
 )
 from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantError
 from zclkit.fields import GF3, QQ, Field
-from zclkit.invariants import Witness, WitnessReport, _zero_divisor_generators
-from zclkit.linalg import Subspace, subspace_product
+from zclkit import invariants
+from zclkit.algebra import DEFAULT_MAX_DIM, Algebra
+from zclkit.invariants import Witness, WitnessReport, _walk, _zero_divisor_generators, zcl_auto
 
 
 def _alg(name, field, basis, products=None):
@@ -453,6 +457,25 @@ def test_zcl_oracle_guard(stanley):
         zcl_oracle(stanley, 4)
 
 
+def test_max_dim_none_means_no_ceiling(monkeypatch, stanley):
+    # None reaches tensor_power, which reads it as no ceiling
+    ceilings = []
+    tensor_power = Algebra.tensor_power
+
+    def recording(self, r, max_dim=DEFAULT_MAX_DIM):
+        ceilings.append(max_dim)
+        return tensor_power(self, r, max_dim)
+
+    monkeypatch.setattr(Algebra, "tensor_power", recording)
+    assert zcl_exact(stanley, 2, max_dim=None).value == 2
+    assert ceilings == [None]
+    # and zcl_auto takes the exact route however large d^r is
+    routes = []
+    monkeypatch.setattr(invariants, "zcl_exact", lambda a, r, max_dim: routes.append((r, max_dim)))
+    zcl_auto(stanley, 7, max_dim=None)
+    assert routes == [(7, None)]
+
+
 def test_zcl_exact_matches_oracle_small(stanley):
     assert zcl_exact(stanley, 2).value == zcl_oracle(stanley, 2)
     assert zcl_exact(exterior_line(), 2).value == zcl_oracle(exterior_line(), 2)
@@ -475,6 +498,23 @@ def test_zero_divisor_generators_generate_the_kernel(corpus):
             )
             assert ideal.dim == power.dim - alg.dim, (alg.name, r)
             assert ideal == kernel_mu(alg, r, max_dim=None), (alg.name, r)
+            checked += 1
+    assert checked > 300
+
+
+def test_walk_picks_the_first_longest_word(corpus):
+    # the one forward pass agrees with a depth-first search over all words
+    checked = 0
+    for alg in corpus:
+        one = alg.field.one
+        letters = [{i: one} for i in range(alg.dim) if alg.degree_of(i) > 0]
+        assert _walk(alg, letters) == first_longest_word(alg, letters), alg.name
+        for r in range(2, 7):
+            if alg.dim ** r > 81:
+                break
+            power = alg.tensor_power(r, max_dim=None)
+            gens = _zero_divisor_generators(power)
+            assert _walk(power, gens) == first_longest_word(power, gens), (alg.name, r)
             checked += 1
     assert checked > 300
 

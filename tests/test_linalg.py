@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    Subspace,
     contains,
     dense_rows,
     full_space,
@@ -20,10 +21,10 @@ from dense_reference import (
     matrix,
     rref,
     span,
+    subspace_product,
 )
 from zclkit.errors import ValidationError
 from zclkit.fields import GF2, GF3, GF5, QQ
-from zclkit.linalg import Subspace, subspace_product
 
 ALL_FIELDS = [GF2, GF3, GF5, QQ]
 

@@ -59,13 +59,13 @@ def test_series_builds_the_cup_length_ladder_once(monkeypatch):
     # cl(A) feeds every entry's upper bound; it is computed once per algebra
     alg = builtin_algebra("stanley-p3")
     ladders = []
-    ideal_powers = invariants.ideal_powers
+    walk = invariants._walk
 
     def recording(a, *args, **kwargs):
         ladders.append(a)
-        return ideal_powers(a, *args, **kwargs)
+        return walk(a, *args, **kwargs)
 
-    monkeypatch.setattr(invariants, "ideal_powers", recording)
+    monkeypatch.setattr(invariants, "_walk", recording)
     out = series_pipeline(alg, 3)
     assert [e.method for e in out.entries] == ["exact"] * 3
     assert sum(a is alg for a in ladders) == 1
