@@ -11,12 +11,17 @@ Tensor powers and binary tensor products carry the induced product
 
 on the basis of r-tuples in lexicographic order, and the collapse map
 sends a basis tuple to the product of its slots.  Each rule is written
-once: the sign and the term expansion in :func:`_koszul_product`, the scan
-of positive pairs ``i <= j`` in :func:`_positive_table`, and the zero
-divisor y^(s) - y^(1) in :meth:`TensorPowerAlgebra.zero_divisor`.  The
-matrix and kernel of the collapse map, dense coordinate views of
-elements, and a swap-counting sign reference are test references in
-``tests/dense_reference.py``.
+once: the sign and the term expansion in :func:`_koszul_product`, the
+table of nonzero positive pairs ``i <= j`` of a tensor product in
+:func:`_tensor_table`, the zero divisor y^(s) - y^(1) in
+:meth:`TensorPowerAlgebra.zero_divisor`, and the slot rule, the product
+with y^(s) - y^(1) formed in slots s and 1 alone, in
+:meth:`TensorPowerAlgebra.zero_divisor_product`.  A tensor power past
+_CHUNK_DIM dimensions multiplies basis pairs as a tensor product of
+smaller powers, chunks of adjacent slots, so a pair costs a few chunk
+lookups instead of one lookup per slot.  The matrix and kernel of the
+collapse map, dense coordinate views of elements, and a swap-counting sign
+reference are test references in ``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import ResourceLimitError, ValidationError
 from .fields import Field, Scalar
 
 DEFAULT_MAX_DIM = 4096
+_CHUNK_DIM = 256
 
 
 class Term(NamedTuple):
@@ -97,11 +103,31 @@ def _koszul_product(slots: Sequence["Algebra"], tu: Sequence[int], tv: Sequence[
     return tuple(out)
 
 
-def _positive_table(degrees: Sequence[int], pair) -> dict:
-    """{(i, j): pair(i, j)} over positive-degree i <= j, nonzero entries only."""
-    pos = [i for i, deg in enumerate(degrees) if deg]
-    keys = ((i, j) for n, i in enumerate(pos) for j in pos[n:])
-    return {key: terms for key in keys if (terms := pair(*key))}
+def _tensor_table(slots: Sequence["Algebra"]) -> dict:
+    """{(i, j): e_i e_j} over positive-degree i <= j of slots[0] x ... x slots[-1], nonzero only.
+
+    A pair is nonzero exactly when it is nonzero in every slot, so only the
+    tuples of nonzero slot pairs are visited, never the zero pairs.  The one
+    degree-0 basis element of each slot makes the tuple of units the only
+    degree-0 index of the product.
+    """
+    nonzero = [
+        [(i, j) for i in range(alg.dim) for j in range(alg.dim) if alg.basis_product(i, j)]
+        for alg in slots
+    ]
+    radices = [alg.dim for alg in slots[1:]]
+    unit = 0
+    for alg in slots:
+        unit = unit * alg.dim + alg.unit_index
+    table = {}
+    for choice in itertools.product(*nonzero):
+        (i, j), *rest = choice
+        for radix, (u, v) in zip(radices, rest):
+            i, j = i * radix + u, j * radix + v
+        if unit != i <= j != unit:
+            tu, tv = zip(*choice)
+            table[(i, j)] = _koszul_product(slots, tu, tv)
+    return dict(sorted(table.items()))
 
 
 class Element:
@@ -325,15 +351,17 @@ class Algebra:
         self._tensor_cache[r] = power
         return power
 
+    def _core_table(self) -> dict:
+        """{(i, j): e_i e_j} over positive-degree i <= j, nonzero entries only."""
+        raise NotImplementedError
+
     def to_presentation(self) -> AlgebraPresentation:
         """Positive-degree (i <= j) table entries, suitable for serialization.
 
-        Entries bypass the pair cache: this scan visits every pair, and most
-        of them are zero in a tensor power.
+        Entries bypass the pair cache, which would otherwise keep the whole table.
         """
-        core = _positive_table(self.degrees, self._compute_pair)
         basis = tuple((self.label_of(i), self.degree_of(i)) for i in range(self.dim))
-        return AlgebraPresentation(self.name, self.field, basis, core)
+        return AlgebraPresentation(self.name, self.field, basis, self._core_table())
 
     def __repr__(self):
         return f"<Algebra {self.name!r} dim={self.dim} over {self.field}>"
@@ -363,6 +391,9 @@ class TableAlgebra(Algebra):
     def label_of(self, i: int) -> str:
         return self._labels[i]
 
+    def _core_table(self):
+        return dict(self._core)
+
     def _compute_pair(self, i, j):
         u = self._unit
         one = self.field.one
@@ -386,8 +417,26 @@ class TensorPowerAlgebra(Algebra):
         super().__init__(f"{base.name}^tensor{r}", base.field)
         self.base = base
         self.r = r
-        self._slots = (base,) * r
         self._dim = base.dim ** r
+        # Pairs are multiplied k slots at a time, d^k <= _CHUNK_DIM: A^(x r) is the
+        # Koszul tensor product of powers A^(x k), indexed by chunks of base-d digits.
+        k = 1
+        while k < r and base.dim ** (k + 1) <= _CHUNK_DIM:
+            k += 1
+        if k == r:
+            self._chunks = (base,) * r
+        else:
+            q, rem = divmod(r, k)
+            self._chunks = (base.tensor_power(k, None),) * q
+            if rem:
+                self._chunks += (base.tensor_power(rem, None),)
+        self._radices = tuple(alg.dim for alg in self._chunks)
+        # _parity[n][m]: degree parity of index m of A^(x n), for n <= k
+        self._odd = tuple(deg & 1 for deg in base.degrees)
+        self._parity = [(0,)]
+        for _ in range(k):
+            self._parity.append(tuple(p ^ q for p in self._parity[-1] for q in self._odd))
+        self._moves: dict = {}
         self._degree_cache: dict = {}
         self._mu_cache: dict = {}
 
@@ -426,8 +475,20 @@ class TensorPowerAlgebra(Algebra):
         base_lbl = self.base.label_of
         return "⊗".join(base_lbl(s) for s in self.tuple_of_index(i))
 
+    def _core_table(self):
+        return _tensor_table((self.base,) * self.r)
+
     def _compute_pair(self, i, j):
-        return _koszul_product(self._slots, self.tuple_of_index(i), self.tuple_of_index(j))
+        return _koszul_product(self._chunks, self._split(i), self._split(j))
+
+    def _split(self, idx: int) -> list:
+        """The digits of idx in the radices of the chunks, most significant first."""
+        out = []
+        for radix in reversed(self._radices):
+            idx, digit = divmod(idx, radix)
+            out.append(digit)
+        out.reverse()
+        return out
 
     def zero_divisor(self, y: Mapping, s: int) -> dict:
         """y^(s) - y^(1) as {index: coeff}, for y = {base index: coeff}.
@@ -441,6 +502,73 @@ class TensorPowerAlgebra(Algebra):
         out = {ones + (j - unit) * at_s: c for j, c in y.items()}
         out.update((ones + (j - unit) * at_1, neg(c)) for j, c in y.items())
         return out
+
+    def zero_divisor_product(self, u: Mapping, y: Mapping, s: int) -> dict:
+        """u (y^(s) - y^(1)) as {index: coeff}, for u = {index: coeff} and y, s as above.
+
+        The slot rule: by the Koszul sign, e_t y_j^(q) is e_t with slot q
+        replaced by t_q y_j, times (-1)^{|y_j| (|t_{q+1}| + ... + |t_r|)}.  So
+        each term of u is multiplied in slot s and in slot 1 only, through
+        the base table; no product of r slot coefficients is formed.
+        """
+        acc: dict = {}
+        self._times_slot(acc, u, y.items(), s)
+        neg = self.field.neg
+        self._times_slot(acc, u, [(j, neg(c)) for j, c in y.items()], 1)
+        return acc
+
+    def _times_slot(self, acc: dict, u: Mapping, y_items, q: int) -> None:
+        """Add u y^(q) into acc by the slot rule."""
+        r, n = self.r, self.r - q
+        d = self.base.dim
+        place = d ** n
+        y_items = tuple(y_items)
+        moves = self._moves.get((q, y_items))
+        if moves is None:
+            moves = self._moves[q, y_items] = self._slot_moves(y_items, place)
+        signed = n and any(self._odd[j] for j, _ in y_items)
+        table = self._parity[n] if n < len(self._parity) else None
+        odd_low = self._odd_low
+        mul, add = self.field.mul, self.field.add
+        for idx, a in u.items():
+            high, low = divmod(idx, place)
+            flip = signed and (table[low] if table else odd_low(low, n))
+            for c, shift in moves[high % d][flip]:
+                key = idx + shift
+                v = mul(a, c)
+                prev = acc.get(key)
+                if prev is not None:
+                    v = add(prev, v)
+                    if not v:
+                        del acc[key]
+                        continue
+                acc[key] = v
+
+    def _slot_moves(self, y_items, place: int) -> list:
+        """By base index t, the (coeff, index shift) of each term of e_t y, unsigned and signed."""
+        odd, bp = self._odd, self.base.basis_product
+        mul, neg = self.field.mul, self.field.neg
+        moves = []
+        for t in range(self.base.dim):
+            terms = [
+                (odd[j], mul(c, c2), (k - t) * place) for j, c in y_items for c2, k in bp(t, j)
+            ]
+            moves.append((
+                [(c, shift) for _, c, shift in terms],
+                [(neg(c) if oj else c, shift) for oj, c, shift in terms],
+            ))
+        return moves
+
+    def _odd_low(self, low: int, n: int) -> int:
+        """Parity of the degree of the n lowest slots of an index, given low = index mod d^n."""
+        k = len(self._parity) - 1
+        table = self._parity[k]
+        flip = 0
+        while n > k:
+            low, m = divmod(low, len(table))
+            flip ^= table[m]
+            n -= k
+        return flip ^ self._parity[n][low]
 
     # -- the collapse (multiplication) map -----------------------------------
 
@@ -614,17 +742,13 @@ def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM
     dim = a.dim * b.dim
     if max_dim is not None and dim > max_dim:
         raise ResourceLimitError(f"tensor product dimension {dim} exceeds ceiling {max_dim}")
-    db = b.dim
     labels = [f"{a.label_of(i)}⊗{b.label_of(j)}" for i in range(a.dim) for j in range(b.dim)]
     if len(set(labels)) != len(labels):
         labels = [
             f"({a.label_of(i)})⊗({b.label_of(j)})" for i in range(a.dim) for j in range(b.dim)
         ]
     degrees = [a.degree_of(i) + b.degree_of(j) for i in range(a.dim) for j in range(b.dim)]
-    slots = (a, b)
-    core = _positive_table(
-        degrees, lambda i, j: _koszul_product(slots, divmod(i, db), divmod(j, db))
-    )
+    core = _tensor_table((a, b))
     name = f"{a.name}⊗{b.name}"
     return TableAlgebra(name, a.field, labels, degrees, core)
 

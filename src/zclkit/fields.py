@@ -1,9 +1,12 @@
 """Exact scalar arithmetic over prime fields F_p and the rationals.
 
 Scalars are plain Python values: residues in ``range(p)`` for a prime
-field, :class:`fractions.Fraction` for the rationals.  All normalization
-rules (canonical residues, lowest terms with positive denominator) are
-therefore enforced by construction; keeping scalars unboxed keeps the
+field; for the rationals an ``int`` when the value is integral and a
+:class:`fractions.Fraction` with denominator > 1 otherwise, so the +-1
+coefficients that fill most tables cost integer arithmetic.  Every
+operation returns that canonical form (residues reduced, fractions in
+lowest terms, integral values as ints); ``str``, ``==`` and ``hash`` agree
+between an int and the equal Fraction.  Keeping scalars unboxed keeps the
 row-reduction inner loops fast.  A :class:`Field` carries the one bundle of
 scalar arithmetic every other module uses: ``add``, ``sub``, ``mul`` and
 ``neg`` are chosen once per instance, so no call branches on the modulus.
@@ -19,6 +22,20 @@ from typing import Union
 from .errors import FieldMismatchError, ValidationError
 
 Scalar = Union[int, Fraction]
+
+
+def _rational(x: Scalar) -> Scalar:
+    """The canonical form of a rational: an int when it is integral."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
+def _canonical(op):
+    """op on rationals, returning the canonical form; _rational inlined, as it is hot."""
+    def rational_op(x: Scalar, y: Scalar) -> Scalar:
+        z = op(x, y)
+        return z if z.__class__ is int or z.denominator != 1 else z.numerator
+    return rational_op
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to every base above
@@ -61,11 +78,13 @@ class Field:
     """
 
     p: int | None = None
+    zero = 0
+    one = 1
 
     def __post_init__(self) -> None:
         p = self.p
         if p is None:
-            ops = (operator.add, operator.sub, operator.mul, operator.neg)
+            ops = (*map(_canonical, (operator.add, operator.sub, operator.mul)), operator.neg)
         else:
             if not isinstance(p, int) or isinstance(p, bool):
                 raise ValidationError("field modulus must be an integer")
@@ -105,14 +124,6 @@ class Field:
     def characteristic(self) -> int:
         return self.p if self.p is not None else 0
 
-    @property
-    def zero(self) -> Scalar:
-        return 0 if self.p is not None else Fraction(0)
-
-    @property
-    def one(self) -> Scalar:
-        return 1 if self.p is not None else Fraction(1)
-
     def __str__(self) -> str:
         return f"F{self.p}" if self.p is not None else "Q"
 
@@ -126,9 +137,13 @@ class Field:
             raise FieldMismatchError(
                 f"{x!r} is not a canonical residue of {self} (expected int in [0, {self.p}))"
             )
-        if isinstance(x, Fraction):
+        if (isinstance(x, int) and not isinstance(x, bool)) or (
+            isinstance(x, Fraction) and x.denominator != 1
+        ):
             return x
-        raise FieldMismatchError(f"{x!r} is not a rational scalar (expected Fraction)")
+        raise FieldMismatchError(
+            f"{x!r} is not a canonical rational (expected int, or Fraction with denominator > 1)"
+        )
 
     def coerce(self, x: Scalar | str) -> Scalar:
         """Normalize an int, Fraction, or scalar literal into this field."""
@@ -143,7 +158,7 @@ class Field:
                 return x.numerator % self.p
             raise FieldMismatchError(f"cannot coerce {x!r} into {self}")
         if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+            return _rational(x)
         raise FieldMismatchError(f"cannot coerce {x!r} into {self}")
 
     # -- arithmetic (operands assumed canonical) ---------------------------
@@ -151,12 +166,14 @@ class Field:
     def inv(self, x: Scalar) -> Scalar:
         if not x:
             raise ZeroDivisionError(f"inverse of zero in {self}")
-        return pow(x, -1, self.p) if self.p is not None else 1 / x
+        return pow(x, -1, self.p) if self.p is not None else _rational(1 / Fraction(x))
 
     def div(self, x: Scalar, y: Scalar) -> Scalar:
         if not y:
             raise ZeroDivisionError(f"division by zero in {self}")
-        return x * pow(y, -1, self.p) % self.p if self.p is not None else x / y
+        if self.p is None:
+            return _rational(Fraction(x) / y)
+        return x * pow(y, -1, self.p) % self.p
 
     # -- text form ----------------------------------------------------------
 
@@ -169,7 +186,7 @@ class Field:
         except ValueError:
             raise ValidationError(f"malformed scalar literal {text!r}") from None
         if not slash:
-            return n % self.p if self.p is not None else Fraction(n)
+            return n % self.p if self.p is not None else n
         den = den.strip()
         if not den.isdigit():
             raise ValidationError(f"malformed scalar literal {text!r}")
@@ -182,7 +199,7 @@ class Field:
                     f"denominator of {text!r} is zero in {self}"
                 )
             return n * pow(d, -1, self.p) % self.p
-        return Fraction(n, d)
+        return _rational(Fraction(n, d))
 
     def format(self, x: Scalar) -> str:
         return str(x)

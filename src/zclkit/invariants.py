@@ -23,12 +23,17 @@ than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
 certified constructively by extending a witness with the zero divisors
 y^(r+1) - y^(1) built from a maximal cup-length chain.
 Every zero divisor here, generator or extension factor, is built by
-:meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor`.
+:meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor`, and every product
+with one, in the walk and in the extension, is formed slot by slot by
+:meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor_product`.
+:func:`verify_witness` multiplies the factors again through the pair
+table, so each certificate checks that kernel against the Koszul product.
 
 The route is decided here and nowhere else: :func:`zcl_auto` computes zcl_r
 exactly while d^r fits the dimension ceiling, and otherwise by
 :func:`zcl_bounds`, which seeds at the largest r0 with d^r0 within both the
-ceiling and DEFAULT_SEED_DIM.  The brute-force oracles that check these
+ceiling and DEFAULT_SEED_DIM; the ceiling also bounds the number of terms
+of each extended witness product.  The brute-force oracles that check these
 results live beside the tests, in ``tests/dense_reference.py``.
 """
 
@@ -40,7 +45,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu
-from .errors import ValidationError, WitnessInvariantError
+from .errors import ResourceLimitError, ValidationError, WitnessInvariantError
 from .linalg import normalize_sparse, reduce_into
 
 DEFAULT_SEED_DIM = 256
@@ -96,17 +101,19 @@ class WitnessReport:
 # -- the walk over words ------------------------------------------------------------
 
 
-def _walk(a: Algebra, letters: Sequence) -> tuple:
+def _walk(a: Algebra, letters: Sequence, times=None) -> tuple:
     """(word, product): the lexicographically first nonzero word of maximal length.
 
     A word is a tuple of indices into ``letters`` and its product is the
-    ordered product of those letters.  Level 1 keeps each letter that is
-    independent of the letters before it.  Level n+1 multiplies each kept
-    word of level n, in order, by each kept letter, in order, and keeps a
-    product unless its normalised key was already seen at that level or it
-    reduces to zero against the level's echelon.  By bilinearity the kept
-    products of level n span span(letters)^n, so the walk stops at the first
-    empty level; it terminates because a word of length n has degree >= n.
+    ordered product of those letters.  ``times(p, i)`` is the product of a
+    sparse row p with ``letters[i]``; by default it goes through a's table.
+    Level 1 keeps each letter that is independent of the letters before it.
+    Level n+1 multiplies each kept word of level n, in order, by each kept
+    letter, in order, and keeps a product unless its normalised key was
+    already seen at that level or it reduces to zero against the level's
+    echelon.  By bilinearity the kept products of level n span
+    span(letters)^n, so the walk stops at the first empty level; it
+    terminates because a word of length n has degree >= n.
     The first word of the last nonempty level and its product are returned
     (``((), None)`` when no letter is nonzero).
 
@@ -120,7 +127,9 @@ def _walk(a: Algebra, letters: Sequence) -> tuple:
     prefix of W is kept and W comes first in level n.
     """
     field = a.field
-    product = a.product_items
+    if times is None:
+        def times(p, i):
+            return a.product_items(p.items(), letters[i].items())
     echelon: dict = {}
     basis = [(i, lit) for i, lit in enumerate(letters) if reduce_into(field, echelon, lit)]
     level = [((i,), dict(lit)) for i, lit in basis]
@@ -129,9 +138,8 @@ def _walk(a: Algebra, letters: Sequence) -> tuple:
     while True:
         echelon, seen, nxt = {}, set(), []
         for word, prod in level:
-            items = prod.items()
-            for i, lit in basis:
-                p = product(items, lit.items())
+            for i, _ in basis:
+                p = times(prod, i)
                 if not p:
                     continue
                 key, norm = normalize_sparse(field, p)
@@ -161,15 +169,20 @@ def cup_length(a: Algebra) -> ClResult:
 # -- zero-divisor cup-length --------------------------------------------------------
 
 
-def _zero_divisor_generators(power: TensorPowerAlgebra) -> list:
-    """Sparse rows of b^(s) - b^(1) in a tensor power, ordered by (b, s)."""
+def _zero_divisor_letters(power: TensorPowerAlgebra) -> list:
+    """(y, s) with y = {b: 1} for the generators b^(s) - b^(1), ordered by (b, s)."""
     a = power.base
     return [
-        power.zero_divisor({b: a.field.one}, s)
+        ({b: a.field.one}, s)
         for b in range(a.dim)
         if a.degree_of(b) > 0
         for s in range(2, power.r + 1)
     ]
+
+
+def _zero_divisor_generators(power: TensorPowerAlgebra) -> list:
+    """Sparse rows of b^(s) - b^(1) in a tensor power, ordered by (b, s)."""
+    return [power.zero_divisor(y, s) for y, s in _zero_divisor_letters(power)]
 
 
 def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
@@ -181,8 +194,9 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> Z
         raise ValidationError("zero-divisor cup-length needs r >= 2")
     upper = r * cup_length(a).value
     power = a.tensor_power(r, max_dim)
+    letters = _zero_divisor_letters(power)
     gens = _zero_divisor_generators(power)
-    word, product = _walk(power, gens)
+    word, product = _walk(power, gens, lambda p, i: power.zero_divisor_product(p, *letters[i]))
     if not word:
         return ZclResult(r, 0, "exact", 0, upper, None)
     if not product:
@@ -197,9 +211,10 @@ def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> 
 
     Seeds an exact witness at the largest r0 <= r whose tensor power fits
     min(DEFAULT_SEED_DIM, ``max_dim``), then extends it one factor-count of
-    cl(A) per step up to r.  ``max_dim=None`` leaves the seed at
-    DEFAULT_SEED_DIM.  The value is reported only when the certified lower
-    bound meets the r*cl upper bound.
+    cl(A) per step up to r.  ``max_dim`` also caps the number of terms of
+    each extended product; ``max_dim=None`` leaves the seed at
+    DEFAULT_SEED_DIM and the product unbounded.  The value is reported only
+    when the certified lower bound meets the r*cl upper bound.
     """
     if r < 2:
         raise ValidationError("zero-divisor cup-length needs r >= 2")
@@ -218,6 +233,11 @@ def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> 
     witness = seed.witness
     for _ in range(r - r0):
         witness = witness_extend(a, witness, clres.chain)
+        if max_dim is not None and len(witness.product.terms) > max_dim:
+            raise ResourceLimitError(
+                f"the witness product at r = {witness.r} has {len(witness.product.terms)} "
+                f"terms, over the ceiling {max_dim}; raise the ceiling to opt in"
+            )
     lower = len(witness.factors)
     value = lower if lower == upper else None
     return ZclResult(r, value, "bounds", lower, upper, witness)
@@ -237,9 +257,10 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
     1 x ... x 1 x y - y x 1 x ... x 1, a zero divisor at r + 1.  Lifting by
     tensor 1 is multiplicative with no Koszul sign (the new slot holds the
     degree-0 unit), so the new product is the stored product tensor 1 times
-    the chain factors; it must be nonzero for valid inputs.  The stored
-    product is trusted here: :func:`verify_witness` recomputes it from the
-    factors.
+    the chain factors, each multiplied in by
+    :meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor_product`; it must
+    be nonzero for valid inputs.  The stored product is trusted here:
+    :func:`verify_witness` recomputes it from the factors.
     """
     if not w.factors:
         raise ValidationError("witness extension needs at least one factor")
@@ -260,17 +281,19 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
     d = a.dim
     unit = a.unit_index
 
-    def lift(x: Element) -> Element:
-        return Element(big, {idx * d + unit: c for idx, c in x.terms.items()})
+    def lift(x: Element) -> dict:
+        return {idx * d + unit: c for idx, c in x.terms.items()}
 
-    new = [Element(big, big.zero_divisor(y.terms, w.r + 1)) for y in chain]
-    product = reduce(mul, new, lift(w.product))
-    if product.is_zero:
+    product = lift(w.product)
+    for y in chain:
+        product = big.zero_divisor_product(product, y.terms, w.r + 1)
+    if not product:
         raise WitnessInvariantError(
             "extended witness product vanished; inputs violate the extension invariant"
         )
-    factors = tuple(lift(f) for f in w.factors) + tuple(new)
-    return Witness(w.r + 1, factors, product, chain=chain)
+    factors = [Element(big, lift(f)) for f in w.factors]
+    factors += [Element(big, big.zero_divisor(y.terms, w.r + 1)) for y in chain]
+    return Witness(w.r + 1, tuple(factors), Element(big, product), chain=chain)
 
 
 def verify_witness(a: Algebra, w: Witness) -> WitnessReport:

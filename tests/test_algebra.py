@@ -381,6 +381,69 @@ def test_tensor_signs_match_a_swap_counting_reference(corpus):
     assert tensor_basis_product((ext, ext), 1, 2) == {3: QQ.coerce(-1)}  # (1x a)(a x1)
 
 
+def test_zero_divisor_product_matches_two_references(corpus):
+    # the slot rule against the pair table and against signs counted swap by swap
+    rng = random.Random(20261018)
+    fields, odd_letters, checked = set(), 0, 0
+    for alg in corpus:
+        field, one = alg.field, alg.field.one
+        scalars = [c for c in map(field.coerce, (1, -1, 2, 3)) if c]
+        if field.p is None:
+            scalars.append(field.parse("1/2"))
+        for r in range(2, 5):
+            if alg.dim ** r > 256:
+                break
+            power, slots = alg.tensor_power(r, max_dim=None), (alg,) * r
+            for _ in range(3):
+                support = rng.sample(range(power.dim), min(power.dim, rng.randint(1, 8)))
+                u = {i: rng.choice(scalars) for i in support}
+                for b in (b for b in range(alg.dim) if alg.degree_of(b) > 0):
+                    y = {b: rng.choice(scalars)}
+                    for s in range(2, r + 1):
+                        got = power.zero_divisor_product(u, y, s)
+                        z = power.zero_divisor(y, s)
+                        assert got == power.product_items(u.items(), z.items()), (alg.name, r, b, s)
+                        expected = {}
+                        for i, a in u.items():
+                            for j, c in z.items():
+                                for k, v in tensor_basis_product(slots, i, j).items():
+                                    term = field.mul(field.mul(a, c), v)
+                                    expected[k] = field.add(expected.get(k, field.zero), term)
+                        assert got == {k: v for k, v in expected.items() if v}, (alg.name, r, b, s)
+                        odd_letters += alg.degree_of(b) % 2
+                        checked += 1
+            fields.add(str(field))
+    assert {"F2", "F3", "Q"} <= fields
+    assert odd_letters > 1000 and checked > 4000
+
+
+def test_chunked_tensor_power_matches_swap_counting():
+    # past 256 dimensions a power multiplies chunks of slots; signs still follow the slots,
+    # and the slot rule agrees with the chunked product
+    rng = random.Random(7)
+    ext, mixed = exterior(), tensor_product(exterior(deg=1), exterior(deg=2, name="b"))
+    for alg, r in ((ext, 17), (mixed, 9), (builtin_algebra("surface:1"), 9)):
+        power, slots = alg.tensor_power(r, max_dim=None), (alg,) * r
+        assert len(power._chunks) == 3  # two full chunks and a remainder
+        unit = alg.unit_index
+        nonzero = 0
+        for _ in range(300):
+            i = rng.randrange(power.dim)
+            tv = [rng.randrange(alg.dim) if rng.random() < 0.3 else unit for _ in range(r)]
+            j = power.index_of_tuple(tv)
+            terms = power.basis_product(i, j)
+            assert {k: c for c, k in terms} == tensor_basis_product(slots, i, j), (alg.name, i, j)
+            nonzero += bool(terms)
+        assert nonzero > 30, alg.name
+        # the slot rule reads the degrees of more slots than one chunk holds
+        u = {rng.randrange(power.dim): alg.field.one for _ in range(20)}
+        for b in (b for b in range(alg.dim) if alg.degree_of(b) > 0):
+            for s in (2, r // 2, r):
+                z = power.zero_divisor({b: alg.field.one}, s)
+                expected = power.product_items(u.items(), z.items())
+                assert power.zero_divisor_product(u, {b: alg.field.one}, s) == expected
+
+
 # -- the collapse map ------------------------------------------------------------------
 
 

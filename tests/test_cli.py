@@ -271,6 +271,13 @@ def test_resource_ceiling_exit_code():
     assert "ceiling" in err
 
 
+def test_bounds_product_past_the_ceiling_exits_4():
+    # the torus witness product has r^2 terms: 64^2 fits the default ceiling 4096
+    code, _, err = cli("zcl", "builtin:surface:1", "--method", "bounds", "--r", "65")
+    assert code == EXIT_RESOURCE
+    assert "resource ceiling" in err and "4225 terms" in err
+
+
 def test_bounds_without_seed_is_inconclusive():
     code, report, _ = cli_json(
         "zcl", "builtin:stanley-p3", "--r", "3", "--method", "bounds", "--max-dim", "8"

@@ -75,7 +75,8 @@ def test_mixed_field_operands_rejected():
     with pytest.raises(FieldMismatchError):
         GF3.check(5)  # residue of a larger field, not canonical mod 3
     with pytest.raises(FieldMismatchError):
-        QQ.check(1)  # prime-field style int fed to Q
+        QQ.check(Fraction(2))  # an integral rational is canonical only as an int
+    assert QQ.check(1) == 1
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
@@ -108,6 +109,30 @@ def test_field_axioms_rationals(x, y, z):
     assert QQ.add(x, QQ.neg(x)) == QQ.zero
     if y != 0:
         assert QQ.mul(QQ.div(x, y), y) == x
+
+
+def _canonical(x):
+    return isinstance(x, int) if x.denominator == 1 else isinstance(x, Fraction)
+
+
+@given(x=rationals, y=rationals)
+def test_rational_operations_return_canonical_scalars(x, y):
+    # exact values, as an int exactly when the denominator is 1, from either
+    # form of operand; neg keeps the form, so it is given canonical operands
+    for u, v in ((x, y), (QQ.coerce(x), QQ.coerce(y))):
+        results = [
+            (QQ.add(u, v), x + y),
+            (QQ.sub(u, v), x - y),
+            (QQ.mul(u, v), x * y),
+            (QQ.neg(QQ.coerce(u)), -x),
+            (QQ.coerce(u), x),
+            (QQ.parse(str(u)), x),
+        ]
+        if y:
+            results += [(QQ.div(u, v), x / y), (QQ.inv(v), 1 / y)]
+        for got, expected in results:
+            assert got == expected and _canonical(got), (u, v, got)
+            assert QQ.check(got) is got
 
 
 def test_parse_examples():

@@ -385,6 +385,20 @@ def test_bounds_route_at_r_100_in_under_a_second():
     assert elapsed < 1.0
 
 
+def test_torus_bounds_at_r_40_verified_in_under_three_seconds():
+    # the extensions multiply slot by slot; the check multiplies the 78 factors
+    # again through the pair table, on a product with 40^2 terms
+    alg = builtin_algebra("surface:1")
+    start = time.perf_counter()
+    res = zcl_bounds(alg, 40)
+    report = verify_witness(alg, res.witness)
+    elapsed = time.perf_counter() - start
+    assert (res.value, res.lower, res.upper) == (None, 78, 80)
+    assert len(res.witness.product.terms) == 40 ** 2
+    assert report.ok and report.projection_checked
+    assert elapsed < 3.0, f"took {elapsed:.1f}s"
+
+
 # Linux keeps a process's peak RSS across fork and exec, so a child forked from
 # the test process would report the test process's peak; a small launcher
 # starts the command instead and reports the command's own rusage.  Its limits
