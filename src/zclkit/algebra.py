@@ -431,13 +431,11 @@ class TensorPowerAlgebra(Algebra):
             if rem:
                 self._chunks += (base.tensor_power(rem, None),)
         self._radices = tuple(alg.dim for alg in self._chunks)
-        # _parity[n][m]: degree parity of index m of A^(x n), for n <= k
-        self._odd = tuple(deg & 1 for deg in base.degrees)
-        self._parity = [(0,)]
+        # _deg[n][m]: degree of index m of A^(x n), for n <= k
+        self._deg = [(0,)]
         for _ in range(k):
-            self._parity.append(tuple(p ^ q for p in self._parity[-1] for q in self._odd))
+            self._deg.append(tuple(p + q for p in self._deg[-1] for q in base.degrees))
         self._moves: dict = {}
-        self._degree_cache: dict = {}
         self._mu_cache: dict = {}
 
     @property
@@ -464,12 +462,7 @@ class TensorPowerAlgebra(Algebra):
         return idx
 
     def degree_of(self, i: int) -> int:
-        deg = self._degree_cache.get(i)
-        if deg is None:
-            base_deg = self.base.degree_of
-            deg = sum(base_deg(s) for s in self.tuple_of_index(i))
-            self._degree_cache[i] = deg
-        return deg
+        return self._low_degree(i, self.r)
 
     def label_of(self, i: int) -> str:
         base_lbl = self.base.label_of
@@ -526,13 +519,12 @@ class TensorPowerAlgebra(Algebra):
         moves = self._moves.get((q, y_items))
         if moves is None:
             moves = self._moves[q, y_items] = self._slot_moves(y_items, place)
-        signed = n and any(self._odd[j] for j, _ in y_items)
-        table = self._parity[n] if n < len(self._parity) else None
-        odd_low = self._odd_low
+        signed = n and any(self.base.degree_of(j) & 1 for j, _ in y_items)
+        low_degree = self._low_degree
         mul, add = self.field.mul, self.field.add
         for idx, a in u.items():
             high, low = divmod(idx, place)
-            flip = signed and (table[low] if table else odd_low(low, n))
+            flip = signed and low_degree(low, n) & 1
             for c, shift in moves[high % d][flip]:
                 key = idx + shift
                 v = mul(a, c)
@@ -546,7 +538,7 @@ class TensorPowerAlgebra(Algebra):
 
     def _slot_moves(self, y_items, place: int) -> list:
         """By base index t, the (coeff, index shift) of each term of e_t y, unsigned and signed."""
-        odd, bp = self._odd, self.base.basis_product
+        odd, bp = [deg & 1 for deg in self.base.degrees], self.base.basis_product
         mul, neg = self.field.mul, self.field.neg
         moves = []
         for t in range(self.base.dim):
@@ -559,16 +551,16 @@ class TensorPowerAlgebra(Algebra):
             ))
         return moves
 
-    def _odd_low(self, low: int, n: int) -> int:
-        """Parity of the degree of the n lowest slots of an index, given low = index mod d^n."""
-        k = len(self._parity) - 1
-        table = self._parity[k]
-        flip = 0
+    def _low_degree(self, low: int, n: int) -> int:
+        """Degree of the n lowest slots of an index, given low = index mod d^n."""
+        deg = self._deg
+        k = len(deg) - 1
+        total = 0
         while n > k:
-            low, m = divmod(low, len(table))
-            flip ^= table[m]
+            low, m = divmod(low, len(deg[k]))
+            total += deg[k][m]
             n -= k
-        return flip ^ self._parity[n][low]
+        return total + deg[n][low]
 
     # -- the collapse (multiplication) map -----------------------------------
 

@@ -9,7 +9,7 @@ values for them are derived in the test suite, never hard-coded here.
 from __future__ import annotations
 
 from .algebra import AlgebraPresentation, validate_algebra
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .fields import Field
 
 _FIXED = ("point", "stanley-p3")
@@ -47,9 +47,14 @@ def _sphere(n: int, even: bool) -> AlgebraPresentation:
     )
 
 
-def _surface(genus: int) -> AlgebraPresentation:
+def _surface(genus: int, max_dim: int | None) -> AlgebraPresentation:
     if genus < 1:
         raise ValidationError("surface genus must be at least 1")
+    if max_dim is not None and 2 * genus + 2 > max_dim:
+        raise ResourceLimitError(
+            f"algebra dim {2 * genus + 2} exceeds the ceiling {max_dim}; "
+            "raise the ceiling to opt in"
+        )
     basis = [("1", 0)]
     for i in range(1, genus + 1):
         basis.append((f"a{i}", 1))
@@ -63,24 +68,25 @@ def _surface(genus: int) -> AlgebraPresentation:
     )
 
 
-def builtin_presentation(name: str) -> AlgebraPresentation:
-    """Presentation for a catalog name; raises with the available names."""
+def builtin_presentation(name: str, max_dim: int | None = None) -> AlgebraPresentation:
+    """Presentation for a catalog name; raises with the available names.
+
+    A member of a family whose dimension exceeds ``max_dim`` is refused
+    before it is built; None means no ceiling.
+    """
     base, _, arg = name.partition(":")
-    try:
-        if name == "point":
-            return _point()
-        if name == "stanley-p3":
-            return _stanley_p3()
-        if base == "sphere-odd" and arg:
-            return _sphere(int(arg), even=False)
-        if base == "sphere-even" and arg:
-            return _sphere(int(arg), even=True)
-        if base == "surface" and arg:
-            return _surface(int(arg))
-    except ValueError:
-        raise ValidationError(
-            f"builtin parameter in {name!r} must be an integer"
-        ) from None
+    if name == "point":
+        return _point()
+    if name == "stanley-p3":
+        return _stanley_p3()
+    if base in ("sphere-odd", "sphere-even", "surface") and arg:
+        try:
+            n = int(arg)
+        except ValueError:
+            raise ValidationError(f"builtin parameter in {name!r} must be an integer") from None
+        if base == "surface":
+            return _surface(n, max_dim)
+        return _sphere(n, even=base == "sphere-even")
     raise ValidationError(
         f"unknown builtin {name!r}; available: " + ", ".join(builtin_names())
     )

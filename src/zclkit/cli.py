@@ -128,11 +128,11 @@ def _resolve_algebra(spec: str, max_dim: int):
     """Return (algebra, source info dict); accepts a path or builtin:<name>.
 
     A presentation whose basis exceeds ``max_dim`` is refused before it is
-    validated.
+    validated, and a builtin one before it is built or hashed.
     """
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
-        pres = builtin_presentation(name)
+        pres = builtin_presentation(name, max_dim)
         canonical = json.dumps(presentation_to_dict(pres), sort_keys=True).encode()
         digest = hashlib.sha256(canonical).hexdigest()
         source = {"source": spec, "sha256": digest}

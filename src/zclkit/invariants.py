@@ -12,11 +12,13 @@ slot 1 embeds A and the collapse map splits it, in every characteristic.)
 Hence K^n = A^(x r) G^n is nonzero exactly when span(G^n) is, and one
 forward pass over words in G, :func:`_walk`, finds the largest such n
 together with a word of that length whose product is nonzero: the
-witness, whose factors are elements of G.  The pass keeps, level by level,
-the words whose products are independent of those before them, and makes
-every product as (kept word) x (letter).  The cup-length is the same walk
-over the positive-degree basis.  cl(A) is computed once per algebra and
-kept on it.
+witness, whose factors are elements of G.  The pass starts from the empty
+word, makes every product as (kept word) x (letter), and keeps a word
+exactly when elimination finds its product independent of those before it
+at its length; that one rule also drops every repeat.  The cup-length is
+the same walk over the positive basis elements that are independent
+modulo (A+)^2, which span the indecomposables.  cl(A) is computed once
+per algebra and kept on it.
 
 Two inequalities frame every result: zcl_r <= r * cl (the product of more
 than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
@@ -46,7 +48,7 @@ from typing import Optional, Sequence
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu
 from .errors import ResourceLimitError, ValidationError, WitnessInvariantError
-from .linalg import normalize_sparse, reduce_into
+from .linalg import reduce_into
 
 DEFAULT_SEED_DIM = 256
 
@@ -101,54 +103,41 @@ class WitnessReport:
 # -- the walk over words ------------------------------------------------------------
 
 
-def _walk(a: Algebra, letters: Sequence, times=None) -> tuple:
+def _walk(a: Algebra, n: int, times) -> tuple:
     """(word, product): the lexicographically first nonzero word of maximal length.
 
-    A word is a tuple of indices into ``letters`` and its product is the
-    ordered product of those letters.  ``times(p, i)`` is the product of a
-    sparse row p with ``letters[i]``; by default it goes through a's table.
-    Level 1 keeps each letter that is independent of the letters before it.
-    Level n+1 multiplies each kept word of level n, in order, by each kept
-    letter, in order, and keeps a product unless its normalised key was
-    already seen at that level or it reduces to zero against the level's
-    echelon.  By bilinearity the kept products of level n span
-    span(letters)^n, so the walk stops at the first empty level; it
-    terminates because a word of length n has degree >= n.
-    The first word of the last nonempty level and its product are returned
-    (``((), None)`` when no letter is nonzero).
+    A word is a tuple of letter indices 0..n-1, and ``times(p, i)`` is the
+    product of a sparse row p of a with letter i.  Level 0 is the empty word
+    with product 1.  Level m+1 multiplies each kept word of level m, in
+    order, by each letter, in order, and keeps a product exactly when
+    :func:`~zclkit.linalg.reduce_into` adds it to the level's echelon, that
+    is, when it is independent of the products before it.  By bilinearity
+    the kept products of level m span span(letters)^m, so the walk stops at
+    the first empty level; it terminates because a word of length m has
+    degree >= m.  The first word of the last nonempty level and its product
+    are returned (``((), None)`` when no letter is nonzero).
 
     That word is the lexicographically first nonzero word W of maximal
-    length n.  Levels list their words in lexicographic order, and every
-    kept word is a nonzero word of its length.  If some prefix of W (or one
-    of its letters) were dropped, its product would be a combination of
-    products of lexicographically smaller words of the same length;
-    multiplying out the rest of W, one of those smaller words would extend
-    to a nonzero word of length n before W, a contradiction.  So every
-    prefix of W is kept and W comes first in level n.
+    length l.  Levels list their words in lexicographic order, and every
+    kept word is a nonzero word of its length.  If some prefix of W were
+    dropped, its product would be a combination of products of
+    lexicographically smaller words of the same length; multiplying out the
+    rest of W, one of those smaller words would extend to a nonzero word of
+    length l before W, a contradiction.  So every prefix of W is kept and W
+    comes first in level l.
     """
     field = a.field
-    if times is None:
-        def times(p, i):
-            return a.product_items(p.items(), letters[i].items())
-    echelon: dict = {}
-    basis = [(i, lit) for i, lit in enumerate(letters) if reduce_into(field, echelon, lit)]
-    level = [((i,), dict(lit)) for i, lit in basis]
-    if not level:
-        return (), None
+    level = [((), {a.unit_index: field.one})]
     while True:
-        echelon, seen, nxt = {}, set(), []
+        echelon, nxt = {}, []
         for word, prod in level:
-            for i, _ in basis:
+            for i in range(n):
                 p = times(prod, i)
-                if not p:
-                    continue
-                key, norm = normalize_sparse(field, p)
-                if key not in seen:
-                    seen.add(key)
-                    if reduce_into(field, echelon, norm):
-                        nxt.append((word + (i,), p))
+                if reduce_into(field, echelon, p):
+                    nxt.append((word + (i,), p))
         if not nxt:
-            return level[0]
+            word, prod = level[0]
+            return (word, prod) if word else ((), None)
         level = nxt
 
 
@@ -156,12 +145,31 @@ def _walk(a: Algebra, letters: Sequence, times=None) -> tuple:
 
 
 def cup_length(a: Algebra) -> ClResult:
-    """Largest number of positive-degree elements with nonzero product."""
+    """Largest number of positive-degree elements with nonzero product.
+
+    The walk's letters are the positive basis elements b that are
+    independent of (A+)^2, spanned by the table rows e_i e_j, and of the
+    letters before them; they span the indecomposables A+/(A+)^2.  The
+    chain is still the lexicographically first nonzero word of maximal
+    length cl over all positive basis elements.  Suppose that word W used
+    a dropped b = sum c_g g + delta, with letters g < b and delta in
+    (A+)^2.  W with b replaced by delta lies in (A+)^(cl+1) = 0, so W with
+    b replaced by some g is nonzero, and it comes before W: a contradiction.
+    """
     cached = getattr(a, "_cup_length", None)
     if cached is None:
-        pos = [i for i in range(a.dim) if a.degree_of(i) > 0]
-        word, _ = _walk(a, [{i: a.field.one} for i in pos])
-        cached = ClResult(len(word), tuple(a.basis_element(pos[li]) for li in word))
+        field, one = a.field, a.field.one
+        echelon: dict = {}
+        for terms in a._core_table().values():
+            reduce_into(field, echelon, {k: c for c, k in terms})
+        letters = [
+            i for i in range(a.dim)
+            if a.degree_of(i) > 0 and reduce_into(field, echelon, {i: one})
+        ]
+        word, _ = _walk(
+            a, len(letters), lambda p, n: a.product_items(p.items(), ((letters[n], one),))
+        )
+        cached = ClResult(len(word), tuple(a.basis_element(letters[n]) for n in word))
         a._cup_length = cached
     return cached
 
@@ -180,11 +188,6 @@ def _zero_divisor_letters(power: TensorPowerAlgebra) -> list:
     ]
 
 
-def _zero_divisor_generators(power: TensorPowerAlgebra) -> list:
-    """Sparse rows of b^(s) - b^(1) in a tensor power, ordered by (b, s)."""
-    return [power.zero_divisor(y, s) for y, s in _zero_divisor_letters(power)]
-
-
 def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
     """Nilpotency length of the zero-divisor ideal in the r-th tensor power.
 
@@ -195,13 +198,14 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> Z
     upper = r * cup_length(a).value
     power = a.tensor_power(r, max_dim)
     letters = _zero_divisor_letters(power)
-    gens = _zero_divisor_generators(power)
-    word, product = _walk(power, gens, lambda p, i: power.zero_divisor_product(p, *letters[i]))
+    word, product = _walk(
+        power, len(letters), lambda p, i: power.zero_divisor_product(p, *letters[i])
+    )
     if not word:
         return ZclResult(r, 0, "exact", 0, upper, None)
     if not product:
         raise WitnessInvariantError("extracted witness has zero product")
-    factors = tuple(Element(power, dict(gens[p])) for p in word)
+    factors = tuple(Element(power, power.zero_divisor(*letters[p])) for p in word)
     witness = Witness(r, factors, Element(power, product))
     return ZclResult(r, len(word), "exact", len(word), upper, witness)
 

@@ -5,7 +5,9 @@ floating point.  Vectors are sparse rows, dicts from column index to
 nonzero coefficient, because products in tensor powers are mostly zero.
 An echelon is a dict from pivot column to a row whose smallest column is
 that pivot, with coefficient 1 there; :func:`reduce_into` grows it one
-row at a time, which is forward Gaussian elimination.
+row at a time, which is forward Gaussian elimination.  Whether a row is
+new to a span is decided here alone: a row and any nonzero multiple of it
+reduce alike, so no caller needs to normalise or deduplicate first.
 """
 
 from __future__ import annotations
@@ -13,17 +15,6 @@ from __future__ import annotations
 from .fields import Field
 
 SparseRow = dict  # column index -> nonzero coefficient
-
-
-def normalize_sparse(field: Field, row: SparseRow):
-    """Scale a sparse row so its leading coefficient is 1; return (hashable key, row)."""
-    lead = min(row)
-    c = row[lead]
-    if c != field.one:
-        ic = field.inv(c)
-        mul = field.mul
-        row = {k: mul(v, ic) for k, v in row.items()}
-    return tuple(sorted(row.items())), row
 
 
 def reduce_into(field: Field, echelon: dict, row: SparseRow) -> bool:

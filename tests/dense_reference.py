@@ -11,7 +11,9 @@ eliminate through the sparse core.  The oracles search every product of
 their letters, and :func:`zcl_oracle` takes its kernel from
 :func:`null_space`, so it shares no elimination code with ``zcl_exact``.
 :func:`first_longest_word` is the lexicographic depth-first search that
-``zcl_exact``'s walk must agree with.
+``zcl_exact``'s walk must agree with, over the rows of
+:func:`zero_divisor_generators`, and ``cup_length``'s chain over the
+positive basis.  :func:`normalize_sparse` keys a row by the line it spans.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
@@ -23,11 +25,27 @@ from dataclasses import dataclass
 from zclkit.algebra import DEFAULT_MAX_DIM
 from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import Field
-from zclkit.linalg import normalize_sparse, reduce_into
+from zclkit.invariants import _zero_divisor_letters
+from zclkit.linalg import reduce_into
 from zclkit.series import IntSequence
 
 DEFAULT_ORACLE_DIM = 64
 DEFAULT_ORACLE_AMBIENT = 81
+
+
+def normalize_sparse(field, row):
+    """Scale a sparse row so its leading coefficient is 1; return (hashable key, row)."""
+    lead = min(row)
+    c = row[lead]
+    if c != field.one:
+        ic = field.inv(c)
+        row = {k: field.mul(v, ic) for k, v in row.items()}
+    return tuple(sorted(row.items())), row
+
+
+def zero_divisor_generators(power):
+    """Sparse rows of b^(s) - b^(1) in a tensor power, in the order of zcl_exact's letters."""
+    return [power.zero_divisor(y, s) for y, s in _zero_divisor_letters(power)]
 
 
 def matrix(field, rows):

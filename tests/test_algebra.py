@@ -444,6 +444,18 @@ def test_chunked_tensor_power_matches_swap_counting():
                 assert power.zero_divisor_product(u, {b: alg.field.one}, s) == expected
 
 
+def test_chunked_tensor_power_degrees_sum_the_slots():
+    # degree_of reads one chunk's degree table per chunk of the index
+    rng = random.Random(11)
+    ext, mixed = exterior(), tensor_product(exterior(deg=1), exterior(deg=2, name="b"))
+    for alg, r in ((ext, 17), (mixed, 9), (builtin_algebra("surface:1"), 9)):
+        power = alg.tensor_power(r, max_dim=None)
+        assert len(power._chunks) == 3
+        for i in [0, power.dim - 1] + [rng.randrange(power.dim) for _ in range(300)]:
+            expected = sum(alg.degree_of(s) for s in power.tuple_of_index(i))
+            assert power.degree_of(i) == expected, (alg.name, i)
+
+
 # -- the collapse map ------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from zclkit.algfile import (
     presentation_to_dict,
     save_algebra,
 )
-from zclkit.errors import ValidationError
+from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import Field
 
 
@@ -42,14 +42,22 @@ def test_every_builtin_instance_validates():
 
 
 def test_builtin_parameter_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="sphere-odd needs an odd degree, got 2"):
         builtin_presentation("sphere-odd:2")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="sphere-even needs an even degree, got 3"):
         builtin_presentation("sphere-even:3")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="surface genus must be at least 1"):
         builtin_presentation("surface:0")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="sphere degree must be positive"):
+        builtin_presentation("sphere-odd:-1")
+    with pytest.raises(ValidationError, match="'sphere-odd:x' must be an integer"):
         builtin_presentation("sphere-odd:x")
+
+
+def test_builtin_presentation_refuses_a_family_member_above_the_ceiling():
+    with pytest.raises(ResourceLimitError, match="dim 2000002 exceeds the ceiling 4096"):
+        builtin_presentation("surface:1000000", max_dim=4096)
+    assert len(builtin_presentation("surface:2", max_dim=6).basis) == 6
 
 
 def test_unknown_builtin_lists_catalog():

@@ -2,13 +2,18 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from zclkit import builtin_algebra, validate_algebra
+import zclkit
+from zclkit import builtin_algebra, cup_length, validate_algebra
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
     EXIT_INCONCLUSIVE,
@@ -345,14 +350,54 @@ def test_out_of_range_arguments_are_usage_errors(argv, tmp_path, monkeypatch, ca
     assert not (tmp_path / "unused.json").exists()
 
 
-def test_large_tensor_file_validates_quickly(tmp_path):
-    path = tmp_path / "stanley-p3-r5.json"
+@pytest.fixture(scope="module")
+def stanley_r5_file(tmp_path_factory):
+    """The dim-1024 file of ``tensor builtin:stanley-p3 --r 5``."""
+    path = tmp_path_factory.mktemp("large") / "stanley-p3-r5.json"
     save_algebra(builtin_algebra("stanley-p3").tensor_power(5), path)
+    return path
+
+
+def test_large_tensor_file_validates_quickly(stanley_r5_file):
+    path = stanley_r5_file
     start = time.monotonic()
     alg = validate_algebra(load_presentation(path))
     elapsed = time.monotonic() - start
     assert alg.dim == 1024
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+
+def test_cup_length_of_a_large_tensor_file_is_quick(stanley_r5_file):
+    # the walk's letters are the 15 indecomposables, not the 1023 positive basis elements
+    alg = validate_algebra(load_presentation(stanley_r5_file))
+    start = time.monotonic()
+    res = cup_length(alg)
+    elapsed = time.monotonic() - start
+    assert res.value == 5
+    assert elapsed < 1.0, f"took {elapsed:.1f}s"
+
+
+def test_builtin_above_the_ceiling_is_refused_before_it_is_built():
+    # surface:100000000 has 2 * 10^8 + 2 basis elements; building or hashing its
+    # presentation would run into the address-space cap of the child
+    src = str(Path(zclkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "ZCLKIT_MAX_DIM"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "zclkit.cli", "check", "builtin:surface:100000000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == EXIT_RESOURCE, proc.stderr
+    assert "resource ceiling" in proc.stderr
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
 
 
 def test_file_above_the_ceiling_is_refused_before_validation(tmp_path, monkeypatch):

@@ -24,12 +24,14 @@ from dense_reference import (
     null_space,
     subspace_product,
     zcl_oracle,
+    zero_divisor_generators,
 )
 from zclkit import (
     AlgebraPresentation,
     builtin_algebra,
     cup_length,
     series_pipeline,
+    tensor_product,
     validate_algebra,
     verify_witness,
     witness_extend,
@@ -40,7 +42,7 @@ from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantE
 from zclkit.fields import GF3, QQ, Field
 from zclkit import invariants
 from zclkit.algebra import DEFAULT_MAX_DIM, Algebra
-from zclkit.invariants import Witness, WitnessReport, _walk, _zero_divisor_generators, zcl_auto
+from zclkit.invariants import Witness, WitnessReport, _walk, zcl_auto
 
 
 def _alg(name, field, basis, products=None):
@@ -505,7 +507,7 @@ def test_zero_divisor_generators_generate_the_kernel(corpus):
                 break
             power = alg.tensor_power(r, max_dim=None)
             gens = Subspace.from_sparse_rows(
-                alg.field, _zero_divisor_generators(power), power.dim
+                alg.field, zero_divisor_generators(power), power.dim
             )
             ideal = subspace_product(
                 full_space(alg.field, power.dim), gens, power.product_items
@@ -516,21 +518,52 @@ def test_zero_divisor_generators_generate_the_kernel(corpus):
     assert checked > 300
 
 
+def _table_times(a, letters):
+    """The walk's ``times`` for letters given as sparse rows, through a's table."""
+    return lambda p, i: a.product_items(p.items(), letters[i].items())
+
+
 def test_walk_picks_the_first_longest_word(corpus):
     # the one forward pass agrees with a depth-first search over all words
     checked = 0
     for alg in corpus:
         one = alg.field.one
         letters = [{i: one} for i in range(alg.dim) if alg.degree_of(i) > 0]
-        assert _walk(alg, letters) == first_longest_word(alg, letters), alg.name
+        walked = _walk(alg, len(letters), _table_times(alg, letters))
+        assert walked == first_longest_word(alg, letters), alg.name
         for r in range(2, 7):
             if alg.dim ** r > 81:
                 break
             power = alg.tensor_power(r, max_dim=None)
-            gens = _zero_divisor_generators(power)
-            assert _walk(power, gens) == first_longest_word(power, gens), (alg.name, r)
+            gens = zero_divisor_generators(power)
+            walked = _walk(power, len(gens), _table_times(power, gens))
+            assert walked == first_longest_word(power, gens), (alg.name, r)
             checked += 1
     assert checked > 300
+
+
+def test_cup_length_chain_is_the_first_longest_word_over_every_letter(corpus):
+    # cup_length walks only the letters independent modulo (A+)^2; its chain is
+    # still the first longest word over all positive basis elements
+    def check(alg):
+        one = alg.field.one
+        pos = [i for i in range(alg.dim) if alg.degree_of(i) > 0]
+        word, _ = first_longest_word(alg, [{i: one} for i in pos])
+        assert cup_length(alg).chain == tuple(alg.basis_element(pos[n]) for n in word), alg.name
+
+    checked = 0
+    for n, alg in enumerate(corpus):
+        check(alg)
+        for r in range(2, 7):
+            if alg.dim ** r > 81:
+                break
+            check(alg.tensor_power(r, max_dim=None))
+            checked += 1
+        other = next((b for b in corpus[n + 1:] if b.field == alg.field), None)
+        if other is not None:
+            check(tensor_product(alg, other))
+            checked += 1
+    assert checked > 400
 
 
 def test_kernel_mu_matches_the_dense_null_space(corpus):
