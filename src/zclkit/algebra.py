@@ -27,7 +27,6 @@ reference are test references in ``tests/dense_reference.py``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError, ValidationError
@@ -42,8 +41,7 @@ class Term(NamedTuple):
     basis: int
 
 
-@dataclass
-class AlgebraPresentation:
+class AlgebraPresentation(NamedTuple):
     """Raw input data for :func:`validate_algebra`."""
 
     name: str

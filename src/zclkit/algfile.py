@@ -134,12 +134,18 @@ def presentation_from_dict(doc) -> AlgebraPresentation:
     return AlgebraPresentation(name, field, tuple(basis), products)
 
 
-def load_presentation(path) -> AlgebraPresentation:
-    text = Path(path).read_text(encoding="utf-8")
+def load_presentation(path, data: bytes | None = None) -> AlgebraPresentation:
+    """Parse the algebra file at ``path``, or ``data``, its bytes as already read and hashed."""
+    if data is None:
+        data = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply to parse") from None
     return presentation_from_dict(doc)
 
 

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 validation failure, 2 inconclusive or an
 uncertified bound, 3 usage error, 4 resource ceiling.  Reports are human
 text by default and stable-ordered JSON under ``--json``; the report
 schema ships in ``schemas/report.schema.json``.
+
+Each call runs in a fresh interpreter, so start-up is part of every
+command's cost.  This module imports only what reading an algebra needs;
+a handler imports ``invariants``, ``pipeline`` or ``series`` when it runs,
+so ``check`` and ``tensor`` never load them.  Handlers call through the
+module attribute (``invariants.zcl_exact``), which a caller may wrap.
 """
 
 from __future__ import annotations
@@ -19,16 +25,6 @@ from .algebra import DEFAULT_MAX_DIM, Algebra, validate_algebra
 from .algfile import load_presentation, presentation_to_dict, save_algebra
 from .catalog import builtin_names, builtin_presentation
 from .errors import ResourceLimitError, ValidationError, ZclkitError
-from .invariants import cup_length, verify_witness, zcl_auto, zcl_bounds, zcl_exact
-from .pipeline import series_pipeline
-from .series import (
-    DEFAULT_MIN_RUN,
-    RATIONAL_FORM_DETECTED,
-    IntSequence,
-    analyze_sequence,
-    polynomial_at_one,
-    polynomial_to_text,
-)
 
 ENV_MAX_DIM = "ZCLKIT_MAX_DIM"
 
@@ -101,7 +97,7 @@ def _build_parser() -> _Parser:
 
     sp = alg_cmd("series", "zcl profile for r = 2..rmax+1 plus sequence analysis")
     sp.add_argument("--rmax", type=_int_at_least(3), required=True)
-    sp.add_argument("--min-run", type=_int_at_least(2), default=DEFAULT_MIN_RUN)
+    sp.add_argument("--min-run", type=_int_at_least(2))
 
     sp = alg_cmd("witness", "explicit zero-divisor witness at a given r")
     sp.add_argument("--r", type=_int_at_least(2), required=True)
@@ -113,7 +109,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("analyze", help="analyze an integer sequence directly")
     sp.add_argument("--seq", required=True, help="comma-separated integers")
     sp.add_argument("--offset", type=_int_at_least(0), default=0)
-    sp.add_argument("--min-run", type=_int_at_least(2), default=DEFAULT_MIN_RUN)
+    sp.add_argument("--min-run", type=_int_at_least(2))
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("builtins", help="list builtin algebras")
@@ -140,9 +136,9 @@ def _resolve_algebra(spec: str, max_dim: int):
         path = Path(spec)
         if not path.is_file():
             raise ValidationError(f"no such algebra file: {spec}")
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        pres = load_presentation(path)
-        source = {"source": str(path), "sha256": digest}
+        data = path.read_bytes()
+        pres = load_presentation(path, data)
+        source = {"source": str(path), "sha256": hashlib.sha256(data).hexdigest()}
     if len(pres.basis) > max_dim:
         raise ResourceLimitError(
             f"algebra dim {len(pres.basis)} exceeds the ceiling {max_dim}; "
@@ -167,7 +163,9 @@ def _warnings_for(alg: Algebra) -> list:
 def _witness_payload(alg, witness) -> dict:
     if witness is None:
         return None
-    report = verify_witness(alg, witness)
+    from . import invariants
+
+    report = invariants.verify_witness(alg, witness)
     return {
         "r": witness.r,
         "length": len(witness.factors),
@@ -180,6 +178,8 @@ def _witness_payload(alg, witness) -> dict:
 
 
 def _analysis_payload(report) -> dict:
+    from .series import polynomial_at_one, polynomial_to_text
+
     payload = {
         "verdict": report.verdict,
         "a": report.a,
@@ -210,7 +210,9 @@ def _cmd_check(alg, source, args):
 
 
 def _cmd_cl(alg, source, args):
-    res = cup_length(alg)
+    from . import invariants
+
+    res = invariants.cup_length(alg)
     payload = {
         "kind": "cl",
         "name": alg.name,
@@ -221,10 +223,12 @@ def _cmd_cl(alg, source, args):
 
 
 def _cmd_zcl(alg, source, args):
+    from . import invariants
+
     if args.method == "exact":
-        res = zcl_exact(alg, args.r, max_dim=args.max_dim)
+        res = invariants.zcl_exact(alg, args.r, max_dim=args.max_dim)
     else:
-        res = zcl_bounds(alg, args.r, max_dim=args.max_dim)
+        res = invariants.zcl_bounds(alg, args.r, max_dim=args.max_dim)
     payload = {
         "kind": "zcl",
         "name": alg.name,
@@ -240,7 +244,9 @@ def _cmd_zcl(alg, source, args):
 
 
 def _cmd_series(alg, source, args):
-    outcome = series_pipeline(alg, args.rmax, min_run=args.min_run, max_dim=args.max_dim)
+    from . import pipeline
+
+    outcome = pipeline.series_pipeline(alg, args.rmax, min_run=args.min_run, max_dim=args.max_dim)
     entries = [
         {
             "r": e.r,
@@ -272,7 +278,9 @@ def _cmd_series(alg, source, args):
 
 
 def _cmd_witness(alg, source, args):
-    res = zcl_auto(alg, args.r, max_dim=args.max_dim)
+    from . import invariants
+
+    res = invariants.zcl_auto(alg, args.r, max_dim=args.max_dim)
     payload = {
         "kind": "witness",
         "name": alg.name,
@@ -299,12 +307,14 @@ def _cmd_tensor(alg, source, args):
 
 
 def _cmd_analyze(args):
+    from . import series
+
     try:
         values = tuple(int(x.strip()) for x in args.seq.split(","))
     except ValueError:
         raise ValidationError(f"--seq must be comma-separated integers, got {args.seq!r}") from None
-    seq = IntSequence(args.offset, values)
-    report = analyze_sequence(seq, min_run=args.min_run)
+    seq = series.IntSequence(args.offset, values)
+    report = series.analyze_sequence(seq, min_run=args.min_run)
     payload = {
         "kind": "analysis",
         "offset": seq.offset,
@@ -312,7 +322,7 @@ def _cmd_analyze(args):
         "min_run": args.min_run,
     }
     payload.update(_analysis_payload(report))
-    status = EXIT_OK if report.verdict == RATIONAL_FORM_DETECTED else EXIT_INCONCLUSIVE
+    status = EXIT_OK if report.verdict == series.RATIONAL_FORM_DETECTED else EXIT_INCONCLUSIVE
     return payload, status
 
 
@@ -403,6 +413,10 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     echo = list(argv) if argv is not None else sys.argv[1:]
+    if getattr(args, "min_run", 0) is None:
+        from .series import DEFAULT_MIN_RUN
+
+        args.min_run = DEFAULT_MIN_RUN
     source = None
     warnings = []
     try:

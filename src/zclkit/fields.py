@@ -15,11 +15,11 @@ scalar arithmetic every other module uses: ``add``, ``sub``, ``mul`` and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import FieldMismatchError, ValidationError
+from .record import Record
 
 Scalar = Union[int, Fraction]
 
@@ -69,20 +69,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """F_p when ``p`` is a prime, the rationals when ``p`` is ``None``.
 
     ``add(x, y)``, ``sub(x, y)``, ``mul(x, y)`` and ``neg(x)`` act on
-    canonical operands and are bound per instance in ``__post_init__``.
+    canonical operands and are bound per instance in ``__init__``.
     """
 
-    p: int | None = None
+    _fields = ("p",)
     zero = 0
     one = 1
 
-    def __post_init__(self) -> None:
-        p = self.p
+    def __init__(self, p: int | None = None) -> None:
         if p is None:
             ops = (*map(_canonical, (operator.add, operator.sub, operator.mul)), operator.neg)
         else:
@@ -101,8 +99,8 @@ class Field:
                 lambda x, y: x * y % p,
                 lambda x: -x % p,
             )
-        for name, op in zip(("add", "sub", "mul", "neg"), ops):
-            object.__setattr__(self, name, op)
+        self._set(p)
+        self.__dict__.update(zip(("add", "sub", "mul", "neg"), ops))
 
     def __reduce__(self):
         # the bound operations are closures; rebuild them from the modulus

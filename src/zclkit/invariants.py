@@ -41,32 +41,30 @@ results live beside the tests, in ``tests/dense_reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu
 from .errors import ResourceLimitError, ValidationError, WitnessInvariantError
 from .linalg import reduce_into
+from .record import Record
 
 DEFAULT_SEED_DIM = 256
 
 
-@dataclass(frozen=True)
-class ClResult:
+class ClResult(Record):
     """Cup-length value plus a maximal chain of positive-degree basis elements."""
 
-    value: int
-    chain: tuple
+    _fields = ("value", "chain")
 
-    def __post_init__(self):
-        if len(self.chain) != self.value:
+    def __init__(self, value: int, chain: tuple):
+        if len(chain) != value:
             raise ValidationError("chain length must equal the cup-length value")
+        self._set(value, chain)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Zero divisors whose nonzero ordered product certifies a lower bound.
 
     ``chain`` records the cup-length chain used by the most recent witness
@@ -74,17 +72,16 @@ class Witness:
     degree-functional projection check in :func:`verify_witness`.
     """
 
-    r: int
-    factors: tuple
-    product: Element
-    chain: Optional[tuple] = None
+    _fields = ("r", "factors", "product", "chain")
+
+    def __init__(self, r: int, factors: tuple, product: Element, chain: Optional[tuple] = None):
+        self._set(r, factors, product, chain)
 
     def __len__(self) -> int:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class ZclResult:
+class ZclResult(NamedTuple):
     r: int
     value: Optional[int]
     method: str  # "exact" | "bounds"
@@ -93,8 +90,7 @@ class ZclResult:
     witness: Optional[Witness]
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     ok: bool
     problems: tuple
     projection_checked: bool = False

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import DEFAULT_MAX_DIM, Algebra
 from .errors import ValidationError
@@ -17,8 +16,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class SeriesOutcome:
+class SeriesOutcome(NamedTuple):
     rmax: int
     cl_value: int
     entries: tuple  # ZclResult for r = 2 .. rmax+1

@@ -15,10 +15,10 @@ sandwich check on a window, are test references in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ValidationError
+from .record import Record
 
 RATIONAL_FORM_DETECTED = "rational_form_detected"
 INCONCLUSIVE = "inconclusive"
@@ -27,28 +27,26 @@ NOT_ARITHMETIC_IN_WINDOW = "not_arithmetic_in_window"
 DEFAULT_MIN_RUN = 3
 
 
-@dataclass(frozen=True)
-class IntSequence:
+class IntSequence(Record):
     """Window of integer values t_r for r = offset, offset+1, ..."""
 
-    offset: int
-    values: tuple
+    _fields = ("offset", "values")
 
-    def __post_init__(self):
-        if self.offset < 0:
+    def __init__(self, offset: int, values: tuple):
+        if offset < 0:
             raise ValidationError("sequence offset must be nonnegative")
-        if not self.values:
+        if not values:
             raise ValidationError("sequence must be nonempty")
-        for v in self.values:
+        for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError("sequence values must be integers")
+        self._set(offset, values)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class RationalityReport:
+class RationalityReport(NamedTuple):
     verdict: str
     a: Optional[int]  # stabilized difference; equals P(1) on detection
     d: Optional[int]  # offset constant in t_r = r*a + d on the tail

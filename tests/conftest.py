@@ -9,10 +9,13 @@ the generator.
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import zclkit
 from zclkit import (
     AlgebraPresentation,
     Field,
@@ -127,6 +130,15 @@ def make_random_corpus(count: int = CORPUS_SIZE, seed: int = CORPUS_SEED):
         assert max(alg.degrees) <= MAX_CORPUS_DEG
         algebras.append(alg)
     return algebras
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child interpreter: this source tree first on the path, no ceiling."""
+    src = str(Path(zclkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "ZCLKIT_MAX_DIM"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 """Command dispatch, exit codes, report shape, and schema conformance."""
 
+import hashlib
 import io
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -12,7 +12,6 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-import zclkit
 from zclkit import builtin_algebra, cup_length, validate_algebra
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
@@ -162,6 +161,18 @@ def test_check_refuses_a_modulus_beyond_the_certified_range(tmp_path):
     assert "certifies primality only below" in err
 
 
+def test_file_digest_is_of_the_bytes_parsed(tmp_path):
+    path = tmp_path / "square.json"
+    assert cli("tensor", "builtin:stanley-p3", "--r", "2", "--out", str(path))[0] == EXIT_OK
+    code, report, _ = cli_json("check", str(path))
+    assert code == EXIT_OK
+    assert report["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the loader parses the bytes it is handed, not a second read of the file
+    other = tmp_path / "cube.json"
+    assert cli("tensor", "builtin:stanley-p3", "--r", "3", "--out", str(other))[0] == EXIT_OK
+    assert len(load_presentation(path, other.read_bytes()).basis) == 64
+
+
 # -- tensor files ----------------------------------------------------------------------
 
 
@@ -240,6 +251,25 @@ def test_invalid_algebra_file(tmp_path):
     code, _, err = cli("check", str(path))
     assert code == EXIT_INVALID
     assert "degree" in err
+
+
+@pytest.mark.parametrize(
+    "data", [b'{"name": "caf\xe9"}', b"[" * 100000], ids=["latin-1", "deeply-nested"]
+)
+def test_malformed_file_is_an_error_not_a_traceback(tmp_path, data, child_env):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zclkit.cli", "check", str(path)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("zclkit: error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -377,12 +407,9 @@ def test_cup_length_of_a_large_tensor_file_is_quick(stanley_r5_file):
     assert elapsed < 1.0, f"took {elapsed:.1f}s"
 
 
-def test_builtin_above_the_ceiling_is_refused_before_it_is_built():
+def test_builtin_above_the_ceiling_is_refused_before_it_is_built(child_env):
     # surface:100000000 has 2 * 10^8 + 2 basis elements; building or hashing its
     # presentation would run into the address-space cap of the child
-    src = str(Path(zclkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "ZCLKIT_MAX_DIM"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
     start = time.monotonic()
@@ -390,7 +417,7 @@ def test_builtin_above_the_ceiling_is_refused_before_it_is_built():
         [sys.executable, "-m", "zclkit.cli", "check", "builtin:surface:100000000"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env,
         timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )

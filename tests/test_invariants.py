@@ -7,7 +7,6 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -295,11 +294,11 @@ def test_verify_witness_checks_the_chain_of_an_extension(stanley):
     assert verify_witness(stanley, extended).projection_checked
     a2, a11 = (stanley.element_from_labels({lbl: 1}) for lbl in ("a2", "a11"))
     # a11 is the top class: no product term has it in the last slot
-    report = verify_witness(stanley, replace(extended, chain=(a11,)))
+    report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, (a11,)))
     assert report == WitnessReport(
         False, ("degree-functional projection of the product vanished",), True
     )
-    report = verify_witness(stanley, replace(extended, chain=(a2 + a11,)))
+    report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, (a2 + a11,)))
     assert report == WitnessReport(False, ("chain product is zero or inhomogeneous",), False)
 
 

@@ -69,6 +69,8 @@ def test_sequence_validation():
         IntSequence(0, ())
     with pytest.raises(ValidationError):
         IntSequence(0, (1.5,))
+    with pytest.raises(ValidationError):
+        IntSequence(0, (True,))
 
 
 # -- polynomial_from_series --------------------------------------------------------
