@@ -4,21 +4,27 @@ Both invariants are nilpotency lengths of ideals computed by exact linear
 algebra: the cup-length is the largest n with (A+)^n != 0 where A+ is the
 span of the positive-degree basis, and the r-th zero-divisor cup-length is
 the largest n with K^n != 0 where K is the kernel of the collapse map on
-the r-th tensor power.  K is generated as an ideal by the set G of zero
-divisors b^(s) - b^(1), for b a positive-degree basis element and s = 2..r,
-where b^(s) is b in slot s and 1 in every other slot.  (Modulo G a basis
-tuple a_1 x ... x a_r = a_1^(1) ... a_r^(r) becomes (a_1 ... a_r) x 1 x ... x 1;
-slot 1 embeds A and the collapse map splits it, in every characteristic.)
+the r-th tensor power.  K is generated as an ideal by the set G of the
+(r-1) dim Q(A) zero divisors x^(s) - x^(1), for x an indecomposable letter
+(:meth:`~zclkit.algebra.Algebra.indecomposables`, a basis of
+Q(A) = A+/(A+)^2) and s = 2..r, where x^(s) is x in slot s and 1 in every
+other slot.  Modulo G a basis tuple a_1 x ... x a_r = a_1^(1) ... a_r^(r)
+becomes (a_1 ... a_r) x 1 x ... x 1, since b^(s) = b^(1) mod G for every
+positive b, by induction on degree: b is a combination of letters and of
+products xy of positive basis elements of lower degree, and
+
+    (xy)^(s) - (xy)^(1) = x^(s) (y^(s) - y^(1)) + (x^(s) - x^(1)) y^(1).
+
+Slot 1 embeds A and the collapse map splits it, in every characteristic.
 Hence K^n = A^(x r) G^n is nonzero exactly when span(G^n) is, and one
 forward pass over words in G, :func:`_walk`, finds the largest such n
 together with a word of that length whose product is nonzero: the
-witness, whose factors are elements of G.  The pass starts from the empty
-word, makes every product as (kept word) x (letter), and keeps a word
-exactly when elimination finds its product independent of those before it
-at its length; that one rule also drops every repeat.  The cup-length is
-the same walk over the positive basis elements that are independent
-modulo (A+)^2, which span the indecomposables.  cl(A) is computed once
-per algebra and kept on it.
+witness, the first longest nonzero word over these letters.  The pass
+starts from the empty word, makes every product as (kept word) x
+(letter), and keeps a word exactly when elimination finds its product
+independent of those before it at its length; that one rule also drops
+every repeat.  The cup-length is the same walk over the indecomposable
+letters themselves.  cl(A) is computed once per algebra and kept on it.
 
 Two inequalities frame every result: zcl_r <= r * cl (the product of more
 than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
@@ -143,25 +149,19 @@ def _walk(a: Algebra, n: int, times) -> tuple:
 def cup_length(a: Algebra) -> ClResult:
     """Largest number of positive-degree elements with nonzero product.
 
-    The walk's letters are the positive basis elements b that are
-    independent of (A+)^2, spanned by the table rows e_i e_j, and of the
-    letters before them; they span the indecomposables A+/(A+)^2.  The
-    chain is still the lexicographically first nonzero word of maximal
-    length cl over all positive basis elements.  Suppose that word W used
-    a dropped b = sum c_g g + delta, with letters g < b and delta in
-    (A+)^2.  W with b replaced by delta lies in (A+)^(cl+1) = 0, so W with
-    b replaced by some g is nonzero, and it comes before W: a contradiction.
+    The walk's letters are :meth:`~zclkit.algebra.Algebra.indecomposables`,
+    the positive basis elements independent of (A+)^2 and of the letters
+    before them.  The chain is still the lexicographically first nonzero
+    word of maximal length cl over all positive basis elements.  Suppose
+    that word W used a dropped b = sum c_g g + delta, with letters g < b and
+    delta in (A+)^2.  W with b replaced by delta lies in (A+)^(cl+1) = 0, so
+    W with b replaced by some g is nonzero, and it comes before W: a
+    contradiction.
     """
     cached = getattr(a, "_cup_length", None)
     if cached is None:
-        field, one = a.field, a.field.one
-        echelon: dict = {}
-        for terms in a._core_table().values():
-            reduce_into(field, echelon, {k: c for c, k in terms})
-        letters = [
-            i for i in range(a.dim)
-            if a.degree_of(i) > 0 and reduce_into(field, echelon, {i: one})
-        ]
+        one = a.field.one
+        letters = a.indecomposables()
         word, _ = _walk(
             a, len(letters), lambda p, n: a.product_items(p.items(), ((letters[n], one),))
         )
@@ -174,20 +174,17 @@ def cup_length(a: Algebra) -> ClResult:
 
 
 def _zero_divisor_letters(power: TensorPowerAlgebra) -> list:
-    """(y, s) with y = {b: 1} for the generators b^(s) - b^(1), ordered by (b, s)."""
+    """(y, s), y = {x: 1}, for the (r-1) dim Q(A) generators x^(s) - x^(1), by (x, s)."""
     a = power.base
-    return [
-        ({b: a.field.one}, s)
-        for b in range(a.dim)
-        if a.degree_of(b) > 0
-        for s in range(2, power.r + 1)
-    ]
+    return [({x: a.field.one}, s) for x in a.indecomposables() for s in range(2, power.r + 1)]
 
 
 def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
     """Nilpotency length of the zero-divisor ideal in the r-th tensor power.
 
-    ``max_dim`` caps the tensor power's dimension; None means no ceiling.
+    The witness is the first longest nonzero word over the letters
+    x^(s) - x^(1), x indecomposable, ordered by (x, s).  ``max_dim`` caps
+    the tensor power's dimension; None means no ceiling.
     """
     if r < 2:
         raise ValidationError("zero-divisor cup-length needs r >= 2")

@@ -13,7 +13,10 @@ their letters, and :func:`zcl_oracle` takes its kernel from
 :func:`first_longest_word` is the lexicographic depth-first search that
 ``zcl_exact``'s walk must agree with, over the rows of
 :func:`zero_divisor_generators`, and ``cup_length``'s chain over the
-positive basis.  :func:`normalize_sparse` keys a row by the line it spans.
+positive basis; :func:`zcl_over_all_generators` walks every b^(s) - b^(1),
+not only the indecomposable b.  :func:`indecomposable_labels` scans for the
+letters with dense ranks, against :func:`decomposables_rank`.
+:func:`normalize_sparse` keys a row by the line it spans.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from zclkit.algebra import DEFAULT_MAX_DIM
 from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import Field
-from zclkit.invariants import _zero_divisor_letters
+from zclkit.invariants import _walk, _zero_divisor_letters
 from zclkit.linalg import reduce_into
 from zclkit.series import IntSequence
 
@@ -44,8 +47,21 @@ def normalize_sparse(field, row):
 
 
 def zero_divisor_generators(power):
-    """Sparse rows of b^(s) - b^(1) in a tensor power, in the order of zcl_exact's letters."""
+    """Sparse rows of x^(s) - x^(1) in a tensor power, in the order of zcl_exact's letters."""
     return [power.zero_divisor(y, s) for y, s in _zero_divisor_letters(power)]
+
+
+def zcl_over_all_generators(a, r):
+    """zcl_r from the walk over every b^(s) - b^(1), b positive and s = 2..r.
+
+    This is the generator set before the shortcut to indecomposable b; it
+    generates the kernel by the splitting argument alone.
+    """
+    power = a.tensor_power(r, max_dim=None)
+    one = a.field.one
+    letters = [({b: one}, s) for b in range(a.dim) if a.degree_of(b) for s in range(2, r + 1)]
+    word, _ = _walk(power, len(letters), lambda p, i: power.zero_divisor_product(p, *letters[i]))
+    return len(word)
 
 
 def matrix(field, rows):
@@ -271,6 +287,37 @@ def associativity_failures(pres):
                     failures.append((labels[i], labels[j], labels[k]))
     return failures
 
+
+
+def decomposable_rows(pres):
+    """Dense rows of a presentation's table entries e_i e_j, which span (A+)^2."""
+    field, dim = pres.field, len(pres.basis)
+    rows = []
+    for terms in pres.products.values():
+        v = [field.zero] * dim
+        for c, k in terms:
+            v[k] = field.add(v[k], field.coerce(c))
+        rows.append(v)
+    return rows
+
+
+def decomposables_rank(pres):
+    """The dense rank of the span of the table entries: dim (A+)^2."""
+    return rref(pres.field, decomposable_rows(pres), len(pres.basis))[1]
+
+
+def indecomposable_labels(pres):
+    """Labels of the letters, found by dense rank: in basis order, each positive
+    basis element independent of (A+)^2 and of the letters before it."""
+    field, dim = pres.field, len(pres.basis)
+    rows, rank, out = decomposable_rows(pres), decomposables_rank(pres), []
+    for i, (lbl, deg) in enumerate(pres.basis):
+        unit = [field.one if n == i else field.zero for n in range(dim)]
+        if deg and rref(field, rows + [unit], dim)[1] > rank:
+            rows.append(unit)
+            rank += 1
+            out.append(lbl)
+    return out
 
 
 def tensor_basis_product(slots, i, j):

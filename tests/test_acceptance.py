@@ -28,6 +28,7 @@ from zclkit import (
     cup_length,
     series_pipeline,
     tensor_product,
+    validate_algebra,
     verify_witness,
     zcl_bounds,
     zcl_exact,
@@ -201,3 +202,15 @@ def test_criterion_8_sphere_sanity():
     assert even_zcl.value == 2 == zcl_oracle(even, 2)
     assert verify_witness(odd, odd_zcl.witness).ok
     assert verify_witness(even, even_zcl.witness).ok
+
+
+@criterion(9, "validation of a dim-1024 tensor file")
+def test_criterion_9_validation_compares_indecomposable_middles_only():
+    # the presentation `tensor builtin:surface:1 --r 5` writes; 5.8 s when every
+    # positive middle was compared, not only the 10 indecomposable ones
+    pres = builtin_algebra("surface:1").tensor_power(5).to_presentation()
+    start = time.monotonic()
+    alg = validate_algebra(pres)
+    elapsed = time.monotonic() - start
+    assert alg.dim == 1024 and len(alg.indecomposables()) == 10
+    assert elapsed < 3.0, f"took {elapsed:.1f}s"

@@ -10,7 +10,11 @@ from dense_reference import (
     associativity_failures,
     contains,
     coords,
+    decomposable_rows,
+    decomposables_rank,
+    indecomposable_labels,
     kernel_mu,
+    rref,
     tensor_basis_product,
 )
 from zclkit import (
@@ -196,10 +200,25 @@ def test_associativity_check_agrees_with_the_brute_force_oracle(corpus):
             assert failures, str(exc)
             i, j, k = failures[0]
             assert str(exc).endswith(f"associativity fails on ({i}, {j}, {k})")
+            # only indecomposable middles are compared
+            assert j in indecomposable_labels(pres), (pres.name, j)
             rejected += 1
         else:
             assert not failures, (pres.name, failures[:3])
     assert rejected >= 50
+
+
+def test_indecomposables_span_q_of_a(corpus):
+    # the letters of cup_length, zcl_exact and validation are a basis of A+ modulo (A+)^2
+    squares = [alg.tensor_power(2) for alg in corpus if alg.dim <= 3]
+    for alg in corpus + squares:
+        pres = alg.to_presentation()
+        letters = alg.indecomposables()
+        positive = alg.dim - 1
+        assert len(letters) == positive - decomposables_rank(pres), alg.name
+        units = [[int(n == i) for n in range(alg.dim)] for i in letters]
+        assert rref(alg.field, decomposable_rows(pres) + units, alg.dim)[1] == positive, alg.name
+        assert [alg.label_of(i) for i in letters] == indecomposable_labels(pres), alg.name
 
 
 def test_zero_coefficients_are_dropped():

@@ -23,6 +23,7 @@ from dense_reference import (
     null_space,
     subspace_product,
     zcl_oracle,
+    zcl_over_all_generators,
     zero_divisor_generators,
 )
 from zclkit import (
@@ -498,21 +499,32 @@ def test_zcl_exact_matches_oracle_small(stanley):
 
 
 def test_zero_divisor_generators_generate_the_kernel(corpus):
-    # zcl_exact relies on ker(mu_r) being the ideal generated by b^(s) - b^(1)
+    # zcl_exact relies on ker(mu_r) being the ideal generated by x^(s) - x^(1),
+    # x indecomposable
     checked = 0
     for alg in corpus:
         for r in range(2, 7):
             if alg.dim ** r > 81:
                 break
             power = alg.tensor_power(r, max_dim=None)
-            gens = Subspace.from_sparse_rows(
-                alg.field, zero_divisor_generators(power), power.dim
-            )
+            rows = zero_divisor_generators(power)
+            assert len(rows) == (r - 1) * len(alg.indecomposables()), (alg.name, r)
+            gens = Subspace.from_sparse_rows(alg.field, rows, power.dim)
             ideal = subspace_product(
                 full_space(alg.field, power.dim), gens, power.product_items
             )
             assert ideal.dim == power.dim - alg.dim, (alg.name, r)
             assert ideal == kernel_mu(alg, r, max_dim=None), (alg.name, r)
+            checked += 1
+    assert checked > 300
+
+
+def test_indecomposable_generators_give_the_zcl_of_all_generators(corpus_zcl_table):
+    # the walk over every b^(s) - b^(1), b positive, is the oracle for the shortcut
+    checked = 0
+    for alg, _, values in corpus_zcl_table:
+        for r, value in values.items():
+            assert zcl_over_all_generators(alg, r) == value, (alg.name, r)
             checked += 1
     assert checked > 300
 
