@@ -13,10 +13,14 @@ on the basis of r-tuples in lexicographic order, and the collapse map
 sends a basis tuple to the product of its slots.  Each rule is written
 once: the sign and the term expansion in :func:`_koszul_product`, the
 table of nonzero positive pairs ``i <= j`` of a tensor product in
-:func:`_tensor_table`, the zero divisor y^(s) - y^(1) in
-:meth:`TensorPowerAlgebra.zero_divisor`, and the slot rule, the product
-with y^(s) - y^(1) formed in slots s and 1 alone, in
-:meth:`TensorPowerAlgebra.zero_divisor_product`.  A tensor power past
+:func:`_tensor_table`, the slot rule, the product with y^(s) - y^(1)
+formed in slots s and 1 alone, in
+:meth:`TensorPowerAlgebra.zero_divisor_product`, which also gives the zero
+divisor y^(s) - y^(1) itself as the product with 1, and the collapse map in
+:func:`mu`.  Every sparse vector, a table entry too, is an
+``{index: coeff}`` dict in index order; only :meth:`Algebra.to_presentation`
+turns table entries back into the ``(coeff, index)`` pairs of an
+:class:`AlgebraPresentation`, the input and file format.  A tensor power past
 _CHUNK_DIM dimensions multiplies basis pairs as a tensor product of
 smaller powers, chunks of adjacent slots, so a pair costs a few chunk
 lookups instead of one lookup per slot.  The matrix and kernel of the
@@ -30,15 +34,10 @@ import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError, ValidationError
-from .fields import Field, Scalar
+from .fields import Field
 
 DEFAULT_MAX_DIM = 4096
 _CHUNK_DIM = 256
-
-
-class Term(NamedTuple):
-    coeff: Scalar
-    basis: int
 
 
 class AlgebraPresentation(NamedTuple):
@@ -70,19 +69,20 @@ class AlgebraPresentation(NamedTuple):
         return cls(name, field, basis, table)
 
 
-def _koszul_product(slots: Sequence["Algebra"], tu: Sequence[int], tv: Sequence[int]) -> tuple:
-    """e_u e_v in slots[0] x ... x slots[-1] for slot basis tuples u and v, as Terms.
+def _koszul_product(slots: Sequence["Algebra"], tu: Sequence[int], tv: Sequence[int]) -> dict:
+    """e_u e_v in slots[0] x ... x slots[-1] for slot basis tuples u and v, as {index: coeff}.
 
     The sign is (-1)^{sum_{s<t} |v_s||u_t|}; indices are mixed radix, slot 0
-    most significant.  Every slot product is looked up before the sign, so a
-    pair that dies in one slot costs no more.
+    most significant, so the choices of slot terms, each slot in index order,
+    come out in index order.  Every slot product is looked up before the
+    sign, so a pair that dies in one slot costs no more.
     """
     slot_terms = []
     for alg, i, j in zip(slots, tu, tv):
         terms = alg.basis_product(i, j)
         if not terms:
-            return ()
-        slot_terms.append(terms)
+            return {}
+        slot_terms.append(terms.items())
     parity = odd_v = 0
     for alg, i, j in zip(slots, tu, tv):
         if odd_v and alg.degree_of(i) & 1:
@@ -91,14 +91,13 @@ def _koszul_product(slots: Sequence["Algebra"], tu: Sequence[int], tv: Sequence[
     field = slots[0].field
     mul = field.mul
     radices = [alg.dim for alg in slots[1:]]
-    out = []
-    for (coeff, idx), *rest in itertools.product(*slot_terms):
-        for radix, (c, k) in zip(radices, rest):
+    out = {}
+    for (idx, coeff), *rest in itertools.product(*slot_terms):
+        for radix, (k, c) in zip(radices, rest):
             coeff = mul(coeff, c)
             idx = idx * radix + k
-        out.append(Term(field.neg(coeff) if parity else coeff, idx))
-    out.sort(key=lambda t: t.basis)
-    return tuple(out)
+        out[idx] = field.neg(coeff) if parity else coeff
+    return out
 
 
 def _tensor_table(slots: Sequence["Algebra"]) -> dict:
@@ -221,31 +220,19 @@ class Element:
 class Algebra:
     """Validated algebra with a completed multiplication table.
 
-    Subclasses supply :meth:`_compute_pair`; results are cached per basis
-    pair.  Instances are immutable after construction and safe to share.
+    Subclasses set ``dim`` and ``unit_index`` and supply ``degree_of``,
+    ``label_of``, ``_core_table`` and ``_compute_pair``; pair results are
+    cached.  Instances are immutable after construction and safe to share.
     """
+
+    dim: int
+    unit_index: int
 
     def __init__(self, name: str, field: Field):
         self.name = name
         self.field = field
         self._pair_cache: dict = {}
         self._tensor_cache: dict = {}
-
-    # -- basis data (overridden by lazy subclasses) -------------------------
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def unit_index(self) -> int:
-        raise NotImplementedError
-
-    def degree_of(self, i: int) -> int:
-        raise NotImplementedError
-
-    def label_of(self, i: int) -> str:
-        raise NotImplementedError
 
     @property
     def degrees(self) -> tuple:
@@ -263,11 +250,8 @@ class Algebra:
             self._labels = cached
         return cached
 
-    def _compute_pair(self, i: int, j: int) -> tuple:
-        raise NotImplementedError
-
-    def basis_product(self, i: int, j: int) -> tuple:
-        """Completed table entry e_i * e_j as a tuple of Terms."""
+    def basis_product(self, i: int, j: int) -> dict:
+        """Completed table entry e_i * e_j as {index: coeff} in index order; do not mutate."""
         key = (i, j)
         terms = self._pair_cache.get(key)
         if terms is None:
@@ -289,7 +273,7 @@ class Algebra:
                 if not terms:
                     continue
                 ab = mul(a, b)
-                for c, k in terms:
+                for k, c in terms.items():
                     prev = acc.get(k)
                     if prev is None:
                         acc[k] = mul(ab, c)
@@ -349,10 +333,6 @@ class Algebra:
         self._tensor_cache[r] = power
         return power
 
-    def _core_table(self) -> dict:
-        """{(i, j): e_i e_j} over positive-degree i <= j, nonzero entries only."""
-        raise NotImplementedError
-
     def indecomposables(self) -> tuple:
         """The positive basis indices independent of (A+)^2 and of the ones before them.
 
@@ -364,8 +344,8 @@ class Algebra:
             from .linalg import reduce_into  # here, so `tensor` does not load it
 
             field, echelon = self.field, {}
-            for terms in self._core_table().values():
-                reduce_into(field, echelon, {k: c for c, k in terms})
+            for row in self._core_table().values():
+                reduce_into(field, echelon, row)
             cached = self._indecomposables = tuple(
                 i for i in range(self.dim)
                 if self.degree_of(i) > 0 and reduce_into(field, echelon, {i: field.one})
@@ -373,12 +353,15 @@ class Algebra:
         return cached
 
     def to_presentation(self) -> AlgebraPresentation:
-        """Positive-degree (i <= j) table entries, suitable for serialization.
+        """Positive-degree (i <= j) table entries as (coeff, index) pairs, for serialization.
 
         Entries bypass the pair cache, which would otherwise keep the whole table.
         """
         basis = tuple((self.label_of(i), self.degree_of(i)) for i in range(self.dim))
-        return AlgebraPresentation(self.name, self.field, basis, self._core_table())
+        products = {
+            key: tuple((c, k) for k, c in row.items()) for key, row in self._core_table().items()
+        }
+        return AlgebraPresentation(self.name, self.field, basis, products)
 
     def __repr__(self):
         return f"<Algebra {self.name!r} dim={self.dim} over {self.field}>"
@@ -392,15 +375,8 @@ class TableAlgebra(Algebra):
         self._labels = tuple(labels)
         self._degrees = tuple(degrees)
         self._core = dict(core)
-        self._unit = self._degrees.index(0)
-
-    @property
-    def dim(self) -> int:
-        return len(self._labels)
-
-    @property
-    def unit_index(self) -> int:
-        return self._unit
+        self.dim = len(self._labels)
+        self.unit_index = self._degrees.index(0)
 
     def degree_of(self, i: int) -> int:
         return self._degrees[i]
@@ -409,21 +385,20 @@ class TableAlgebra(Algebra):
         return self._labels[i]
 
     def _core_table(self):
-        return dict(self._core)
+        return self._core
 
     def _compute_pair(self, i, j):
-        u = self._unit
-        one = self.field.one
+        u = self.unit_index
         if i == u:
-            return (Term(one, j),)
+            return {j: self.field.one}
         if j == u:
-            return (Term(one, i),)
+            return {i: self.field.one}
         if i <= j:
-            return tuple(self._core.get((i, j), ()))
+            return self._core.get((i, j), {})
         terms = self.basis_product(j, i)
         if terms and self._degrees[i] & 1 and self._degrees[j] & 1:
             neg = self.field.neg
-            return tuple(Term(neg(c), k) for c, k in terms)
+            return {k: neg(c) for k, c in terms.items()}
         return terms
 
 
@@ -434,7 +409,8 @@ class TensorPowerAlgebra(Algebra):
         super().__init__(f"{base.name}^tensor{r}", base.field)
         self.base = base
         self.r = r
-        self._dim = base.dim ** r
+        self.dim = base.dim ** r
+        self.unit_index = self.index_of_tuple((base.unit_index,) * r)
         # Pairs are multiplied k slots at a time, d^k <= _CHUNK_DIM: A^(x r) is the
         # Koszul tensor product of powers A^(x k), indexed by chunks of base-d digits.
         k = 1
@@ -453,15 +429,6 @@ class TensorPowerAlgebra(Algebra):
         for _ in range(k):
             self._deg.append(tuple(p + q for p in self._deg[-1] for q in base.degrees))
         self._moves: dict = {}
-        self._mu_cache: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def unit_index(self) -> int:
-        return self.index_of_tuple((self.base.unit_index,) * self.r)
 
     def tuple_of_index(self, idx: int) -> tuple:
         d = self.base.dim
@@ -501,17 +468,8 @@ class TensorPowerAlgebra(Algebra):
         return out
 
     def zero_divisor(self, y: Mapping, s: int) -> dict:
-        """y^(s) - y^(1) as {index: coeff}, for y = {base index: coeff}.
-
-        y has positive degree and s >= 2 counts slots from 1, so the two
-        sides share no index.
-        """
-        ones, unit = self.unit_index, self.base.unit_index
-        at_s, at_1 = self.base.dim ** (self.r - s), self.base.dim ** (self.r - 1)
-        neg = self.field.neg
-        out = {ones + (j - unit) * at_s: c for j, c in y.items()}
-        out.update((ones + (j - unit) * at_1, neg(c)) for j, c in y.items())
-        return out
+        """y^(s) - y^(1) as {index: coeff}, for y = {base index: coeff} and s >= 2."""
+        return self.zero_divisor_product({self.unit_index: self.field.one}, y, s)
 
     def zero_divisor_product(self, u: Mapping, y: Mapping, s: int) -> dict:
         """u (y^(s) - y^(1)) as {index: coeff}, for u = {index: coeff} and y, s as above.
@@ -560,7 +518,8 @@ class TensorPowerAlgebra(Algebra):
         moves = []
         for t in range(self.base.dim):
             terms = [
-                (odd[j], mul(c, c2), (k - t) * place) for j, c in y_items for c2, k in bp(t, j)
+                (odd[j], mul(c, c2), (k - t) * place)
+                for j, c in y_items for k, c2 in bp(t, j).items()
             ]
             moves.append((
                 [(c, shift) for _, c, shift in terms],
@@ -578,38 +537,6 @@ class TensorPowerAlgebra(Algebra):
             total += deg[k][m]
             n -= k
         return total + deg[n][low]
-
-    # -- the collapse (multiplication) map -----------------------------------
-
-    def mu_of_basis(self, idx: int) -> dict:
-        """Image of a basis tuple under slot-wise multiplication, as sparse items."""
-        cached = self._mu_cache.get(idx)
-        if cached is not None:
-            return cached
-        base = self.base
-        one = self.field.one
-        t = self.tuple_of_index(idx)
-        cur = {t[0]: one}
-        for slot in t[1:]:
-            if not cur:
-                break
-            cur = base.product_items(list(cur.items()), [(slot, one)])
-        self._mu_cache[idx] = cur
-        return cur
-
-    def mu_items(self, items) -> dict:
-        mul = self.field.mul
-        add = self.field.add
-        acc: dict = {}
-        for idx, c in items:
-            for k, v in self.mu_of_basis(idx).items():
-                prev = acc.get(k)
-                nv = mul(c, v) if prev is None else add(prev, mul(c, v))
-                if nv:
-                    acc[k] = nv
-                else:
-                    acc.pop(k, None)
-        return acc
 
 
 # -- validation ---------------------------------------------------------------
@@ -666,8 +593,8 @@ def _check_core(pres, labels, degrees):
             c = field.coerce(coeff)
             prev = merged.get(k, field.zero)
             merged[k] = field.add(prev, c)
-        clean = tuple(Term(c, k) for k, c in sorted(merged.items()) if c)
-        for c, k in clean:
+        clean = {k: c for k, c in sorted(merged.items()) if c}
+        for k in clean:
             if degrees[k] != degrees[i] + degrees[j]:
                 raise ValidationError(
                     f"algebra {name!r}: product {labels[i]}·{labels[j]} has a term in "
@@ -687,6 +614,10 @@ def _check_associativity(alg: TableAlgebra):
     compared: in (j, i, k) order, one indecomposable middle at a time.  The
     middle nucleus, {a : (x a) y = x (a y)}, holds 1 and is closed under the
     product, and the indecomposables generate A+: so they suffice (Light's test).
+    Only triples with i <= k are compared: the completed table is graded
+    commutative, so (e_i e_j) e_k - e_i (e_j e_k) is, up to the sign
+    (-1)^{|i||j| + |i||k| + |j||k|}, the same difference for (k, j, i), and the
+    first failing triple in (j, i, k) order already has i <= k.
     """
     nonzero: dict = {}  # positive i -> the positive k with e_i e_k nonzero
     for i, k in alg._core:  # e_k e_i is nonzero exactly when e_i e_k is
@@ -698,22 +629,22 @@ def _check_associativity(alg: TableAlgebra):
     def associates(i, j, k):
         """Whether (e_i e_j) e_k - e_i (e_j e_k), summed term by term, is zero."""
         acc: dict = {}
-        for c, m in bp(i, j):
-            for c2, n in bp(m, k):
+        for m, c in bp(i, j).items():
+            for n, c2 in bp(m, k).items():
                 acc[n] = add(acc.get(n, zero), mul(c, c2))
-        for c, m in bp(j, k):
-            for c2, n in bp(i, m):
+        for m, c in bp(j, k).items():
+            for n, c2 in bp(i, m).items():
                 acc[n] = sub(acc.get(n, zero), mul(c, c2))
         return not any(acc.values())
 
     for j in alg.indecomposables():
         candidates = set()
         for i in nonzero.get(j, ()):
-            for _, m in bp(i, j):
-                candidates.update((i, k) for k in nonzero.get(m, ()))
+            for m in bp(i, j):
+                candidates.update((i, k) for k in nonzero.get(m, ()) if i <= k)
         for k in nonzero.get(j, ()):
-            for _, m in bp(j, k):
-                candidates.update((i, k) for i in nonzero.get(m, ()))
+            for m in bp(j, k):
+                candidates.update((i, k) for i in nonzero.get(m, ()) if i <= k)
         for i, k in sorted(candidates):
             if not associates(i, j, k):
                 raise ValidationError(
@@ -777,4 +708,16 @@ def mu(a: Algebra, r: int, u: Element) -> Element:
         raise ValidationError("element does not live in the r-th tensor power")
     if r == 1:
         return u
-    return Element(a, power.mu_items(u.terms.items()))
+    unit, one, add = a.unit_index, a.field.one, a.field.add
+    acc: dict = {}
+    for idx, c in u.terms.items():
+        image = ((unit, c),)
+        for slot in power.tuple_of_index(idx):
+            if slot != unit:  # the unit slots leave the product as it is
+                image = a.product_items(image, ((slot, one),)).items()
+        for k, v in image:
+            if k in acc:
+                v = add(acc.pop(k), v)
+            if v:
+                acc[k] = v
+    return Element(a, acc)

@@ -103,7 +103,7 @@ def presentation_from_dict(doc) -> AlgebraPresentation:
         _require_keys(entry, ["left", "right", "value"], where)
         left, right = entry["left"], entry["right"]
         for lbl in (left, right):
-            if lbl not in index:
+            if not isinstance(lbl, str) or lbl not in index:
                 raise ValidationError(f"{where}: unknown basis label {lbl!r}")
         i, j = index[left], index[right]
         if i > j:
@@ -123,7 +123,7 @@ def presentation_from_dict(doc) -> AlgebraPresentation:
                 raise ValidationError(
                     f"{where}.value[{m}]: coefficients must be strings, got {coeff!r}"
                 )
-            if lbl not in index:
+            if not isinstance(lbl, str) or lbl not in index:
                 raise ValidationError(f"{where}.value[{m}]: unknown basis label {lbl!r}")
             try:
                 value = field.parse(coeff)

@@ -96,7 +96,7 @@ def _degree_truncate(alg, tag: str, max_dim: int, max_deg: int) -> AlgebraPresen
             if alg.degree_of(j) == 0:
                 continue
             terms = [
-                (c, remap[k]) for c, k in alg.basis_product(i, j) if k in remap
+                (c, remap[k]) for k, c in alg.basis_product(i, j).items() if k in remap
             ]
             if terms:
                 products[(remap[i], remap[j])] = tuple(terms)

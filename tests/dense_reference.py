@@ -13,8 +13,10 @@ their letters, and :func:`zcl_oracle` takes its kernel from
 :func:`first_longest_word` is the lexicographic depth-first search that
 ``zcl_exact``'s walk must agree with, over the rows of
 :func:`zero_divisor_generators`, and ``cup_length``'s chain over the
-positive basis; :func:`zcl_over_all_generators` walks every b^(s) - b^(1),
-not only the indecomposable b.  :func:`indecomposable_labels` scans for the
+positive basis; :func:`zero_divisor_reference` is the closed form of
+y^(s) - y^(1) that the slot rule is checked against;
+:func:`zcl_over_all_generators` walks every b^(s) - b^(1), not only the
+indecomposable b.  :func:`indecomposable_labels` scans for the
 letters with dense ranks, against :func:`decomposables_rank`.
 :func:`normalize_sparse` keys a row by the line it spans.
 :func:`associativity_failures` completes a presentation's table itself,
@@ -25,7 +27,7 @@ derives the Koszul sign of a tensor product by counting swaps.
 import itertools
 from dataclasses import dataclass
 
-from zclkit.algebra import DEFAULT_MAX_DIM
+from zclkit.algebra import DEFAULT_MAX_DIM, mu
 from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import Field
 from zclkit.invariants import _walk, _zero_divisor_letters
@@ -49,6 +51,19 @@ def normalize_sparse(field, row):
 def zero_divisor_generators(power):
     """Sparse rows of x^(s) - x^(1) in a tensor power, in the order of zcl_exact's letters."""
     return [power.zero_divisor(y, s) for y, s in _zero_divisor_letters(power)]
+
+
+def zero_divisor_reference(power, y, s):
+    """y^(s) - y^(1) in a tensor power by its closed form, for y = {base index: coeff}.
+
+    The tuple of units with slot q set to j has index ones + (j - unit) d^(r - q);
+    y has positive degree and s >= 2, so the two sides share no index.
+    """
+    base, r = power.base, power.r
+    ones, unit, d = power.unit_index, base.unit_index, base.dim
+    out = {ones + (j - unit) * d ** (r - s): c for j, c in y.items()}
+    out.update((ones + (j - unit) * d ** (r - 1), base.field.neg(c)) for j, c in y.items())
+    return out
 
 
 def zcl_over_all_generators(a, r):
@@ -343,10 +358,10 @@ def tensor_basis_product(slots, i, j):
     field = slots[0].field
     sign = field.coerce(-1 if swaps % 2 else 1)
     out = {}
-    tables = [alg.basis_product(u, v) for alg, u, v in zip(slots, tu, tv)]
+    tables = [alg.basis_product(u, v).items() for alg, u, v in zip(slots, tu, tv)]
     for choice in itertools.product(*tables):
         coeff, idx = sign, 0
-        for d, (c, k) in zip(dims, choice):
+        for d, (k, c) in zip(dims, choice):
             coeff = field.mul(coeff, c)
             idx = idx * d + k
         out[idx] = field.add(out.get(idx, field.zero), coeff)
@@ -374,7 +389,7 @@ def mu_matrix(power):
     """Sparse rows of the collapse map's matrix, base dim x power dim."""
     rows = [{} for _ in range(power.base.dim)]
     for col in range(power.dim):
-        for k, c in power.mu_of_basis(col).items():
+        for k, c in mu(power.base, power.r, power.basis_element(col)).terms.items():
             rows[k][col] = c
     return rows
 
@@ -399,7 +414,7 @@ def collapse_matrix(alg, r):
             out = [field.zero] * d
             for i, c in enumerate(v):
                 if c:
-                    for coeff, k in alg.basis_product(i, slot):
+                    for k, coeff in alg.basis_product(i, slot).items():
                         out[k] = field.add(out[k], field.mul(c, coeff))
             v = out
         columns.append(v)

@@ -293,6 +293,36 @@ def test_zero_denominator_is_an_invalid_file(tmp_path, field, coeff):
     assert "products[0].value[0]" in err and coeff in err
 
 
+@pytest.mark.parametrize(
+    "entry, where",
+    [
+        ({"left": ["x"], "right": "x", "value": []}, "products[0]"),
+        (
+            {"left": "x", "right": "x", "value": [{"coeff": "1", "basis": {"y": 1}}]},
+            "products[0].value[0]",
+        ),
+    ],
+    ids=["array-left", "object-term"],
+)
+def test_non_string_product_label_is_an_invalid_file(tmp_path, entry, where):
+    doc = {
+        "name": "labels",
+        "field": {"kind": "rational"},
+        "basis": [
+            {"label": "1", "degree": 0},
+            {"label": "x", "degree": 2},
+            {"label": "y", "degree": 4},
+        ],
+        "products": [entry],
+    }
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = cli("check", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"zclkit: error: {where}: unknown basis label") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     code, _, err = cli("zcl", "builtin:stanley-p3")  # missing --r
     assert code == EXIT_USAGE
