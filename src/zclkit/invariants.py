@@ -21,15 +21,19 @@ forward pass over words in G, :func:`_walk`, finds the largest such n
 together with a word of that length whose product is nonzero: the
 witness, the first longest nonzero word over these letters.  The pass
 starts from the empty word, makes every product as (kept word) x
-(letter), and keeps a word exactly when elimination finds its product
-independent of those before it at its length; that one rule also drops
-every repeat.  The cup-length is the same walk over the indecomposable
-letters themselves.  cl(A) is computed once per algebra and kept on it.
+(letter), with the letter no earlier than the word's last one, since the
+letters graded-commute, and keeps a word exactly when elimination finds
+its product independent of those before it at its length; that one rule
+also drops every repeat.  The cup-length is the same walk over the
+indecomposable letters themselves.  cl(A) is computed once per algebra
+and kept on it.
 
 Two inequalities frame every result: zcl_r <= r * cl (the product of more
 than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
 certified constructively by extending a witness with the zero divisors
-y^(r+1) - y^(1) built from a maximal cup-length chain.
+y^(r+1) - y^(1) built from a maximal cup-length chain.  The first is the
+walk's ceiling: it stops at the first nonzero product of length r * cl.
+The cup-length walk stops at the top degree over the least letter degree.
 Every zero divisor here, generator or extension factor, is built by
 :meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor`, and every product
 with one, in the walk and in the extension, is formed slot by slot by
@@ -105,42 +109,58 @@ class WitnessReport(NamedTuple):
 # -- the walk over words ------------------------------------------------------------
 
 
-def _walk(a: Algebra, n: int, times) -> tuple:
+def _walk(a: Algebra, n: int, times, ceiling: int) -> tuple:
     """(word, product): the lexicographically first nonzero word of maximal length.
 
     A word is a tuple of letter indices 0..n-1, and ``times(p, i)`` is the
-    product of a sparse row p of a with letter i.  Level 0 is the empty word
-    with product 1.  Level m+1 multiplies each kept word of level m, in
-    order, by each letter, in order, and keeps a product exactly when
+    product of a sparse row p of a with letter i.  The letters must be
+    homogeneous and graded-commute, and ``ceiling`` must bound the length of
+    every nonzero word.  Level 0 is the empty word with product 1.  Level
+    m+1 multiplies each kept word W of level m, in order, by each letter
+    i >= W[-1], in order, and keeps a product exactly when
     :func:`~zclkit.linalg.reduce_into` adds it to the level's echelon, that
-    is, when it is independent of the products before it.  By bilinearity
-    the kept products of level m span span(letters)^m, so the walk stops at
-    the first empty level; it terminates because a word of length m has
-    degree >= m.  The first word of the last nonempty level and its product
-    are returned (``((), None)`` when no letter is nonzero).
+    is, when it is independent of the products before it.  The walk stops
+    at the first empty level, or at the first product kept at length
+    ``ceiling``, since the level after it is empty.  The first word of the
+    last nonempty level and its product are returned (``((), None)`` when
+    no letter is nonzero).
 
-    That word is the lexicographically first nonzero word W of maximal
-    length l.  Levels list their words in lexicographic order, and every
-    kept word is a nonzero word of its length.  If some prefix of W were
-    dropped, its product would be a combination of products of
-    lexicographically smaller words of the same length; multiplying out the
-    rest of W, one of those smaller words would extend to a nonzero word of
-    length l before W, a contradiction.  So every prefix of W is kept and W
-    comes first in level l.
+    Only non-decreasing words are formed.  Letters graded-commute, and an
+    odd letter squares to zero outside characteristic 2 (validation forces
+    odd squares to vanish), so P_W x_i = +-P_sort(W+i) for the product P_W
+    of a word W.  Inserting a letter into sorted words keeps their
+    lexicographic order, and levels list their words in that order.  So if
+    a sorted W is dropped, P_W is a combination of products of earlier kept
+    words U, and P_W x_i one of products of the earlier sort(U+i); by
+    induction in lexicographic order, the kept products of level m span
+    span(letters)^m.
+
+    The word returned is the lexicographically first nonzero word W of
+    maximal length l.  W is sorted, since sorting a word keeps its product
+    nonzero and does not make it later.  Every kept word is a nonzero word
+    of its length.  If some prefix of W were dropped, its product would be
+    a combination of products of lexicographically smaller sorted words of
+    the same length; multiplying out the rest of W, one of those smaller
+    words would extend to a nonzero word of length l before W, a
+    contradiction.  So every prefix of W is kept and W comes first in
+    level l.
     """
     field = a.field
     level = [((), {a.unit_index: field.one})]
-    while True:
+    for length in range(1, ceiling + 1):
         echelon, nxt = {}, []
         for word, prod in level:
-            for i in range(n):
+            for i in range(word[-1] if word else 0, n):
                 p = times(prod, i)
                 if reduce_into(field, echelon, p):
+                    if length == ceiling:
+                        return word + (i,), p
                     nxt.append((word + (i,), p))
         if not nxt:
-            word, prod = level[0]
-            return (word, prod) if word else ((), None)
+            break
         level = nxt
+    word, prod = level[0]
+    return (word, prod) if word else ((), None)
 
 
 # -- cup-length -------------------------------------------------------------------
@@ -162,8 +182,13 @@ def cup_length(a: Algebra) -> ClResult:
     if cached is None:
         one = a.field.one
         letters = a.indecomposables()
+        # a word of length m has degree at least m times the least letter degree
+        ceiling = max(a.degrees) // min((a.degree_of(x) for x in letters), default=1)
         word, _ = _walk(
-            a, len(letters), lambda p, n: a.product_items(p.items(), ((letters[n], one),))
+            a,
+            len(letters),
+            lambda p, n: a.product_items(p.items(), ((letters[n], one),)),
+            ceiling,
         )
         cached = ClResult(len(word), tuple(a.basis_element(letters[n]) for n in word))
         a._cup_length = cached
@@ -192,7 +217,7 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> Z
     power = a.tensor_power(r, max_dim)
     letters = _zero_divisor_letters(power)
     word, product = _walk(
-        power, len(letters), lambda p, i: power.zero_divisor_product(p, *letters[i])
+        power, len(letters), lambda p, i: power.zero_divisor_product(p, *letters[i]), upper
     )
     if not word:
         return ZclResult(r, 0, "exact", 0, upper, None)

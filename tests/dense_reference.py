@@ -16,8 +16,9 @@ their letters, and :func:`zcl_oracle` takes its kernel from
 positive basis; :func:`zero_divisor_reference` is the closed form of
 y^(s) - y^(1) that the slot rule is checked against;
 :func:`zcl_over_all_generators` walks every b^(s) - b^(1), not only the
-indecomposable b.  :func:`indecomposable_labels` scans for the
-letters with dense ranks, against :func:`decomposables_rank`.
+indecomposable b, and :func:`full_walk` is the walk over every word, with
+no ceiling.  :func:`indecomposable_labels` scans for the letters with
+dense ranks, against :func:`decomposables_rank`.
 :func:`normalize_sparse` keys a row by the line it spans.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from zclkit.algebra import DEFAULT_MAX_DIM, mu
 from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import Field
-from zclkit.invariants import _walk, _zero_divisor_letters
+from zclkit.invariants import _walk, _zero_divisor_letters, cup_length
 from zclkit.linalg import reduce_into
 from zclkit.series import IntSequence
 
@@ -75,8 +76,36 @@ def zcl_over_all_generators(a, r):
     power = a.tensor_power(r, max_dim=None)
     one = a.field.one
     letters = [({b: one}, s) for b in range(a.dim) if a.degree_of(b) for s in range(2, r + 1)]
-    word, _ = _walk(power, len(letters), lambda p, i: power.zero_divisor_product(p, *letters[i]))
+    word, _ = _walk(
+        power,
+        len(letters),
+        lambda p, i: power.zero_divisor_product(p, *letters[i]),
+        r * cup_length(a).value,
+    )
     return len(word)
+
+
+def full_walk(a, n, times):
+    """``_walk`` with every letter after every kept word and no ceiling.
+
+    Level m+1 multiplies each kept word of level m by each of the n letters
+    and keeps a product when it is independent of those before it; the walk
+    stops at the first empty level.  It needs no commutativity and no bound
+    on the length, so it checks both shortcuts of ``_walk``.
+    """
+    field = a.field
+    level = [((), {a.unit_index: field.one})]
+    while True:
+        echelon, nxt = {}, []
+        for word, prod in level:
+            for i in range(n):
+                p = times(prod, i)
+                if reduce_into(field, echelon, p):
+                    nxt.append((word + (i,), p))
+        if not nxt:
+            word, prod = level[0]
+            return (word, prod) if word else ((), None)
+        level = nxt
 
 
 def matrix(field, rows):

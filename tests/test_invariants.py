@@ -19,6 +19,7 @@ from dense_reference import (
     dense_rows,
     first_longest_word,
     full_space,
+    full_walk,
     kernel_mu,
     null_space,
     subspace_product,
@@ -42,7 +43,7 @@ from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantE
 from zclkit.fields import GF3, QQ, Field
 from zclkit import invariants
 from zclkit.algebra import DEFAULT_MAX_DIM, Algebra
-from zclkit.invariants import Witness, WitnessReport, _walk, zcl_auto
+from zclkit.invariants import Witness, WitnessReport, _walk, _zero_divisor_letters, zcl_auto
 
 
 def _alg(name, field, basis, products=None):
@@ -535,22 +536,83 @@ def _table_times(a, letters):
 
 
 def test_walk_picks_the_first_longest_word(corpus):
-    # the one forward pass agrees with a depth-first search over all words
+    # the forward pass over non-decreasing words, stopped at its ceiling, agrees
+    # with a depth-first search over all words
     checked = 0
     for alg in corpus:
         one = alg.field.one
-        letters = [{i: one} for i in range(alg.dim) if alg.degree_of(i) > 0]
-        walked = _walk(alg, len(letters), _table_times(alg, letters))
+        pos = [i for i in range(alg.dim) if alg.degree_of(i) > 0]
+        letters = [{i: one} for i in pos]
+        ceiling = max(alg.degrees) // min((alg.degree_of(i) for i in pos), default=1)
+        walked = _walk(alg, len(letters), _table_times(alg, letters), ceiling)
         assert walked == first_longest_word(alg, letters), alg.name
         for r in range(2, 7):
             if alg.dim ** r > 81:
                 break
             power = alg.tensor_power(r, max_dim=None)
             gens = zero_divisor_generators(power)
-            walked = _walk(power, len(gens), _table_times(power, gens))
+            ceiling = r * cup_length(alg).value
+            walked = _walk(power, len(gens), _table_times(power, gens), ceiling)
             assert walked == first_longest_word(power, gens), (alg.name, r)
             checked += 1
     assert checked > 300
+
+
+def test_walk_matches_the_walk_over_every_word(corpus):
+    # zcl_exact and cup_length return what the walk with every letter after
+    # every kept word, and no ceiling, returns
+    checked = 0
+    for alg in corpus:
+        one = alg.field.one
+        letters = alg.indecomposables()
+        word, _ = full_walk(
+            alg, len(letters), lambda p, n: alg.product_items(p.items(), ((letters[n], one),))
+        )
+        chain = tuple(alg.basis_element(letters[n]) for n in word)
+        assert cup_length(alg).chain == chain, alg.name
+        for r in range(2, 9):
+            if alg.dim ** r > 256:
+                break
+            power = alg.tensor_power(r, max_dim=None)
+            gens = _zero_divisor_letters(power)
+            word, product = full_walk(
+                power, len(gens), lambda p, i: power.zero_divisor_product(p, *gens[i])
+            )
+            res = zcl_exact(alg, r, max_dim=256)
+            assert res.value == len(word), (alg.name, r)
+            if word:
+                factors = tuple(power.zero_divisor(*gens[i]) for i in word)
+                assert tuple(f.terms for f in res.witness.factors) == factors, (alg.name, r)
+                assert res.witness.product.terms == product, (alg.name, r)
+            else:
+                assert res.witness is None, (alg.name, r)
+            checked += 1
+    assert checked == 478
+
+
+@pytest.mark.parametrize(
+    "name, r, products",
+    [("surface:1", 4, 126), ("stanley-p3", 4, 200), ("surface:1", 6, 2046)],
+)
+def test_walk_forms_only_the_products_it_needs(monkeypatch, name, r, products):
+    # non-decreasing words and the r*cl ceiling; the walk over every word forms
+    # 384, 1,872 and 10,240 products here.  Products are counted, not timed.
+    alg = builtin_algebra(name)
+    cup_length(alg)  # cached, so only the zcl walk is counted below
+    count = 0
+    walk = invariants._walk
+
+    def counting(a, n, times, ceiling):
+        def counted(p, i):
+            nonlocal count
+            count += 1
+            return times(p, i)
+
+        return walk(a, n, counted, ceiling)
+
+    monkeypatch.setattr(invariants, "_walk", counting)
+    zcl_exact(alg, r)
+    assert count == products
 
 
 def test_cup_length_chain_is_the_first_longest_word_over_every_letter(corpus):

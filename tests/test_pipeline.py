@@ -61,9 +61,9 @@ def test_series_builds_the_cup_length_ladder_once(monkeypatch):
     ladders = []
     walk = invariants._walk
 
-    def recording(a, *args, **kwargs):
+    def recording(a, n, times, ceiling):
         ladders.append(a)
-        return walk(a, *args, **kwargs)
+        return walk(a, n, times, ceiling)
 
     monkeypatch.setattr(invariants, "_walk", recording)
     out = series_pipeline(alg, 3)
