@@ -8,22 +8,34 @@ schema ships in ``schemas/report.schema.json``.
 Each call runs in a fresh interpreter, so start-up is part of every
 command's cost.  This module imports only what reading an algebra needs;
 a handler imports ``invariants``, ``pipeline`` or ``series`` when it runs,
-so ``check`` and ``tensor`` never load them.  Handlers call through the
-module attribute (``invariants.zcl_exact``), which a caller may wrap.
+so ``check`` and ``tensor`` never load them; ``catalog`` loads only where a
+``builtin:`` name is resolved or listed.  Nor does a command load OpenSSL
+(``hashlib``) for its one digest, or ``fractions`` and ``decimal`` unless a
+scalar is not an integer: ``fields`` imports ``Fraction`` on demand.
+Handlers call through the module attribute (``invariants.zcl_exact``),
+which a caller may wrap.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
+# The interpreter's builtin sha256: hashlib would load OpenSSL's _hashlib,
+# about 5 ms and 2.5 MB of start-up, for the one digest of the input.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # a CPython built without its builtin hashes
+        from hashlib import sha256
+
 from .algebra import DEFAULT_MAX_DIM, Algebra, validate_algebra
 from .algfile import load_presentation, presentation_to_dict, save_algebra
-from .catalog import builtin_names, builtin_presentation
 from .errors import ResourceLimitError, ValidationError, ZclkitError
 
 ENV_MAX_DIM = "ZCLKIT_MAX_DIM"
@@ -127,18 +139,19 @@ def _resolve_algebra(spec: str, max_dim: int):
     validated, and a builtin one before it is built or hashed.
     """
     if spec.startswith("builtin:"):
+        from .catalog import builtin_presentation
+
         name = spec[len("builtin:"):]
         pres = builtin_presentation(name, max_dim)
         canonical = json.dumps(presentation_to_dict(pres), sort_keys=True).encode()
-        digest = hashlib.sha256(canonical).hexdigest()
-        source = {"source": spec, "sha256": digest}
+        source = {"source": spec, "sha256": sha256(canonical).hexdigest()}
     else:
         path = Path(spec)
         if not path.is_file():
             raise ValidationError(f"no such algebra file: {spec}")
         data = path.read_bytes()
         pres = load_presentation(path, data)
-        source = {"source": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+        source = {"source": str(path), "sha256": sha256(data).hexdigest()}
     if len(pres.basis) > max_dim:
         raise ResourceLimitError(
             f"algebra dim {len(pres.basis)} exceeds the ceiling {max_dim}; "
@@ -327,6 +340,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_builtins():
+    from .catalog import builtin_names
+
     return {"kind": "builtins", "names": list(builtin_names())}, EXIT_OK
 
 

@@ -10,18 +10,24 @@ between an int and the equal Fraction.  Keeping scalars unboxed keeps the
 row-reduction inner loops fast.  A :class:`Field` carries the one bundle of
 scalar arithmetic every other module uses: ``add``, ``sub``, ``mul`` and
 ``neg`` are chosen once per instance, so no call branches on the modulus.
+
+``fractions`` (which loads ``decimal``) is imported on demand, only where a
+non-integral rational is made or tested: ints take the fast path first, so
+a run whose scalars are all integral never loads it.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import FieldMismatchError, ValidationError
 from .record import Record
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 def _rational(x: Scalar) -> Scalar:
@@ -135,9 +141,11 @@ class Field(Record):
             raise FieldMismatchError(
                 f"{x!r} is not a canonical residue of {self} (expected int in [0, {self.p}))"
             )
-        if (isinstance(x, int) and not isinstance(x, bool)) or (
-            isinstance(x, Fraction) and x.denominator != 1
-        ):
+        if isinstance(x, int) and not isinstance(x, bool):
+            return x
+        from fractions import Fraction
+
+        if isinstance(x, Fraction) and x.denominator != 1:
             return x
         raise FieldMismatchError(
             f"{x!r} is not a canonical rational (expected int, or Fraction with denominator > 1)"
@@ -149,14 +157,15 @@ class Field(Record):
             return self.parse(x)
         if isinstance(x, bool):
             raise FieldMismatchError("booleans are not scalars")
-        if self.p is not None:
-            if isinstance(x, int):
-                return x % self.p
-            if isinstance(x, Fraction) and x.denominator == 1:
+        if isinstance(x, int):
+            return x % self.p if self.p is not None else x
+        from fractions import Fraction
+
+        if isinstance(x, Fraction):
+            if self.p is None:
+                return _rational(x)
+            if x.denominator == 1:
                 return x.numerator % self.p
-            raise FieldMismatchError(f"cannot coerce {x!r} into {self}")
-        if isinstance(x, (int, Fraction)):
-            return _rational(x)
         raise FieldMismatchError(f"cannot coerce {x!r} into {self}")
 
     # -- arithmetic (operands assumed canonical) ---------------------------
@@ -164,31 +173,39 @@ class Field(Record):
     def inv(self, x: Scalar) -> Scalar:
         if not x:
             raise ZeroDivisionError(f"inverse of zero in {self}")
-        return pow(x, -1, self.p) if self.p is not None else _rational(1 / Fraction(x))
+        if self.p is not None:
+            return pow(x, -1, self.p)
+        if x.__class__ is int and (x == 1 or x == -1):
+            return x
+        from fractions import Fraction
+
+        return _rational(1 / Fraction(x))
 
     def div(self, x: Scalar, y: Scalar) -> Scalar:
         if not y:
             raise ZeroDivisionError(f"division by zero in {self}")
         if self.p is None:
+            from fractions import Fraction
+
             return _rational(Fraction(x) / y)
         return x * pow(y, -1, self.p) % self.p
 
     # -- text form ----------------------------------------------------------
 
     def parse(self, text: str) -> Scalar:
-        """Parse ``[-]digits`` or ``[-]digits/digits`` into a canonical scalar."""
-        s = text.strip().replace("−", "-")
+        """Parse ``[-]digits`` or ``[-]digits/digits`` into a canonical scalar.
+
+        Only ASCII digits, as ``schemas/algebra.schema.json`` requires (no
+        ``+``, space or ``_``); a Unicode minus reads as ``-``.
+        """
+        s = text.replace("−", "-")
         num, slash, den = s.partition("/")
-        try:
-            n = int(num, 10)
-        except ValueError:
-            raise ValidationError(f"malformed scalar literal {text!r}") from None
+        if not (s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+            raise ValidationError(f"malformed scalar literal {text!r}")
+        n = int(num)
         if not slash:
             return n % self.p if self.p is not None else n
-        den = den.strip()
-        if not den.isdigit():
-            raise ValidationError(f"malformed scalar literal {text!r}")
-        d = int(den, 10)
+        d = int(den)
         if d == 0:
             raise ZeroDivisionError(f"zero denominator in scalar literal {text!r}")
         if self.p is not None:
@@ -197,7 +214,11 @@ class Field(Record):
                     f"denominator of {text!r} is zero in {self}"
                 )
             return n * pow(d, -1, self.p) % self.p
-        return _rational(Fraction(n, d))
+        if n % d == 0:
+            return n // d
+        from fractions import Fraction
+
+        return Fraction(n, d)
 
     def format(self, x: Scalar) -> str:
         return str(x)

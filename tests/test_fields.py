@@ -147,6 +147,11 @@ def test_parse_rejects_malformed_text():
     for bad in ("", "x", "1/", "/2", "1/2/3", "1.5", "2/-3"):
         with pytest.raises(ValidationError):
             QQ.parse(bad)
+    # what int() takes but the schema's ^-?[0-9]+(/[0-9]+)?$ does not
+    for bad in ("1_000", "+1", " 1 ", "1 /2", "1/ 2", "1/+2", "\u0663", "\uff12", "1/\u0663"):
+        for field in (QQ, GF5):
+            with pytest.raises(ValidationError):
+                field.parse(bad)
 
 
 def test_parse_zero_denominator():

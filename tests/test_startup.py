@@ -9,22 +9,31 @@ keeps the lazy imports from regressing.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+GOLDEN = Path(__file__).parent / "golden" / "builtin_reports.json"
 
 CHILD = """\
 import io, json, sys
 before = set(sys.modules)
+out = io.StringIO()
 if sys.argv[1:]:
     from zclkit.cli import run
-    code = run(sys.argv[1:], stdout=io.StringIO())
+    code = run(sys.argv[1:], stdout=out)
 else:
     import zclkit
     code = 0
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+print(json.dumps([code, sorted(set(sys.modules) - before), out.getvalue()]))
 """
 
+# a CPython built without its builtin hash modules: the digest comes from hashlib
+NO_BUILTIN_SHA256 = 'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+
 HEAVY = {"zclkit.invariants", "zclkit.pipeline", "zclkit.series"}
+# OpenSSL for one digest, and Fraction (with decimal) though every scalar is an int
+UNUSED = {"_hashlib", "hashlib", "fractions", "decimal"}
 
 COMMANDS = [
     ("builtins",),
@@ -38,22 +47,34 @@ COMMANDS = [
 ]
 
 
-@pytest.fixture
+def _run_child(env, argv, prelude=""):
+    """(exit status, modules added, stdout) of one command run in a fresh child."""
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + CHILD, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules, out = json.loads(proc.stdout)
+    return code, set(modules), out
+
+
+@pytest.fixture(scope="module")
 def loaded(child_env):
-    """The modules a child adds by running a command (none given: ``import zclkit``)."""
+    """The modules a child adds by running a command (none given: ``import zclkit``).
+
+    Each command runs once per module; the tests that read it share the result.
+    """
+    seen = {}
 
     def run(*argv) -> set:
-        proc = subprocess.run(
-            [sys.executable, "-c", CHILD, *argv],
-            capture_output=True,
-            text=True,
-            env=child_env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, modules = json.loads(proc.stdout)
-        assert code == 0, argv
-        return set(modules)
+        if argv not in seen:
+            code, modules, _ = _run_child(child_env, argv)
+            assert code == 0, argv
+            seen[argv] = modules
+        return seen[argv]
 
     return run
 
@@ -70,9 +91,44 @@ def test_no_command_loads_dataclasses(loaded, argv):
     assert "dataclasses" not in loaded(*argv)
 
 
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_no_command_loads_openssl_or_fractions(loaded, argv):
+    assert not loaded(*argv) & UNUSED
+
+
 def test_tensor_and_check_load_no_invariant_module(loaded, tmp_path):
     path = str(tmp_path / "square.json")
-    for argv in (("tensor", "builtin:stanley-p3", "--r", "2", "--out", path), ("check", path)):
+    for argv in (
+        ("tensor", "builtin:stanley-p3", "--r", "2", "--out", path),
+        ("check", path),
+        ("tensor", path, "--r", "2", "--out", str(tmp_path / "fourth.json")),
+    ):
         modules = loaded(*argv, "--json")
         assert not modules & HEAVY, argv
         assert "dataclasses" not in modules, argv
+        assert not modules & UNUSED, argv
+        if argv[1] == path:
+            assert "zclkit.catalog" not in modules, argv
+
+
+def test_a_non_integral_coefficient_loads_fractions(loaded, tmp_path):
+    doc = {
+        "name": "half",
+        "field": {"kind": "rational"},
+        "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2},
+                  {"label": "y", "degree": 4}],
+        "products": [{"left": "x", "right": "x", "value": [{"coeff": "1/2", "basis": "y"}]}],
+    }
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert "fractions" in loaded("check", str(path), "--json")
+
+
+def test_digest_without_the_builtin_sha256_modules(child_env):
+    argv = ["check", "builtin:surface:1", "--json"]
+    code, modules, out = _run_child(child_env, argv, prelude=NO_BUILTIN_SHA256)
+    assert code == 0
+    assert "hashlib" in modules
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    expected = next(g for g in golden if g["argv"] == argv)
+    assert json.loads(out)["input"]["sha256"] == json.loads(expected["stdout"])["input"]["sha256"]
