@@ -127,7 +127,7 @@ def presentation_from_dict(doc) -> AlgebraPresentation:
                 raise ValidationError(f"{where}.value[{m}]: unknown basis label {lbl!r}")
             try:
                 value = field.parse(coeff)
-            except ZeroDivisionError as exc:
+            except (ValidationError, ZeroDivisionError) as exc:
                 raise ValidationError(f"{where}.value[{m}]: {exc}") from None
             terms.append((value, index[lbl]))
         products[(i, j)] = tuple(terms)

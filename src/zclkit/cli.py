@@ -1,28 +1,33 @@
-"""Command-line front end; the only module that owns I/O.
+"""Command-line front end; it and ``text``, its renderer, are the only modules with I/O.
 
 Exit codes: 0 success, 1 validation failure, 2 inconclusive or an
 uncertified bound, 3 usage error, 4 resource ceiling.  Reports are human
 text by default and stable-ordered JSON under ``--json``; the report
-schema ships in ``schemas/report.schema.json``.
+schema ships in ``schemas/report.schema.json``.  ``text`` renders the
+human reports and shares this module's I/O: it writes to the stream
+``run`` was given.
 
 Each call runs in a fresh interpreter, so start-up is part of every
 command's cost.  This module imports only what reading an algebra needs;
 a handler imports ``invariants``, ``pipeline`` or ``series`` when it runs,
 so ``check`` and ``tensor`` never load them; ``catalog`` loads only where a
-``builtin:`` name is resolved or listed.  Nor does a command load OpenSSL
-(``hashlib``) for its one digest, or ``fractions`` and ``decimal`` unless a
-scalar is not an integer: ``fields`` imports ``Fraction`` on demand.
+``builtin:`` name is resolved or listed, and ``text`` only where a report
+is printed without ``--json``.  Nor does a command load OpenSSL
+(``hashlib``) for its one digest, ``fractions`` and ``decimal`` unless a
+scalar is not an integer (``fields`` imports ``Fraction`` on demand), or
+``argparse`` with its ``gettext`` and ``locale``: the command line is read
+from one table, ``_COMMANDS``, with argparse's rules and wording.
 Handlers call through the module attribute (``invariants.zcl_exact``),
 which a caller may wrap.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # The interpreter's builtin sha256: hashlib would load OpenSSL's _hashlib,
 # about 5 ms and 2.5 MB of start-up, for the one digest of the input.
@@ -47,11 +52,6 @@ EXIT_USAGE = 3
 EXIT_RESOURCE = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _default_max_dim() -> int:
     raw = os.environ.get(ENV_MAX_DIM)
     if raw is None:
@@ -65,68 +65,187 @@ def _default_max_dim() -> int:
     return value
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer >= ``low``, so a bad value is a usage error."""
+# -- the command line -------------------------------------------------------------
 
-    def parse(text: str) -> int:
+# What -h/--help prints; README's "CLI" section shows the same text.
+SYNOPSIS = f"""\
+zclkit check   <alg>                      validate and describe an algebra
+zclkit cl      <alg>                      cup-length with a maximal chain
+zclkit zcl     <alg> --r R [--method exact|bounds]
+zclkit witness <alg> --r R                explicit witness, verified
+zclkit series  <alg> --rmax N [--min-run M]
+zclkit tensor  <alg> --r R --out FILE     write the r-th tensor power
+zclkit analyze --seq a,b,c [--offset K] [--min-run M]
+zclkit builtins
+
+<alg> is an algebra file path or builtin:<name>.  Every command takes
+--json; a command on <alg> takes --max-dim N (default {DEFAULT_MAX_DIM}, or
+${ENV_MAX_DIM}).
+"""
+
+_REQUIRED = object()  # the default of an option that must be given
+
+# An option is (name, kind, default).  Its kind is an int, the least value
+# it takes; a tuple of the choices; str for free text; or bool for a flag.
+_ALGEBRA_OPTIONS = (("--json", bool, False), ("--max-dim", 1, None))
+
+# command -> (whether it takes the positional algebra, its options).  The
+# options keep argparse's order, which its messages list them in.
+_COMMANDS = {
+    "check": (True, _ALGEBRA_OPTIONS),
+    "cl": (True, _ALGEBRA_OPTIONS),
+    "zcl": (True, _ALGEBRA_OPTIONS + (
+        ("--r", 2, _REQUIRED), ("--method", ("exact", "bounds"), "exact"))),
+    "series": (True, _ALGEBRA_OPTIONS + (("--rmax", 3, _REQUIRED), ("--min-run", 2, None))),
+    "witness": (True, _ALGEBRA_OPTIONS + (("--r", 2, _REQUIRED),)),
+    "tensor": (True, _ALGEBRA_OPTIONS + (("--r", 1, _REQUIRED), ("--out", str, _REQUIRED))),
+    "analyze": (False, (("--seq", str, _REQUIRED), ("--offset", 0, 0),
+                        ("--min-run", 2, None), ("--json", bool, False))),
+    "builtins": (False, (("--json", bool, False),)),
+}
+
+
+class _UsageError(Exception):
+    """A command line refused; args are the prog and argparse's message."""
+
+
+def _read(prog: str, token: str, names):
+    """How argparse reads ``token`` against the long option ``names`` (and -h).
+
+    None for a value or a positional; otherwise (name, explicit value or
+    None), where the name is None for an option no name matches.
+    """
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    head, eq, explicit = token.partition("=")
+    explicit = explicit if eq else None
+    if head == "-h":
+        head = "--help"
+    if head in names:
+        return head, explicit
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise _UsageError(prog, f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    elif token.startswith("-h"):
+        return "--help", token[2:]
+    whole, dot, frac = token[1:].partition(".")
+    if (whole.isdecimal() or (dot and not whole)) and (not dot or frac.isdecimal()):
+        return None  # a negative number: no option looks like one
+    if " " in token:
+        return None
+    return None, None
+
+
+def _value(prog: str, name: str, kind, text: str):
+    if kind is str:
+        return text
+    if type(kind) is int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise _UsageError(prog, f"argument {name}: invalid int value: {text!r}") from None
+        if value < kind:
+            raise _UsageError(prog, f"argument {name}: must be at least {kind}, got {value}")
         return value
+    if text not in kind:
+        shown = ", ".join(map(repr, kind))
+        raise _UsageError(prog, f"argument {name}: invalid choice: {text!r} (choose from {shown})")
+    return text
 
-    return parse
+
+def _refuse_explicit(prog: str, name: str, explicit) -> None:
+    """A flag takes no value: ``--json=yes`` is a usage error."""
+    if explicit is not None:
+        shown = "-h/--help" if name == "--help" else name
+        raise _UsageError(prog, f"argument {shown}: ignored explicit argument {explicit!r}")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="zclkit",
-        description="Exact cup-length, zero-divisor cup-length, and series tools "
-        "for finite-dimensional graded-commutative algebras.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True, metavar="command")
+def _parse_command(command: str, tokens: list, extras: list):
+    """The arguments of ``command``, or None for --help; unread tokens go to ``extras``.
 
-    def alg_cmd(name, help_text, **extra):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("algebra", help="algebra file path or builtin:<name>")
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument(
-            "--max-dim",
-            type=_int_at_least(1),
-            default=None,
-            help=f"tensor dimension ceiling (default {DEFAULT_MAX_DIM}, env {ENV_MAX_DIM})",
+    As in argparse, every token is read before any is acted on, values are
+    checked from left to right, the last repeat of an option wins, and a
+    missing required argument is named before an unrecognized one.
+    """
+    prog = f"zclkit {command}"
+    takes_algebra, options = _COMMANDS[command]
+    kinds = {"--help": bool, **{name: kind for name, kind, _ in options}}
+    reads = []
+    for n, token in enumerate(tokens):
+        if token == "--":  # every later token is a positional
+            reads += ["--"] + [None] * (len(tokens) - n - 1)
+            break
+        reads.append(_read(prog, token, kinds))
+    values = {name: default for name, _, default in options}
+    algebra = algebra_at = None
+    n = 0
+    while n < len(tokens):
+        token, read = tokens[n], reads[n]
+        n += 1
+        if read == "--":
+            # argparse takes a -- next to the positional as part of it
+            if takes_algebra and (algebra is None or algebra_at == n - 2):
+                continue
+            extras.append(token)
+        elif read is None:
+            if takes_algebra and algebra is None:
+                algebra, algebra_at = token, n - 1
+            else:
+                extras.append(token)
+        elif read[0] is None:
+            extras.append(token)
+        else:
+            name, explicit = read
+            kind = kinds[name]
+            if kind is bool:
+                _refuse_explicit(prog, name, explicit)
+                if name == "--help":
+                    return None
+                values[name] = True
+                continue
+            if explicit is None:
+                if n == len(tokens) or reads[n] is not None:
+                    raise _UsageError(prog, f"argument {name}: expected one argument")
+                explicit = tokens[n]
+                n += 1
+            values[name] = _value(prog, name, kind, explicit)
+    missing = ["algebra"] if takes_algebra and algebra is None else []
+    missing += [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise _UsageError(prog, f"the following arguments are required: {', '.join(missing)}")
+    args = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(cmd=command, algebra=algebra, **args)
+
+
+def _parse(argv: list):
+    """The parsed command line, or None for -h/--help; raises _UsageError."""
+    extras = []
+    command = None
+    for n, token in enumerate(argv):
+        read = None if token == "--" else _read("zclkit", token, ("--help",))
+        if read is None:
+            command = token
+            break
+        name, explicit = read
+        if name is None:
+            extras.append(token)
+        else:
+            _refuse_explicit("zclkit", name, explicit)
+            return None
+    if command is None or argv[n:] == ["--"]:
+        raise _UsageError("zclkit", "the following arguments are required: command")
+    if command not in _COMMANDS:
+        shown = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(
+            "zclkit", f"argument command: invalid choice: {command!r} (choose from {shown})"
         )
-        return sp
-
-    alg_cmd("check", "validate an algebra and report its shape")
-    alg_cmd("cl", "cup-length with a maximal chain")
-
-    sp = alg_cmd("zcl", "zero-divisor cup-length at a given r")
-    sp.add_argument("--r", type=_int_at_least(2), required=True)
-    sp.add_argument("--method", choices=["exact", "bounds"], default="exact")
-
-    sp = alg_cmd("series", "zcl profile for r = 2..rmax+1 plus sequence analysis")
-    sp.add_argument("--rmax", type=_int_at_least(3), required=True)
-    sp.add_argument("--min-run", type=_int_at_least(2))
-
-    sp = alg_cmd("witness", "explicit zero-divisor witness at a given r")
-    sp.add_argument("--r", type=_int_at_least(2), required=True)
-
-    sp = alg_cmd("tensor", "write the r-th tensor power as an algebra file")
-    sp.add_argument("--r", type=_int_at_least(1), required=True)
-    sp.add_argument("--out", required=True, help="output file path")
-
-    sp = sub.add_parser("analyze", help="analyze an integer sequence directly")
-    sp.add_argument("--seq", required=True, help="comma-separated integers")
-    sp.add_argument("--offset", type=_int_at_least(0), default=0)
-    sp.add_argument("--min-run", type=_int_at_least(2))
-    sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("builtins", help="list builtin algebras")
-    sp.add_argument("--json", action="store_true")
-    return parser
+    args = _parse_command(command, argv[n + 1:], extras)
+    if args is not None and extras:
+        raise _UsageError("zclkit", f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 # -- input resolution ------------------------------------------------------------
@@ -345,75 +464,13 @@ def _cmd_builtins():
     return {"kind": "builtins", "names": list(builtin_names())}, EXIT_OK
 
 
-# -- rendering -------------------------------------------------------------------
-
-
-def _render_text(report: dict, out) -> None:
-    payload = report["result"]
-    kind = payload["kind"]
-    w = out.write
-    if kind == "check":
-        w(f"{payload['name']}: valid; dim {payload['dim']} over {payload['field']}; "
-          f"degrees {payload['degrees']}\n")
-    elif kind == "cl":
-        w(f"cl({payload['name']}) = {payload['value']}\n")
-        if payload["chain"]:
-            w("chain: " + " , ".join(payload["chain"]) + "\n")
-    elif kind == "zcl":
-        value = payload["value"]
-        shown = value if value is not None else f"in [{payload['lower']}, {payload['upper']}]"
-        w(f"zcl_{payload['r']}({payload['name']}) = {shown} ({payload['method']})\n")
-        if payload["witness"]:
-            w(f"witness length {payload['witness']['length']}, "
-              f"verified={payload['witness']['verified']}\n")
-    elif kind == "series":
-        w(f"{payload['name']}: cl = {payload['cl']}\n")
-        for e in payload["entries"]:
-            value = e["value"] if e["value"] is not None else f"[{e['lower']}, {e['upper']}]"
-            w(f"  r={e['r']}: zcl = {value} ({e['method']})\n")
-        if payload["sequence"]:
-            w(f"sequence t_r = zcl_(r+1), r >= {payload['sequence']['offset']}: "
-              f"{payload['sequence']['values']}\n")
-        if payload["analysis"]:
-            an = payload["analysis"]
-            w(f"verdict: {an['verdict']} (window {an['window_used']})\n")
-            if an["p_coeffs"] is not None:
-                w(f"P(x) = {an['p_text']}; P(1) = {an['p_at_one']}; "
-                  f"equals cl: {payload['p_at_one_equals_cl']}\n")
-        else:
-            w("analysis skipped: some entries are uncertified bounds\n")
-    elif kind == "witness":
-        if payload["witness"]:
-            wt = payload["witness"]
-            w(f"witness for zcl_{payload['r']}({payload['name']}), "
-              f"length {wt['length']}, verified={wt['verified']}\n")
-            for n, f in enumerate(wt["factors"], 1):
-                w(f"  factor {n}: {f}\n")
-            w(f"  product: {wt['product']}\n")
-            for problem in wt["problems"]:
-                w(f"  problem: {problem}\n")
-        else:
-            w("no witness available\n")
-    elif kind == "analysis":
-        w(f"verdict: {payload['verdict']} (window {payload['window_used']})\n")
-        if payload["p_coeffs"] is not None:
-            w(f"tail: t_r = {payload['a']}*r + {payload['d']} from r = "
-              f"{payload['stabilization_index']} (within window)\n")
-            w(f"P(x) = {payload['p_text']}; P(1) = {payload['p_at_one']}\n")
-    elif kind == "tensor":
-        w(f"wrote {payload['name']} (dim {payload['dim']}) to {payload['out']}\n")
-    elif kind == "builtins":
-        for name in payload["names"]:
-            w(name + "\n")
-    for warning in report["warnings"]:
-        w(f"warning: {warning}\n")
-
-
 def _emit(report: dict, as_json: bool, out) -> None:
     if as_json:
         out.write(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     else:
-        _render_text(report, out)
+        from .text import render_text
+
+        render_text(report, out)
 
 
 # -- entry point ------------------------------------------------------------------
@@ -422,12 +479,16 @@ def _emit(report: dict, as_json: bool, out) -> None:
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     echo = list(argv) if argv is not None else sys.argv[1:]
+    try:
+        args = _parse(echo)
+    except _UsageError as exc:
+        prog, message = exc.args
+        stderr.write(f"{prog}: error: {message}\n")
+        return EXIT_USAGE
+    if args is None:
+        stdout.write(SYNOPSIS)
+        return EXIT_OK
     if getattr(args, "min_run", 0) is None:
         from .series import DEFAULT_MIN_RUN
 
@@ -466,7 +527,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         "warnings": warnings,
         "status": status,
     }
-    _emit(report, getattr(args, "json", False), stdout)
+    _emit(report, args.json, stdout)
     return status
 
 

@@ -181,15 +181,6 @@ class Field(Record):
 
         return _rational(1 / Fraction(x))
 
-    def div(self, x: Scalar, y: Scalar) -> Scalar:
-        if not y:
-            raise ZeroDivisionError(f"division by zero in {self}")
-        if self.p is None:
-            from fractions import Fraction
-
-            return _rational(Fraction(x) / y)
-        return x * pow(y, -1, self.p) % self.p
-
     # -- text form ----------------------------------------------------------
 
     def parse(self, text: str) -> Scalar:

@@ -23,10 +23,12 @@ dense ranks, against :func:`decomposables_rank`.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
+:func:`div` divides two scalars, which zclkit's own code never does.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from zclkit.algebra import DEFAULT_MAX_DIM, mu
 from zclkit.errors import ResourceLimitError, ValidationError
@@ -37,6 +39,16 @@ from zclkit.series import IntSequence
 
 DEFAULT_ORACLE_DIM = 64
 DEFAULT_ORACLE_AMBIENT = 81
+
+
+def div(field: Field, x, y):
+    """x / y in ``field``, in the canonical form of its scalars."""
+    if not y:
+        raise ZeroDivisionError(f"division by zero in {field}")
+    if field.p is None:
+        q = Fraction(x) / y
+        return q.numerator if q.denominator == 1 else q
+    return x * pow(y, -1, field.p) % field.p
 
 
 def normalize_sparse(field, row):

@@ -20,6 +20,7 @@ from zclkit.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    SYNOPSIS,
     run,
 )
 
@@ -274,8 +275,9 @@ def test_malformed_file_is_an_error_not_a_traceback(tmp_path, data, child_env):
 
 @pytest.mark.parametrize(
     "field, coeff",
-    [({"kind": "rational"}, "1/0"), ({"kind": "prime", "p": 3}, "1/3")],
-    ids=["Q", "F3"],
+    [({"kind": "rational"}, "1/0"), ({"kind": "prime", "p": 3}, "1/3"),
+     ({"kind": "rational"}, "1_000")],
+    ids=["Q", "F3", "Q-malformed"],
 )
 def test_zero_denominator_is_an_invalid_file(tmp_path, field, coeff):
     doc = {
@@ -379,10 +381,11 @@ def test_env_var_sets_ceiling(monkeypatch):
 )
 @pytest.mark.parametrize("max_dim", ["0", "-5", "ten"])
 def test_max_dim_below_one_is_a_usage_error(argv, max_dim, capsys):
-    code, out, _ = cli(*argv, "--max-dim", max_dim)
+    code, out, err = cli(*argv, "--max-dim", max_dim)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "--max-dim" in capsys.readouterr().err
+    assert "--max-dim" in err
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -403,11 +406,79 @@ def test_max_dim_below_one_is_a_usage_error(argv, max_dim, capsys):
 )
 def test_out_of_range_arguments_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    code, out, _ = cli(*argv)
+    code, out, err = cli(*argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "must be at least" in capsys.readouterr().err
+    assert "must be at least" in err
+    assert capsys.readouterr().err == ""
     assert not (tmp_path / "unused.json").exists()
+
+
+ZCL_R3 = ("zcl", "builtin:stanley-p3", "--r", "3")
+
+# each usage error and the one line argparse printed for it
+USAGE_ERRORS = [
+    (("zcl", "builtin:stanley-p3"),
+     "zclkit zcl: error: the following arguments are required: --r"),
+    (("frobnicate",),
+     "zclkit: error: argument command: invalid choice: 'frobnicate' (choose from "
+     "'check', 'cl', 'zcl', 'series', 'witness', 'tensor', 'analyze', 'builtins')"),
+    ((), "zclkit: error: the following arguments are required: command"),
+    (("zcl", "builtin:stanley-p3", "--r", "x"),
+     "zclkit zcl: error: argument --r: invalid int value: 'x'"),
+    ((*ZCL_R3, "--method", "fast"),
+     "zclkit zcl: error: argument --method: invalid choice: 'fast' "
+     "(choose from 'exact', 'bounds')"),
+    ((*ZCL_R3, "--bogus"), "zclkit: error: unrecognized arguments: --bogus"),
+    ((*ZCL_R3, "extra"), "zclkit: error: unrecognized arguments: extra"),
+    (("zcl", "--r", "3"), "zclkit zcl: error: the following arguments are required: algebra"),
+    ((*ZCL_R3, "--r"), "zclkit zcl: error: argument --r: expected one argument"),
+    ((*ZCL_R3, "--m", "3"),
+     "zclkit zcl: error: ambiguous option: --m could match --max-dim, --method"),
+    (("analyze", "--seq", "1,2,3,4", "--offset", "-1"),
+     "zclkit analyze: error: argument --offset: must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, line", USAGE_ERRORS, ids=[" ".join(argv) or "nothing" for argv, _ in USAGE_ERRORS]
+)
+def test_usage_errors_keep_their_wording(argv, line, capsys):
+    code, out, err = cli(*argv)
+    assert code == EXIT_USAGE
+    assert (out, err) == ("", line + "\n")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zcl", "builtin:stanley-p3", "--r=3", "--meth", "bounds"),
+        ("zcl", "--r", "5", "--method=exact", "builtin:stanley-p3", "--r", "3", "--me", "bounds"),
+    ],
+    ids=["equals-and-prefix", "before-the-positional-last-wins"],
+)
+def test_options_read_as_before(argv):
+    code, report, _ = cli_json(*argv)
+    assert code == EXIT_OK
+    assert (report["result"]["r"], report["result"]["method"]) == (3, "bounds")
+    assert report["command"] == [*argv, "--json"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("-h",), ("zcl", "--help"), ("zcl", "builtin:stanley-p3", "-h")],
+    ids=" ".join,
+)
+def test_help_prints_the_synopsis(argv, capsys):
+    code, out, err = cli(*argv)
+    assert code == EXIT_OK
+    assert (out, err) == (SYNOPSIS, "")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_readme_shows_the_synopsis():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"```\n{SYNOPSIS}```\n" in readme
 
 
 @pytest.fixture(scope="module")

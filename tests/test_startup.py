@@ -32,8 +32,9 @@ print(json.dumps([code, sorted(set(sys.modules) - before), out.getvalue()]))
 NO_BUILTIN_SHA256 = 'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
 
 HEAVY = {"zclkit.invariants", "zclkit.pipeline", "zclkit.series"}
-# OpenSSL for one digest, and Fraction (with decimal) though every scalar is an int
-UNUSED = {"_hashlib", "hashlib", "fractions", "decimal"}
+# OpenSSL for one digest, Fraction (with decimal) though every scalar is an int,
+# and argparse, with the gettext and locale it loads, for the command line
+UNUSED = {"_hashlib", "hashlib", "fractions", "decimal", "argparse", "gettext", "locale"}
 
 COMMANDS = [
     ("builtins",),
@@ -94,6 +95,12 @@ def test_no_command_loads_dataclasses(loaded, argv):
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_no_command_loads_openssl_or_fractions(loaded, argv):
     assert not loaded(*argv) & UNUSED
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_only_a_text_report_loads_the_renderer(loaded, argv):
+    assert "zclkit.text" not in loaded(*argv, "--json")
+    assert "zclkit.text" in loaded(*argv)
 
 
 def test_tensor_and_check_load_no_invariant_module(loaded, tmp_path):
