@@ -23,30 +23,33 @@ turns table entries back into the ``(coeff, index)`` pairs of an
 :class:`AlgebraPresentation`, the input and file format.  A tensor power past
 _CHUNK_DIM dimensions multiplies basis pairs as a tensor product of
 smaller powers, chunks of adjacent slots, so a pair costs a few chunk
-lookups instead of one lookup per slot.  The matrix and kernel of the
-collapse map, dense coordinate views of elements, and a swap-counting sign
-reference are test references in ``tests/dense_reference.py``.
+lookups instead of one lookup per slot.  An :class:`Element` here only
+multiplies; the matrix and kernel of the collapse map, dense coordinate
+views of elements, their sums and scalar multiples, and a swap-counting
+sign reference are test references in ``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from collections import namedtuple
 
 from .errors import ResourceLimitError, ValidationError
 from .fields import Field
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Mapping, Optional, Sequence
 
 DEFAULT_MAX_DIM = 4096
 _CHUNK_DIM = 256
 
 
-class AlgebraPresentation(NamedTuple):
+# basis: ((label, degree), ...); products: (i, j) -> sequence of (coeff, basis index), i <= j
+class AlgebraPresentation(namedtuple("AlgebraPresentation", "name field basis products")):
     """Raw input data for :func:`validate_algebra`."""
 
-    name: str
-    field: Field
-    basis: tuple  # ((label, degree), ...)
-    products: Mapping  # (i, j) -> sequence of (coeff, basis index), i <= j
+    __slots__ = ()
 
     @classmethod
     def from_labels(cls, name, field, basis, products=None):
@@ -140,13 +143,9 @@ class Element:
 
     def __init__(self, algebra: "Algebra", terms: dict):
         if not isinstance(terms, dict):
-            raise ValidationError("Element takes a {index: coeff} dict; use Algebra.element")
+            raise ValidationError("Element takes a {index: coeff} dict")
         self.algebra = algebra
         self.terms = terms
-
-    def _match(self, other: "Element") -> None:
-        if not isinstance(other, Element) or other.algebra is not self.algebra:
-            raise ValidationError("elements belong to different algebras")
 
     @property
     def is_zero(self) -> bool:
@@ -160,46 +159,14 @@ class Element:
         degs = {self.algebra.degree_of(i) for i in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def _combine(self, other, op) -> "Element":
-        self._match(other)
-        out = dict(self.terms)
-        zero = self.algebra.field.zero
-        for k, b in other.terms.items():
-            v = op(out.get(k, zero), b)
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return Element(self.algebra, out)
-
-    def __add__(self, other):
-        return self._combine(other, self.algebra.field.add)
-
-    def __sub__(self, other):
-        return self._combine(other, self.algebra.field.sub)
-
-    def __neg__(self):
-        neg = self.algebra.field.neg
-        return Element(self.algebra, {k: neg(a) for k, a in self.terms.items()})
-
-    def scale(self, c) -> "Element":
-        c = self.algebra.field.coerce(c)
-        if not c:
-            return Element(self.algebra, {})
-        mul = self.algebra.field.mul
-        return Element(self.algebra, {k: mul(c, a) for k, a in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, Element):
-            self._match(other)
-            return Element(
-                self.algebra,
-                self.algebra.product_items(self.terms.items(), other.terms.items()),
-            )
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, Element):
+            return NotImplemented
+        if other.algebra is not self.algebra:
+            raise ValidationError("elements belong to different algebras")
+        return Element(
+            self.algebra, self.algebra.product_items(self.terms.items(), other.terms.items())
+        )
 
     def __eq__(self, other):
         return (
@@ -287,31 +254,8 @@ class Algebra:
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, coords: Iterable) -> Element:
-        coords = tuple(self.field.coerce(c) for c in coords)
-        if len(coords) != self.dim:
-            raise ValidationError(
-                f"coordinate length {len(coords)} does not match dim {self.dim}"
-            )
-        return Element(self, {i: c for i, c in enumerate(coords) if c})
-
     def basis_element(self, i: int) -> Element:
         return Element(self, {i: self.field.one})
-
-    def one_element(self) -> Element:
-        return self.basis_element(self.unit_index)
-
-    def element_from_labels(self, terms: Mapping) -> Element:
-        """Element from a {label: coeff} mapping."""
-        index = {lbl: i for i, lbl in enumerate(self.labels)}
-        out = {}
-        for lbl, c in terms.items():
-            if lbl not in index:
-                raise ValidationError(f"unknown basis label {lbl!r}")
-            c = self.field.coerce(c)
-            if c:
-                out[index[lbl]] = c
-        return Element(self, out)
 
     # -- derived algebras ----------------------------------------------------
 

@@ -8,7 +8,6 @@ the machine-readable schema ships in ``schemas/algebra.schema.json``.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .algebra import Algebra, AlgebraPresentation
 from .errors import ValidationError
@@ -137,7 +136,8 @@ def presentation_from_dict(doc) -> AlgebraPresentation:
 def load_presentation(path, data: bytes | None = None) -> AlgebraPresentation:
     """Parse the algebra file at ``path``, or ``data``, its bytes as already read and hashed."""
     if data is None:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -151,6 +151,5 @@ def load_presentation(path, data: bytes | None = None) -> AlgebraPresentation:
 
 def save_algebra(alg: Algebra, path) -> None:
     doc = presentation_to_dict(alg.to_presentation())
-    Path(path).write_text(
-        json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n")

@@ -1,24 +1,25 @@
 """Command-line front end; it and ``text``, its renderer, are the only modules with I/O.
 
-Exit codes: 0 success, 1 validation failure, 2 inconclusive or an
-uncertified bound, 3 usage error, 4 resource ceiling.  Reports are human
-text by default and stable-ordered JSON under ``--json``; the report
+Exit codes: 0 success, 1 validation failure or I/O error, 2 inconclusive
+or an uncertified bound, 3 usage error, 4 resource ceiling.  Reports are
+human text by default and stable-ordered JSON under ``--json``; the report
 schema ships in ``schemas/report.schema.json``.  ``text`` renders the
 human reports and shares this module's I/O: it writes to the stream
 ``run`` was given.
 
-Each call runs in a fresh interpreter, so start-up is part of every
-command's cost.  This module imports only what reading an algebra needs;
-a handler imports ``invariants``, ``pipeline`` or ``series`` when it runs,
-so ``check`` and ``tensor`` never load them; ``catalog`` loads only where a
-``builtin:`` name is resolved or listed, and ``text`` only where a report
-is printed without ``--json``.  Nor does a command load OpenSSL
-(``hashlib``) for its one digest, ``fractions`` and ``decimal`` unless a
-scalar is not an integer (``fields`` imports ``Fraction`` on demand), or
-``argparse`` with its ``gettext`` and ``locale``: the command line is read
-from one table, ``_COMMANDS``, with argparse's rules and wording.
-Handlers call through the module attribute (``invariants.zcl_exact``),
-which a caller may wrap.
+Each call runs in a fresh interpreter, so it pays for start-up, but not for
+shut-down: :func:`main` ends the process once the report is flushed.  This
+module imports only what reading an algebra needs; a handler imports
+``invariants``, ``pipeline`` or ``series`` when it runs, so ``check`` and
+``tensor`` never load them; ``catalog`` loads only where a ``builtin:``
+name is resolved or listed, and ``text`` only where a report is printed
+without ``--json``.  Nor does a command load OpenSSL (``hashlib``) for its
+one digest, ``fractions`` and ``decimal`` unless a scalar is not an
+integer (``fields`` imports ``Fraction`` on demand), ``pathlib`` or
+``typing``, or ``argparse`` with its ``gettext`` and ``locale``: the
+command line is read from one table, ``_COMMANDS``, with argparse's rules
+and wording.  Handlers call through the module attribute
+(``invariants.zcl_exact``), which a caller may wrap.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 # The interpreter's builtin sha256: hashlib would load OpenSSL's _hashlib,
@@ -52,12 +52,22 @@ EXIT_USAGE = 3
 EXIT_RESOURCE = 4
 
 
+def _int(text: str) -> int:
+    """``[-]digits`` in ASCII, the integer rule of ``Field.parse``; ValueError otherwise.
+
+    ``int()`` alone would also take ``+``, spaces, ``_`` and non-ASCII digits.
+    """
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _default_max_dim() -> int:
     raw = os.environ.get(ENV_MAX_DIM)
     if raw is None:
         return DEFAULT_MAX_DIM
     try:
-        value = int(raw)
+        value = _int(raw)
     except ValueError:
         raise ValidationError(f"{ENV_MAX_DIM} must be an integer, got {raw!r}") from None
     if value < 1:
@@ -144,7 +154,7 @@ def _value(prog: str, name: str, kind, text: str):
         return text
     if type(kind) is int:
         try:
-            value = int(text)
+            value = _int(text)
         except ValueError:
             raise _UsageError(prog, f"argument {name}: invalid int value: {text!r}") from None
         if value < kind:
@@ -265,18 +275,29 @@ def _resolve_algebra(spec: str, max_dim: int):
         canonical = json.dumps(presentation_to_dict(pres), sort_keys=True).encode()
         source = {"source": spec, "sha256": sha256(canonical).hexdigest()}
     else:
-        path = Path(spec)
-        if not path.is_file():
+        if not os.path.isfile(spec):
             raise ValidationError(f"no such algebra file: {spec}")
-        data = path.read_bytes()
+        try:
+            with open(spec, "rb") as file:
+                data = file.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {spec}: {exc.strerror or exc}") from None
+        path = _path_text(spec)
         pres = load_presentation(path, data)
-        source = {"source": str(path), "sha256": sha256(data).hexdigest()}
+        source = {"source": path, "sha256": sha256(data).hexdigest()}
     if len(pres.basis) > max_dim:
         raise ResourceLimitError(
             f"algebra dim {len(pres.basis)} exceeds the ceiling {max_dim}; "
             "raise the ceiling to opt in"
         )
     return validate_algebra(pres), source
+
+
+def _path_text(spec: str) -> str:
+    """``spec`` as ``str(pathlib.Path(spec))`` shows it: empty and ``.`` parts dropped."""
+    root = "/" * (len(spec) - len(spec.lstrip("/")))
+    root = root if root == "//" else root[:1]
+    return root + "/".join(part for part in spec.split("/") if part not in ("", ".")) or "."
 
 
 def _warnings_for(alg: Algebra) -> list:
@@ -427,7 +448,10 @@ def _cmd_witness(alg, source, args):
 
 def _cmd_tensor(alg, source, args):
     power = alg.tensor_power(args.r, max_dim=args.max_dim)
-    save_algebra(power, args.out)
+    try:
+        save_algebra(power, args.out)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     payload = {
         "kind": "tensor",
         "name": power.name,
@@ -442,7 +466,7 @@ def _cmd_analyze(args):
     from . import series
 
     try:
-        values = tuple(int(x.strip()) for x in args.seq.split(","))
+        values = tuple(_int(x) for x in args.seq.split(","))
     except ValueError:
         raise ValidationError(f"--seq must be comma-separated integers, got {args.seq!r}") from None
     seq = series.IntSequence(args.offset, values)
@@ -532,7 +556,27 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command line on ``sys.argv``, then end the process at once.
+
+    Once the report is flushed, ``os._exit`` skips interpreter teardown:
+    freeing every module and a last garbage collection, which cost about
+    as much as most commands' own work.  So no ``atexit`` handler runs.  A
+    report that cannot be written (stdout full or closed) ends in one
+    ``zclkit: error:`` line and exit 1; any other exception from ``run``
+    still ends in a traceback.  To run a command and go on, call :func:`run`.
+    """
+    try:
+        status = run()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        status = EXIT_INVALID
+        try:
+            sys.stderr.write(f"zclkit: error: cannot write the report: {exc}\n")
+            sys.stderr.flush()
+        except OSError:
+            pass  # stderr is gone too: the exit status is all that is left
+    os._exit(status)
 
 
 if __name__ == "__main__":

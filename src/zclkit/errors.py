@@ -10,7 +10,7 @@ class FieldMismatchError(ZclkitError, ValueError):
 
 
 class ValidationError(ZclkitError, ValueError):
-    """A presentation, file, or argument violates a structural or algebraic rule."""
+    """A presentation, file, or argument violates a rule, or a file cannot be read or written."""
 
 
 class ResourceLimitError(ZclkitError, RuntimeError):

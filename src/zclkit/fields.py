@@ -19,15 +19,16 @@ a run whose scalars are all integral never loads it.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Union
 
 from .errors import FieldMismatchError, ValidationError
 from .record import Record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Union
 
-Scalar = Union[int, "Fraction"]
+    Scalar = Union[int, Fraction]
 
 
 def _rational(x: Scalar) -> Scalar:

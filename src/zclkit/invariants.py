@@ -51,14 +51,18 @@ results live beside the tests, in ``tests/dense_reference.py``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu
 from .errors import ResourceLimitError, ValidationError, WitnessInvariantError
 from .linalg import reduce_into
 from .record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional, Sequence
 
 DEFAULT_SEED_DIM = 256
 
@@ -91,19 +95,10 @@ class Witness(Record):
         return len(self.factors)
 
 
-class ZclResult(NamedTuple):
-    r: int
-    value: Optional[int]
-    method: str  # "exact" | "bounds"
-    lower: int
-    upper: int
-    witness: Optional[Witness]
+# method is "exact" or "bounds"; value and witness may be None
+ZclResult = namedtuple("ZclResult", "r value method lower upper witness")
 
-
-class WitnessReport(NamedTuple):
-    ok: bool
-    problems: tuple
-    projection_checked: bool = False
+WitnessReport = namedtuple("WitnessReport", "ok problems projection_checked", defaults=(False,))
 
 
 # -- the walk over words ------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .algebra import DEFAULT_MAX_DIM, Algebra
 from .errors import ValidationError
@@ -11,17 +11,21 @@ from .series import (
     DEFAULT_MIN_RUN,
     RATIONAL_FORM_DETECTED,
     IntSequence,
-    RationalityReport,
     analyze_sequence,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
-class SeriesOutcome(NamedTuple):
-    rmax: int
-    cl_value: int
-    entries: tuple  # ZclResult for r = 2 .. rmax+1
-    sequence: Optional[IntSequence]  # t_r = zcl_{r+1}, offset 1
-    analysis: Optional[RationalityReport]
+
+# entries: a ZclResult for each r = 2 .. rmax+1; sequence: t_r = zcl_{r+1},
+# offset 1, and analysis: its RationalityReport, both None unless every entry
+# has a value
+class SeriesOutcome(namedtuple("SeriesOutcome", "rmax cl_value entries sequence analysis")):
+    """SeriesOutcome(rmax, cl_value, entries, sequence, analysis)"""
+
+    __slots__ = ()
 
     @property
     def certified(self) -> bool:

@@ -15,10 +15,14 @@ sandwich check on a window, are test references in
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
 
 from .errors import ValidationError
 from .record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
 
 RATIONAL_FORM_DETECTED = "rational_form_detected"
 INCONCLUSIVE = "inconclusive"
@@ -46,13 +50,13 @@ class IntSequence(Record):
         return len(self.values)
 
 
-class RationalityReport(NamedTuple):
-    verdict: str
-    a: Optional[int]  # stabilized difference; equals P(1) on detection
-    d: Optional[int]  # offset constant in t_r = r*a + d on the tail
-    stabilization_index: Optional[int]  # first r with t_r = r*a + d in the window
-    p_coeffs: Optional[tuple]  # numerator coefficients, constant term first
-    window_used: int
+# a: the stabilized difference, which equals P(1) on detection; d: the offset
+# constant in t_r = r*a + d on the tail; stabilization_index: the first r with
+# t_r = r*a + d in the window; p_coeffs: the numerator's coefficients, constant
+# term first.  All four are None unless the form is detected.
+RationalityReport = namedtuple(
+    "RationalityReport", "verdict a d stabilization_index p_coeffs window_used"
+)
 
 
 def analyze_sequence(t: IntSequence, min_run: int = DEFAULT_MIN_RUN) -> RationalityReport:

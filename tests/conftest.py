@@ -134,9 +134,13 @@ def make_random_corpus(count: int = CORPUS_SIZE, seed: int = CORPUS_SEED):
 
 @pytest.fixture(scope="session")
 def child_env():
-    """Environment for a child interpreter: this source tree first on the path, no ceiling."""
+    """Environment for a child interpreter: this source tree first on the path, no ceiling.
+
+    Output is block-buffered, as it is by default into a file or a pipe, so a
+    report that is not flushed before the process ends is lost.
+    """
     src = str(Path(zclkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "ZCLKIT_MAX_DIM"}
+    env = {k: v for k, v in os.environ.items() if k not in ("ZCLKIT_MAX_DIM", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 

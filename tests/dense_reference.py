@@ -23,14 +23,17 @@ dense ranks, against :func:`decomposables_rank`.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
-:func:`div` divides two scalars, which zclkit's own code never does.
+:func:`div` divides two scalars, which zclkit's own code never does, and
+:func:`element`, :func:`one_element`, :func:`element_from_labels`,
+:func:`add`, :func:`sub`, :func:`neg` and :func:`scale` build and combine
+elements as only the tests do; zclkit itself only multiplies them.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zclkit.algebra import DEFAULT_MAX_DIM, mu
+from zclkit.algebra import DEFAULT_MAX_DIM, Element, mu
 from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import Field
 from zclkit.invariants import _walk, _zero_divisor_letters, cup_length
@@ -253,6 +256,67 @@ def coords(element):
     """The dense coordinate tuple of an element."""
     zero = element.algebra.field.zero
     return tuple(element.terms.get(i, zero) for i in range(element.algebra.dim))
+
+
+def element(alg, coords):
+    """The element of ``alg`` with the dense coordinates ``coords``."""
+    coords = tuple(alg.field.coerce(c) for c in coords)
+    if len(coords) != alg.dim:
+        raise ValidationError(f"coordinate length {len(coords)} does not match dim {alg.dim}")
+    return Element(alg, {i: c for i, c in enumerate(coords) if c})
+
+
+def one_element(alg):
+    return alg.basis_element(alg.unit_index)
+
+
+def element_from_labels(alg, terms):
+    """The element of ``alg`` from a {label: coeff} mapping."""
+    index = {lbl: i for i, lbl in enumerate(alg.labels)}
+    out = {}
+    for lbl, c in terms.items():
+        if lbl not in index:
+            raise ValidationError(f"unknown basis label {lbl!r}")
+        c = alg.field.coerce(c)
+        if c:
+            out[index[lbl]] = c
+    return Element(alg, out)
+
+
+def _combine(u, v, op):
+    if not isinstance(v, Element) or v.algebra is not u.algebra:
+        raise ValidationError("elements belong to different algebras")
+    out = dict(u.terms)
+    zero = u.algebra.field.zero
+    for k, b in v.terms.items():
+        c = op(out.get(k, zero), b)
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return Element(u.algebra, out)
+
+
+def add(u, v):
+    return _combine(u, v, u.algebra.field.add)
+
+
+def sub(u, v):
+    return _combine(u, v, u.algebra.field.sub)
+
+
+def neg(u):
+    field = u.algebra.field
+    return Element(u.algebra, {k: field.neg(a) for k, a in u.terms.items()})
+
+
+def scale(u, c):
+    """c u, for a scalar c in any form the field coerces."""
+    field = u.algebra.field
+    c = field.coerce(c)
+    if not c:
+        return Element(u.algebra, {})
+    return Element(u.algebra, {k: field.mul(c, a) for k, a in u.terms.items()})
 
 
 def full_space(field, ambient_dim):

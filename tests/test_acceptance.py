@@ -18,6 +18,7 @@ from dense_reference import (
     contains,
     coords,
     cup_length_oracle,
+    element_from_labels,
     kernel_mu,
     reconstruct_series,
     subspace_product,
@@ -86,7 +87,7 @@ def test_criterion_2_zcl_of_powers(stanley):
 @criterion(3, "difference-square element check")
 def test_criterion_3_difference_square(stanley):
     square = stanley.tensor_power(2)
-    x = square.element_from_labels({"a2⊗1": 1, "1⊗a2": -1})
+    x = element_from_labels(square, {"a2⊗1": 1, "1⊗a2": -1})
     xx = x * x
     # exactly a2 x a2 with coefficient 1: index (1,1) -> 1*4 + 1 = 5
     expected = tuple(1 if k == 5 else 0 for k in range(16))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -537,3 +538,163 @@ def test_file_above_the_ceiling_is_refused_before_validation(tmp_path, monkeypat
     monkeypatch.setenv("ZCLKIT_MAX_DIM", "15")
     assert cli("check", str(path))[0] == EXIT_RESOURCE
     assert cli("check", str(path), "--max-dim", "16")[0] == EXIT_OK
+
+
+# -- strict integers ---------------------------------------------------------------------
+
+# int() reads each of these; an argument, like a coefficient in a file, is [-]digits in ASCII
+LAX_INTEGERS = ["1_0", " 1_0", "+3", "3 ", "٣"]
+
+
+@pytest.mark.parametrize("text", LAX_INTEGERS)
+def test_an_option_takes_only_ascii_digits(text):
+    code, out, err = cli("zcl", "builtin:stanley-p3", "--r", text)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"zclkit zcl: error: argument --r: invalid int value: {text!r}\n"
+
+
+@pytest.mark.parametrize("seq", ["1_0,2_0,3_0,4_0,5_0", "٣,+4, 5 ,6"])
+def test_seq_takes_only_ascii_digits(seq):
+    code, out, err = cli("analyze", "--seq", seq)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"zclkit: error: --seq must be comma-separated integers, got {seq!r}\n"
+
+
+@pytest.mark.parametrize("raw", ["4_096", " 4096", "+4096"])
+def test_max_dim_variable_takes_only_ascii_digits(raw, monkeypatch):
+    monkeypatch.setenv("ZCLKIT_MAX_DIM", raw)
+    code, out, err = cli("check", "builtin:stanley-p3")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"zclkit: error: ZCLKIT_MAX_DIM must be an integer, got {raw!r}\n"
+
+
+# -- the process: main() ends it once the report is flushed --------------------------------
+
+
+def _main(env, argv, cwd=None, **streams):
+    """A child running ``python -m zclkit.cli argv``; output is captured unless redirected."""
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run(
+        [sys.executable, "-m", "zclkit.cli", *argv],
+        env=env, cwd=cwd, timeout=120, text=True, **streams,
+    )
+
+
+# one command per exit status; the tensor file is written relative to the working directory
+EXITS = [
+    (("builtins", "--json"), EXIT_OK),
+    (("zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "8"), EXIT_OK),
+    (("tensor", "builtin:stanley-p3", "--r", "3", "--out", "cube.json", "--json"), EXIT_OK),
+    (("--help",), EXIT_OK),
+    (("check", "no-such-file.json"), EXIT_INVALID),
+    (("analyze", "--seq", "1_0,2_0"), EXIT_INVALID),
+    (("zcl", "builtin:surface:1", "--method", "bounds", "--r", "20", "--json"), EXIT_INCONCLUSIVE),
+    (("zcl", "builtin:stanley-p3"), EXIT_USAGE),
+    (("tensor", "builtin:surface:1", "--r", "7", "--out", "t7.json"), EXIT_RESOURCE),
+]
+
+
+@pytest.mark.parametrize("argv, status", EXITS, ids=[" ".join(argv) for argv, _ in EXITS])
+def test_a_child_matches_run_byte_for_byte(argv, status, child_env, tmp_path, monkeypatch):
+    (tmp_path / "child").mkdir()
+    proc = _main(child_env, argv, cwd=tmp_path / "child")
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    monkeypatch.delenv("ZCLKIT_MAX_DIM", raising=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, *cli(*argv)[1:])
+    written = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert sorted(p.name for p in (tmp_path / "child").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+ATEXIT_CHILD = """\
+import atexit, sys
+atexit.register(lambda: sys.stderr.write("atexit ran\\n"))
+from zclkit.cli import main
+main()
+"""
+
+
+def test_main_skips_teardown_yet_flushes_the_report(child_env):
+    argv = ["zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "8", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", ATEXIT_CHILD, *argv],
+        capture_output=True, text=True, env=child_env, timeout=120,
+    )
+    code, out, _ = cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert len(out.encode()) < 8192  # held in the stream's buffer until main() flushes it
+
+
+def test_an_exception_in_run_still_ends_in_a_traceback(child_env):
+    child = "import zclkit.cli as cli\ncli.run = lambda: 1 / 0\ncli.main()\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=child_env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "ZeroDivisionError" in proc.stderr
+
+
+def _one_error_line(proc, start):
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stderr.startswith(f"zclkit: error: {start}"), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_an_out_file_that_cannot_be_written_is_one_line(child_env):
+    argv = ["tensor", "builtin:stanley-p3", "--r", "2", "--out", "/nonexistent/x.json"]
+    proc = _main(child_env, argv)
+    assert proc.stdout == ""
+    _one_error_line(proc, "cannot write /nonexistent/x.json: ")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")
+def test_an_algebra_file_that_cannot_be_read_is_one_line(child_env):
+    # a regular file whose read fails: the child's own memory at address 0
+    proc = _main(child_env, ["check", "/proc/self/mem"])
+    assert proc.stdout == ""
+    _one_error_line(proc, "cannot read /proc/self/mem: ")
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file of mode 000")
+def test_an_algebra_file_without_read_permission_is_one_line(child_env, tmp_path):
+    path = tmp_path / "locked.json"
+    path.write_text("{}")
+    path.chmod(0)
+    proc = _main(child_env, ["check", str(path)])
+    assert proc.stdout == ""
+    _one_error_line(proc, f"cannot read {path}: ")
+
+
+# a report short enough that only main()'s flush writes it, and one that run() writes
+REPORTS = [
+    ("builtins", "--json"),
+    ("zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "40", "--json"),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+@pytest.mark.parametrize("argv", REPORTS, ids=["flushed-by-main", "written-by-run"])
+def test_a_full_stdout_is_one_line(child_env, argv):
+    with open("/dev/full", "w") as full:
+        proc = _main(child_env, argv, stdout=full)
+    _one_error_line(proc, "cannot write the report: [Errno 28] ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+def test_with_stdout_and_stderr_full_only_the_status_is_left(child_env):
+    with open("/dev/full", "w") as full:
+        proc = _main(child_env, ["builtins"], stdout=full, stderr=full)
+    assert proc.returncode == EXIT_INVALID
+
+
+@pytest.mark.parametrize("argv", REPORTS, ids=["flushed-by-main", "written-by-run"])
+def test_a_closed_pipe_is_one_line(child_env, argv):
+    read, write = os.pipe()
+    os.close(read)  # no reader: every write to the pipe fails with EPIPE
+    try:
+        proc = _main(child_env, argv, stdout=write)
+    finally:
+        os.close(write)
+    _one_error_line(proc, "cannot write the report: [Errno 32] ")

@@ -14,14 +14,19 @@ import pytest
 import zclkit
 from dense_reference import (
     Subspace,
+    add,
     collapse_matrix,
     cup_length_oracle,
     dense_rows,
+    element,
+    element_from_labels,
     first_longest_word,
     full_space,
     full_walk,
     kernel_mu,
     null_space,
+    one_element,
+    scale,
     subspace_product,
     zcl_oracle,
     zcl_over_all_generators,
@@ -215,7 +220,7 @@ def test_witness_extend_rejects_empty_chain(stanley):
 
 def test_witness_extend_rejects_empty_witness(stanley):
     sq = stanley.tensor_power(2)
-    empty = Witness(2, (), sq.one_element())
+    empty = Witness(2, (), one_element(sq))
     with pytest.raises(ValidationError):
         witness_extend(stanley, empty, cup_length(stanley).chain)
 
@@ -224,11 +229,11 @@ def test_witness_extend_even_truncated_cube():
     # base k[a]/(a^3): r=2 witness (abar, abar), chain (a); lands in the dim-27 cube
     alg = truncated_height3()
     sq = alg.tensor_power(2)
-    abar = sq.element_from_labels({"x⊗1": 1, "1⊗x": -1})
+    abar = element_from_labels(sq, {"x⊗1": 1, "1⊗x": -1})
     square = abar * abar
     assert not square.is_zero
     seed = Witness(2, (abar, abar), square)
-    chain = (alg.element_from_labels({"x": 1}),)
+    chain = (element_from_labels(alg, {"x": 1}),)
     extended = witness_extend(alg, seed, chain)
     assert extended.r == 3
     assert extended.factors[0].algebra.dim == 27
@@ -251,7 +256,7 @@ def test_verify_witness_rejects_tampered_factor(stanley):
     res = zcl_exact(stanley, 2)
     sq = stanley.tensor_power(2)
     tampered = Witness(
-        2, (res.witness.factors[0], sq.one_element()), res.witness.product
+        2, (res.witness.factors[0], one_element(sq)), res.witness.product
     )
     report = verify_witness(stanley, tampered)
     assert not report.ok
@@ -261,7 +266,7 @@ def test_verify_witness_rejects_tampered_factor(stanley):
 def test_verify_witness_rejects_wrong_product(stanley):
     res = zcl_exact(stanley, 2)
     sq = stanley.tensor_power(2)
-    forged = Witness(2, res.witness.factors, sq.one_element())
+    forged = Witness(2, res.witness.factors, one_element(sq))
     report = verify_witness(stanley, forged)
     assert not report.ok
     assert any("differs" in p for p in report.problems)
@@ -285,7 +290,7 @@ def test_projection_of_extended_witness_matches_parent_up_to_sign(stanley):
         q, s = divmod(idx, d)
         if s == cstar:
             collapsed[q] = field.add(collapsed[q], field.mul(c, inv_lam))
-    projected = sq.element(collapsed)
+    projected = element(sq, collapsed)
     assert projected == seed.witness.product or projected == -seed.witness.product
     assert not projected.is_zero
 
@@ -294,13 +299,14 @@ def test_verify_witness_checks_the_chain_of_an_extension(stanley):
     seed = zcl_exact(stanley, 2).witness
     extended = witness_extend(stanley, seed, cup_length(stanley).chain)
     assert verify_witness(stanley, extended).projection_checked
-    a2, a11 = (stanley.element_from_labels({lbl: 1}) for lbl in ("a2", "a11"))
+    a2, a11 = (element_from_labels(stanley, {lbl: 1}) for lbl in ("a2", "a11"))
     # a11 is the top class: no product term has it in the last slot
     report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, (a11,)))
     assert report == WitnessReport(
         False, ("degree-functional projection of the product vanished",), True
     )
-    report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, (a2 + a11,)))
+    mixed = (add(a2, a11),)
+    report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, mixed))
     assert report == WitnessReport(False, ("chain product is zero or inhomogeneous",), False)
 
 
@@ -349,13 +355,13 @@ def test_incremental_extension_matches_the_product_from_scratch(corpus):
 def test_extended_witness_built_on_a_forgery_is_rejected(stanley):
     seed = zcl_exact(stanley, 2).witness
     chain = cup_length(stanley).chain
-    forged = Witness(2, seed.factors, seed.product.scale(2))
+    forged = Witness(2, seed.factors, scale(seed.product, 2))
     report = verify_witness(stanley, witness_extend(stanley, forged, chain))
     assert not report.ok
     assert any("differs" in p for p in report.problems)
     good = witness_extend(stanley, seed, chain)
     cube = stanley.tensor_power(3)
-    tampered = Witness(3, (cube.one_element(),) + good.factors[1:], good.product, good.chain)
+    tampered = Witness(3, (one_element(cube),) + good.factors[1:], good.product, good.chain)
     report = verify_witness(stanley, tampered)
     assert not report.ok
     assert any("zero divisor" in p for p in report.problems)

@@ -33,8 +33,12 @@ NO_BUILTIN_SHA256 = 'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] =
 
 HEAVY = {"zclkit.invariants", "zclkit.pipeline", "zclkit.series"}
 # OpenSSL for one digest, Fraction (with decimal) though every scalar is an int,
-# and argparse, with the gettext and locale it loads, for the command line
-UNUSED = {"_hashlib", "hashlib", "fractions", "decimal", "argparse", "gettext", "locale"}
+# argparse, with the gettext and locale it loads, for the command line, and
+# pathlib and typing, which os.path, open and TYPE_CHECKING make unneeded
+UNUSED = {
+    "_hashlib", "hashlib", "fractions", "decimal", "argparse", "gettext", "locale",
+    "pathlib", "typing",
+}
 
 COMMANDS = [
     ("builtins",),
@@ -49,9 +53,13 @@ COMMANDS = [
 
 
 def _run_child(env, argv, prelude=""):
-    """(exit status, modules added, stdout) of one command run in a fresh child."""
+    """(exit status, modules added, stdout) of one command run in a fresh child.
+
+    The child runs with -S: a ``site`` that imports modules first, as some
+    installations' do, would hide them from the modules the command adds.
+    """
     proc = subprocess.run(
-        [sys.executable, "-c", prelude + CHILD, *argv],
+        [sys.executable, "-S", "-c", prelude + CHILD, *argv],
         capture_output=True,
         text=True,
         env=env,
