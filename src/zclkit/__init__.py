@@ -15,16 +15,16 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in (
-        ("algebra", "DEFAULT_MAX_DIM Algebra AlgebraPresentation Element TableAlgebra "
-                    "TensorPowerAlgebra mu tensor_product validate_algebra"),
+        ("algebra", "Algebra AlgebraPresentation TableAlgebra validate_algebra"),
         ("catalog", "builtin_algebra builtin_names builtin_presentation"),
-        ("errors", "FieldMismatchError ResourceLimitError ValidationError "
+        ("errors", "DEFAULT_MAX_DIM FieldMismatchError ResourceLimitError ValidationError "
                    "WitnessInvariantError ZclkitError"),
         ("fields", "Field"),
-        ("invariants", "ClResult Witness WitnessReport ZclResult cup_length verify_witness "
-                       "witness_extend zcl_bounds zcl_exact"),
+        ("invariants", "ClResult Element Witness WitnessReport ZclResult cup_length mu "
+                       "verify_witness witness_extend zcl_bounds zcl_exact"),
         ("pipeline", "SeriesOutcome series_pipeline"),
         ("series", "IntSequence RationalityReport analyze_sequence polynomial_from_series"),
+        ("tensor", "TensorPowerAlgebra tensor_product"),
     )
     for name in names.split()
 }

@@ -7,19 +7,25 @@ schema ships in ``schemas/report.schema.json``.  ``text`` renders the
 human reports and shares this module's I/O: it writes to the stream
 ``run`` was given.
 
-Each call runs in a fresh interpreter, so it pays for start-up, but not for
-shut-down: :func:`main` ends the process once the report is flushed.  This
-module imports only what reading an algebra needs; a handler imports
-``invariants``, ``pipeline`` or ``series`` when it runs, so ``check`` and
-``tensor`` never load them; ``catalog`` loads only where a ``builtin:``
-name is resolved or listed, and ``text`` only where a report is printed
-without ``--json``.  Nor does a command load OpenSSL (``hashlib``) for its
-one digest, ``fractions`` and ``decimal`` unless a scalar is not an
-integer (``fields`` imports ``Fraction`` on demand), ``pathlib`` or
-``typing``, or ``argparse`` with its ``gettext`` and ``locale``: the
-command line is read from one table, ``_COMMANDS``, with argparse's rules
-and wording.  Handlers call through the module attribute
-(``invariants.zcl_exact``), which a caller may wrap.
+Each call runs in a fresh interpreter, so it pays for start-up, and for
+compiling every module it imports, but not for shut-down: :func:`main` ends
+the process once the report is flushed.  So this module imports only what
+every command runs: the command line, read from one table, ``_COMMANDS``,
+with argparse's rules and wording, and the errors.  The handler of a
+command is in ``commands.<name>``, imported when the command runs, and it
+imports what it runs: ``invariants``, ``tensor``, ``pipeline`` or
+``series``.  Resolving an algebra imports ``algebra``, and ``catalog`` for
+a ``builtin:`` name or ``algfile`` with ``reader`` for a file; ``text``
+loads only where a report is printed without ``--json``.  So ``builtins``
+and ``analyze`` never load ``algebra``, ``check`` never loads ``tensor`` or
+``invariants``, and a builtin algebra never loads the file reader.  Nor
+does a command load OpenSSL (``hashlib``) for its one digest,
+``fractions`` and ``decimal`` unless a scalar is not an integer
+(``fields`` imports ``Fraction`` on demand), ``pathlib`` or ``typing``, or
+``argparse`` with its ``gettext`` and ``locale``.  Handlers call through
+the module attribute (``invariants.zcl_exact``), which a caller may wrap.
+No module imports this one: under ``python -m zclkit.cli`` it runs as
+``__main__``, and importing it again would compile it twice.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 
 # The interpreter's builtin sha256: hashlib would load OpenSSL's _hashlib,
@@ -39,9 +46,7 @@ except ImportError:
     except ImportError:  # a CPython built without its builtin hashes
         from hashlib import sha256
 
-from .algebra import DEFAULT_MAX_DIM, Algebra, validate_algebra
-from .algfile import load_presentation, presentation_to_dict, save_algebra
-from .errors import ResourceLimitError, ValidationError, ZclkitError
+from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, ZclkitError, parse_int
 
 ENV_MAX_DIM = "ZCLKIT_MAX_DIM"
 
@@ -52,22 +57,12 @@ EXIT_USAGE = 3
 EXIT_RESOURCE = 4
 
 
-def _int(text: str) -> int:
-    """``[-]digits`` in ASCII, the integer rule of ``Field.parse``; ValueError otherwise.
-
-    ``int()`` alone would also take ``+``, spaces, ``_`` and non-ASCII digits.
-    """
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
-
 def _default_max_dim() -> int:
     raw = os.environ.get(ENV_MAX_DIM)
     if raw is None:
         return DEFAULT_MAX_DIM
     try:
-        value = _int(raw)
+        value = parse_int(raw)
     except ValueError:
         raise ValidationError(f"{ENV_MAX_DIM} must be an integer, got {raw!r}") from None
     if value < 1:
@@ -154,7 +149,7 @@ def _value(prog: str, name: str, kind, text: str):
         return text
     if type(kind) is int:
         try:
-            value = _int(text)
+            value = parse_int(text)
         except ValueError:
             raise _UsageError(prog, f"argument {name}: invalid int value: {text!r}") from None
         if value < kind:
@@ -267,12 +262,14 @@ def _resolve_algebra(spec: str, max_dim: int):
     A presentation whose basis exceeds ``max_dim`` is refused before it is
     validated, and a builtin one before it is built or hashed.
     """
+    from .algebra import validate_algebra
+
     if spec.startswith("builtin:"):
         from .catalog import builtin_presentation
 
         name = spec[len("builtin:"):]
         pres = builtin_presentation(name, max_dim)
-        canonical = json.dumps(presentation_to_dict(pres), sort_keys=True).encode()
+        canonical = json.dumps(pres.to_dict(), sort_keys=True).encode()
         source = {"source": spec, "sha256": sha256(canonical).hexdigest()}
     else:
         if not os.path.isfile(spec):
@@ -282,8 +279,10 @@ def _resolve_algebra(spec: str, max_dim: int):
                 data = file.read()
         except OSError as exc:
             raise ValidationError(f"cannot read {spec}: {exc.strerror or exc}") from None
+        from . import algfile
+
         path = _path_text(spec)
-        pres = load_presentation(path, data)
+        pres = algfile.load_presentation(path, data)
         source = {"source": path, "sha256": sha256(data).hexdigest()}
     if len(pres.basis) > max_dim:
         raise ResourceLimitError(
@@ -300,7 +299,7 @@ def _path_text(spec: str) -> str:
     return root + "/".join(part for part in spec.split("/") if part not in ("", ".")) or "."
 
 
-def _warnings_for(alg: Algebra) -> list:
+def _warnings_for(alg) -> list:
     warnings = []
     if alg.field.characteristic == 2:
         warnings.append(
@@ -308,184 +307,6 @@ def _warnings_for(alg: Algebra) -> list:
             "only the literal sign rule is enforced"
         )
     return warnings
-
-
-# -- payload builders --------------------------------------------------------------
-
-
-def _witness_payload(alg, witness) -> dict:
-    if witness is None:
-        return None
-    from . import invariants
-
-    report = invariants.verify_witness(alg, witness)
-    return {
-        "r": witness.r,
-        "length": len(witness.factors),
-        "factors": [str(f) for f in witness.factors],
-        "product": str(witness.product),
-        "verified": report.ok,
-        "projection_checked": report.projection_checked,
-        "problems": list(report.problems),
-    }
-
-
-def _analysis_payload(report) -> dict:
-    from .series import polynomial_at_one, polynomial_to_text
-
-    payload = {
-        "verdict": report.verdict,
-        "a": report.a,
-        "d": report.d,
-        "stabilization_index": report.stabilization_index,
-        "p_coeffs": list(report.p_coeffs) if report.p_coeffs is not None else None,
-        "p_text": polynomial_to_text(report.p_coeffs) if report.p_coeffs is not None else None,
-        "p_at_one": polynomial_at_one(report.p_coeffs) if report.p_coeffs is not None else None,
-        "window_used": report.window_used,
-    }
-    return payload
-
-
-# -- command implementations ---------------------------------------------------------
-
-
-def _cmd_check(alg, source, args):
-    payload = {
-        "kind": "check",
-        "name": alg.name,
-        "field": str(alg.field),
-        "dim": alg.dim,
-        "degrees": list(alg.degrees),
-        "unit": alg.label_of(alg.unit_index),
-        "valid": True,
-    }
-    return payload, EXIT_OK
-
-
-def _cmd_cl(alg, source, args):
-    from . import invariants
-
-    res = invariants.cup_length(alg)
-    payload = {
-        "kind": "cl",
-        "name": alg.name,
-        "value": res.value,
-        "chain": [str(e) for e in res.chain],
-    }
-    return payload, EXIT_OK
-
-
-def _cmd_zcl(alg, source, args):
-    from . import invariants
-
-    if args.method == "exact":
-        res = invariants.zcl_exact(alg, args.r, max_dim=args.max_dim)
-    else:
-        res = invariants.zcl_bounds(alg, args.r, max_dim=args.max_dim)
-    payload = {
-        "kind": "zcl",
-        "name": alg.name,
-        "r": res.r,
-        "method": res.method,
-        "value": res.value,
-        "lower": res.lower,
-        "upper": res.upper,
-        "witness": _witness_payload(alg, res.witness),
-    }
-    status = EXIT_OK if res.value is not None else EXIT_INCONCLUSIVE
-    return payload, status
-
-
-def _cmd_series(alg, source, args):
-    from . import pipeline
-
-    outcome = pipeline.series_pipeline(alg, args.rmax, min_run=args.min_run, max_dim=args.max_dim)
-    entries = [
-        {
-            "r": e.r,
-            "method": e.method,
-            "value": e.value,
-            "lower": e.lower,
-            "upper": e.upper,
-        }
-        for e in outcome.entries
-    ]
-    payload = {
-        "kind": "series",
-        "name": alg.name,
-        "rmax": outcome.rmax,
-        "cl": outcome.cl_value,
-        "entries": entries,
-        "sequence": (
-            {"offset": outcome.sequence.offset, "values": list(outcome.sequence.values)}
-            if outcome.sequence is not None
-            else None
-        ),
-        "analysis": _analysis_payload(outcome.analysis) if outcome.analysis else None,
-        "p_at_one_equals_cl": (
-            outcome.p_at_one == outcome.cl_value if outcome.p_at_one is not None else None
-        ),
-        "certified": outcome.certified,
-    }
-    return payload, EXIT_OK if outcome.certified else EXIT_INCONCLUSIVE
-
-
-def _cmd_witness(alg, source, args):
-    from . import invariants
-
-    res = invariants.zcl_auto(alg, args.r, max_dim=args.max_dim)
-    payload = {
-        "kind": "witness",
-        "name": alg.name,
-        "r": args.r,
-        "method": res.method,
-        "length": len(res.witness.factors) if res.witness else 0,
-        "witness": _witness_payload(alg, res.witness),
-    }
-    status = EXIT_OK if res.witness is not None else EXIT_INCONCLUSIVE
-    return payload, status
-
-
-def _cmd_tensor(alg, source, args):
-    power = alg.tensor_power(args.r, max_dim=args.max_dim)
-    try:
-        save_algebra(power, args.out)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
-    payload = {
-        "kind": "tensor",
-        "name": power.name,
-        "r": args.r,
-        "dim": power.dim,
-        "out": str(args.out),
-    }
-    return payload, EXIT_OK
-
-
-def _cmd_analyze(args):
-    from . import series
-
-    try:
-        values = tuple(_int(x) for x in args.seq.split(","))
-    except ValueError:
-        raise ValidationError(f"--seq must be comma-separated integers, got {args.seq!r}") from None
-    seq = series.IntSequence(args.offset, values)
-    report = series.analyze_sequence(seq, min_run=args.min_run)
-    payload = {
-        "kind": "analysis",
-        "offset": seq.offset,
-        "values": list(seq.values),
-        "min_run": args.min_run,
-    }
-    payload.update(_analysis_payload(report))
-    status = EXIT_OK if report.verdict == series.RATIONAL_FORM_DETECTED else EXIT_INCONCLUSIVE
-    return payload, status
-
-
-def _cmd_builtins():
-    from .catalog import builtin_names
-
-    return {"kind": "builtins", "names": list(builtin_names())}, EXIT_OK
 
 
 def _emit(report: dict, as_json: bool, out) -> None:
@@ -519,31 +340,24 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         args.min_run = DEFAULT_MIN_RUN
     source = None
     warnings = []
+    takes_algebra = _COMMANDS[args.cmd][0]
+    command = import_module(f".commands.{args.cmd}", __package__)
     try:
-        if args.cmd == "builtins":
-            payload, status = _cmd_builtins()
-        elif args.cmd == "analyze":
-            payload, status = _cmd_analyze(args)
-        else:
+        if takes_algebra:
             if args.max_dim is None:
                 args.max_dim = _default_max_dim()
             alg, source = _resolve_algebra(args.algebra, args.max_dim)
             warnings = _warnings_for(alg)
-            handler = {
-                "check": _cmd_check,
-                "cl": _cmd_cl,
-                "zcl": _cmd_zcl,
-                "series": _cmd_series,
-                "witness": _cmd_witness,
-                "tensor": _cmd_tensor,
-            }[args.cmd]
-            payload, status = handler(alg, source, args)
+            payload, conclusive = command.run(alg, args)
+        else:
+            payload, conclusive = command.run(args)
     except ResourceLimitError as exc:
         stderr.write(f"zclkit: resource ceiling: {exc}\n")
         return EXIT_RESOURCE
     except ZclkitError as exc:
         stderr.write(f"zclkit: error: {exc}\n")
         return EXIT_INVALID
+    status = EXIT_OK if conclusive else EXIT_INCONCLUSIVE
     report = {
         "command": echo,
         "input": source,

@@ -1,0 +1,17 @@
+"""``zclkit witness``: an explicit witness for zcl_r, verified."""
+
+from .. import invariants
+from .witness_payload import witness_payload
+
+
+def run(alg, args):
+    res = invariants.zcl_auto(alg, args.r, max_dim=args.max_dim)
+    payload = {
+        "kind": "witness",
+        "name": alg.name,
+        "r": args.r,
+        "method": res.method,
+        "length": len(res.witness.factors) if res.witness else 0,
+        "witness": witness_payload(alg, res.witness),
+    }
+    return payload, res.witness is not None

@@ -1,4 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, the default dimension ceiling, and the integer rule.
+
+Every command loads this module, the command line included, so it also
+holds the two things every command reads: the ceiling a command on an
+algebra defaults to, and how an integer is read from text.
+"""
+
+DEFAULT_MAX_DIM = 4096
 
 
 class ZclkitError(Exception):
@@ -19,3 +26,13 @@ class ResourceLimitError(ZclkitError, RuntimeError):
 
 class WitnessInvariantError(ZclkitError, RuntimeError):
     """A certificate that must hold for valid inputs failed to check out."""
+
+
+def parse_int(text: str) -> int:
+    """``[-]digits`` in ASCII, the integer rule of scalar literals; ValueError otherwise.
+
+    ``int()`` alone would also take ``+``, spaces, ``_`` and non-ASCII digits.
+    """
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)

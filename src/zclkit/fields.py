@@ -13,7 +13,9 @@ scalar arithmetic every other module uses: ``add``, ``sub``, ``mul`` and
 
 ``fractions`` (which loads ``decimal``) is imported on demand, only where a
 non-integral rational is made or tested: ints take the fast path first, so
-a run whose scalars are all integral never loads it.
+a run whose scalars are all integral never loads it.  Scalar literals are
+read by :func:`~zclkit.reader.parse_scalar`, which only a file needs, and
+written by :meth:`Field.format`.
 """
 
 from __future__ import annotations
@@ -134,28 +136,8 @@ class Field(Record):
 
     # -- element admission -------------------------------------------------
 
-    def check(self, x: Scalar) -> Scalar:
-        """Return ``x`` if it is a canonical element of this field, else raise."""
-        if self.p is not None:
-            if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.p:
-                return x
-            raise FieldMismatchError(
-                f"{x!r} is not a canonical residue of {self} (expected int in [0, {self.p}))"
-            )
-        if isinstance(x, int) and not isinstance(x, bool):
-            return x
-        from fractions import Fraction
-
-        if isinstance(x, Fraction) and x.denominator != 1:
-            return x
-        raise FieldMismatchError(
-            f"{x!r} is not a canonical rational (expected int, or Fraction with denominator > 1)"
-        )
-
-    def coerce(self, x: Scalar | str) -> Scalar:
-        """Normalize an int, Fraction, or scalar literal into this field."""
-        if isinstance(x, str):
-            return self.parse(x)
+    def coerce(self, x: Scalar) -> Scalar:
+        """Normalize an int or Fraction into this field."""
         if isinstance(x, bool):
             raise FieldMismatchError("booleans are not scalars")
         if isinstance(x, int):
@@ -183,34 +165,6 @@ class Field(Record):
         return _rational(1 / Fraction(x))
 
     # -- text form ----------------------------------------------------------
-
-    def parse(self, text: str) -> Scalar:
-        """Parse ``[-]digits`` or ``[-]digits/digits`` into a canonical scalar.
-
-        Only ASCII digits, as ``schemas/algebra.schema.json`` requires (no
-        ``+``, space or ``_``); a Unicode minus reads as ``-``.
-        """
-        s = text.replace("−", "-")
-        num, slash, den = s.partition("/")
-        if not (s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
-            raise ValidationError(f"malformed scalar literal {text!r}")
-        n = int(num)
-        if not slash:
-            return n % self.p if self.p is not None else n
-        d = int(den)
-        if d == 0:
-            raise ZeroDivisionError(f"zero denominator in scalar literal {text!r}")
-        if self.p is not None:
-            if d % self.p == 0:
-                raise ZeroDivisionError(
-                    f"denominator of {text!r} is zero in {self}"
-                )
-            return n * pow(d, -1, self.p) % self.p
-        if n % d == 0:
-            return n // d
-        from fractions import Fraction
-
-        return Fraction(n, d)
 
     def format(self, x: Scalar) -> str:
         return str(x)

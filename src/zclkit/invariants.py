@@ -35,11 +35,13 @@ y^(r+1) - y^(1) built from a maximal cup-length chain.  The first is the
 walk's ceiling: it stops at the first nonzero product of length r * cl.
 The cup-length walk stops at the top degree over the least letter degree.
 Every zero divisor here, generator or extension factor, is built by
-:meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor`, and every product
-with one, in the walk and in the extension, is formed slot by slot by
-:meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor_product`.
+:func:`zero_divisor`, and every product with one, in the walk and in the
+extension, is formed slot by slot by :func:`zero_divisor_product`.
 :func:`verify_witness` multiplies the factors again through the pair
-table, so each certificate checks that kernel against the Koszul product.
+table and collapses each by :func:`mu`, so each certificate checks that
+kernel against the Koszul product.  :class:`Element`, the slot rule and
+the collapse map live here because only this module runs them; an
+:class:`Element` here only multiplies.
 
 The route is decided here and nowhere else: :func:`zcl_auto` computes zcl_r
 exactly while d^r fits the dimension ceiling, and otherwise by
@@ -55,14 +57,16 @@ from collections import namedtuple
 from functools import reduce
 from operator import mul
 
-from .algebra import DEFAULT_MAX_DIM, Algebra, Element, TensorPowerAlgebra, mu
-from .errors import ResourceLimitError, ValidationError, WitnessInvariantError
+from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, WitnessInvariantError
 from .linalg import reduce_into
 from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Optional, Sequence
+    from typing import Mapping, Optional, Sequence
+
+    from .algebra import Algebra
+    from .tensor import TensorPowerAlgebra
 
 DEFAULT_SEED_DIM = 256
 
@@ -99,6 +103,152 @@ class Witness(Record):
 ZclResult = namedtuple("ZclResult", "r value method lower upper witness")
 
 WitnessReport = namedtuple("WitnessReport", "ok problems projection_checked", defaults=(False,))
+
+
+# -- elements, the collapse map and the slot rule ----------------------------------
+
+
+class Element:
+    """An exact vector over an algebra's basis, stored by its nonzero terms.
+
+    ``terms`` maps a basis index to its coefficient and never holds a zero,
+    so memory and arithmetic follow the support, not the dimension: a
+    zero divisor in a tensor power of dimension d^r with two terms costs two
+    entries.  :meth:`items` lists the terms in index order.
+    """
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: "Algebra", terms: dict):
+        if not isinstance(terms, dict):
+            raise ValidationError("Element takes a {index: coeff} dict")
+        self.algebra = algebra
+        self.terms = terms
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def items(self) -> list:
+        return sorted(self.terms.items())
+
+    def degree(self) -> Optional[int]:
+        """Common degree of the support; None for zero or mixed elements."""
+        degs = {self.algebra.degree_of(i) for i in self.terms}
+        return degs.pop() if len(degs) == 1 else None
+
+    def __mul__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
+        if other.algebra is not self.algebra:
+            raise ValidationError("elements belong to different algebras")
+        return Element(
+            self.algebra, self.algebra.product_items(self.terms.items(), other.terms.items())
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Element)
+            and other.algebra is self.algebra
+            and other.terms == self.terms
+        )
+
+    def __str__(self):
+        fmt = self.algebra.field.format
+        parts = [f"{fmt(c)}·{self.algebra.label_of(i)}" for i, c in self.items()]
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"<Element {self} of {self.algebra.name}>"
+
+
+def mu(a: Algebra, r: int, u: Element) -> Element:
+    """Linear extension of tuple -> product of slots; an algebra homomorphism."""
+    if r < 1:
+        raise ValidationError("mu requires r >= 1")
+    power = a.tensor_power(r, max_dim=None)
+    if u.algebra is not power:
+        raise ValidationError("element does not live in the r-th tensor power")
+    if r == 1:
+        return u
+    unit, one, add = a.unit_index, a.field.one, a.field.add
+    acc: dict = {}
+    for idx, c in u.terms.items():
+        image = ((unit, c),)
+        for slot in power.tuple_of_index(idx):
+            if slot != unit:  # the unit slots leave the product as it is
+                image = a.product_items(image, ((slot, one),)).items()
+        for k, v in image:
+            if k in acc:
+                v = add(acc.pop(k), v)
+            if v:
+                acc[k] = v
+    return Element(a, acc)
+
+
+def zero_divisor(power: TensorPowerAlgebra, y: Mapping, s: int) -> dict:
+    """y^(s) - y^(1) as {index: coeff}, for y = {base index: coeff} and s >= 2."""
+    return zero_divisor_product(power, {power.unit_index: power.field.one}, y, s)
+
+
+def zero_divisor_product(power: TensorPowerAlgebra, u: Mapping, y: Mapping, s: int) -> dict:
+    """u (y^(s) - y^(1)) as {index: coeff}, for u = {index: coeff} and y, s as above.
+
+    The slot rule: by the Koszul sign, e_t y_j^(q) is e_t with slot q
+    replaced by t_q y_j, times (-1)^{|y_j| (|t_{q+1}| + ... + |t_r|)}.  So
+    each term of u is multiplied in slot s and in slot 1 only, through
+    the base table; no product of r slot coefficients is formed.
+    """
+    acc: dict = {}
+    _times_slot(power, acc, u, y.items(), s)
+    neg = power.field.neg
+    _times_slot(power, acc, u, [(j, neg(c)) for j, c in y.items()], 1)
+    return acc
+
+
+def _times_slot(power: TensorPowerAlgebra, acc: dict, u: Mapping, y_items, q: int) -> None:
+    """Add u y^(q) into acc by the slot rule."""
+    n = power.r - q
+    base = power.base
+    d = base.dim
+    place = d ** n
+    y_items = tuple(y_items)
+    moves = power._moves.get((q, y_items))
+    if moves is None:
+        moves = power._moves[q, y_items] = _slot_moves(base, y_items, place)
+    signed = n and any(base.degree_of(j) & 1 for j, _ in y_items)
+    low_degree = power._low_degree
+    mul, add = power.field.mul, power.field.add
+    for idx, a in u.items():
+        high, low = divmod(idx, place)
+        flip = signed and low_degree(low, n) & 1
+        for c, shift in moves[high % d][flip]:
+            key = idx + shift
+            v = mul(a, c)
+            prev = acc.get(key)
+            if prev is not None:
+                v = add(prev, v)
+                if not v:
+                    del acc[key]
+                    continue
+            acc[key] = v
+
+
+def _slot_moves(base: Algebra, y_items, place: int) -> list:
+    """By base index t, the (coeff, index shift) of each term of e_t y, unsigned and signed."""
+    odd, bp = [deg & 1 for deg in base.degrees], base.basis_product
+    mul, neg = base.field.mul, base.field.neg
+    moves = []
+    for t in range(base.dim):
+        terms = [
+            (odd[j], mul(c, c2), (k - t) * place)
+            for j, c in y_items for k, c2 in bp(t, j).items()
+        ]
+        moves.append((
+            [(c, shift) for _, c, shift in terms],
+            [(neg(c) if oj else c, shift) for oj, c, shift in terms],
+        ))
+    return moves
 
 
 # -- the walk over words ------------------------------------------------------------
@@ -185,7 +335,7 @@ def cup_length(a: Algebra) -> ClResult:
             lambda p, n: a.product_items(p.items(), ((letters[n], one),)),
             ceiling,
         )
-        cached = ClResult(len(word), tuple(a.basis_element(letters[n]) for n in word))
+        cached = ClResult(len(word), tuple(Element(a, {letters[n]: one}) for n in word))
         a._cup_length = cached
     return cached
 
@@ -212,13 +362,13 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> Z
     power = a.tensor_power(r, max_dim)
     letters = _zero_divisor_letters(power)
     word, product = _walk(
-        power, len(letters), lambda p, i: power.zero_divisor_product(p, *letters[i]), upper
+        power, len(letters), lambda p, i: zero_divisor_product(power, p, *letters[i]), upper
     )
     if not word:
         return ZclResult(r, 0, "exact", 0, upper, None)
     if not product:
         raise WitnessInvariantError("extracted witness has zero product")
-    factors = tuple(Element(power, power.zero_divisor(*letters[p])) for p in word)
+    factors = tuple(Element(power, zero_divisor(power, *letters[p])) for p in word)
     witness = Witness(r, factors, Element(power, product))
     return ZclResult(r, len(word), "exact", len(word), upper, witness)
 
@@ -274,9 +424,8 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
     1 x ... x 1 x y - y x 1 x ... x 1, a zero divisor at r + 1.  Lifting by
     tensor 1 is multiplicative with no Koszul sign (the new slot holds the
     degree-0 unit), so the new product is the stored product tensor 1 times
-    the chain factors, each multiplied in by
-    :meth:`~zclkit.algebra.TensorPowerAlgebra.zero_divisor_product`; it must
-    be nonzero for valid inputs.  The stored product is trusted here:
+    the chain factors, each multiplied in by :func:`zero_divisor_product`;
+    it must be nonzero for valid inputs.  The stored product is trusted here:
     :func:`verify_witness` recomputes it from the factors.
     """
     if not w.factors:
@@ -303,13 +452,13 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
 
     product = lift(w.product)
     for y in chain:
-        product = big.zero_divisor_product(product, y.terms, w.r + 1)
+        product = zero_divisor_product(big, product, y.terms, w.r + 1)
     if not product:
         raise WitnessInvariantError(
             "extended witness product vanished; inputs violate the extension invariant"
         )
     factors = [Element(big, lift(f)) for f in w.factors]
-    factors += [Element(big, big.zero_divisor(y.terms, w.r + 1)) for y in chain]
+    factors += [Element(big, zero_divisor(big, y.terms, w.r + 1)) for y in chain]
     return Witness(w.r + 1, tuple(factors), Element(big, product), chain=chain)
 
 

@@ -23,25 +23,61 @@ dense ranks, against :func:`decomposables_rank`.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
-:func:`div` divides two scalars, which zclkit's own code never does, and
-:func:`element`, :func:`one_element`, :func:`element_from_labels`,
-:func:`add`, :func:`sub`, :func:`neg` and :func:`scale` build and combine
-elements as only the tests do; zclkit itself only multiplies them.
+:func:`div` divides two scalars, which zclkit's own code never does;
+:func:`check` admits only a canonical scalar of a field, and :func:`labels`
+lists an algebra's basis labels, which only tests ask for; and
+:func:`element`, :func:`one_element`, :func:`basis_element`,
+:func:`element_from_labels`, :func:`add`, :func:`sub`, :func:`neg` and
+:func:`scale` build and combine elements as only the tests do; zclkit
+itself only multiplies them.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zclkit.algebra import DEFAULT_MAX_DIM, Element, mu
-from zclkit.errors import ResourceLimitError, ValidationError
+from zclkit.errors import DEFAULT_MAX_DIM, FieldMismatchError, ResourceLimitError, ValidationError
 from zclkit.fields import Field
-from zclkit.invariants import _walk, _zero_divisor_letters, cup_length
+from zclkit.invariants import (
+    Element,
+    _walk,
+    _zero_divisor_letters,
+    cup_length,
+    mu,
+    zero_divisor,
+    zero_divisor_product,
+)
 from zclkit.linalg import reduce_into
 from zclkit.series import IntSequence
 
 DEFAULT_ORACLE_DIM = 64
 DEFAULT_ORACLE_AMBIENT = 81
+
+
+def check(field: Field, x):
+    """Return ``x`` if it is a canonical element of ``field``, else raise FieldMismatchError."""
+    if field.p is not None:
+        if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < field.p:
+            return x
+        raise FieldMismatchError(
+            f"{x!r} is not a canonical residue of {field} (expected int in [0, {field.p}))"
+        )
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return x
+    raise FieldMismatchError(
+        f"{x!r} is not a canonical rational (expected int, or Fraction with denominator > 1)"
+    )
+
+
+def labels(alg):
+    """The basis labels of ``alg``, in index order."""
+    return tuple(alg.label_of(i) for i in range(alg.dim))
+
+
+def basis_element(alg, i):
+    return Element(alg, {i: alg.field.one})
 
 
 def div(field: Field, x, y):
@@ -66,7 +102,7 @@ def normalize_sparse(field, row):
 
 def zero_divisor_generators(power):
     """Sparse rows of x^(s) - x^(1) in a tensor power, in the order of zcl_exact's letters."""
-    return [power.zero_divisor(y, s) for y, s in _zero_divisor_letters(power)]
+    return [zero_divisor(power, y, s) for y, s in _zero_divisor_letters(power)]
 
 
 def zero_divisor_reference(power, y, s):
@@ -94,7 +130,7 @@ def zcl_over_all_generators(a, r):
     word, _ = _walk(
         power,
         len(letters),
-        lambda p, i: power.zero_divisor_product(p, *letters[i]),
+        lambda p, i: zero_divisor_product(power, p, *letters[i]),
         r * cup_length(a).value,
     )
     return len(word)
@@ -124,7 +160,7 @@ def full_walk(a, n, times):
 
 
 def matrix(field, rows):
-    """Dense rows of canonical scalars from ints, Fractions or literals."""
+    """Dense rows of canonical scalars from ints or Fractions."""
     return tuple(tuple(field.coerce(x) for x in row) for row in rows)
 
 
@@ -267,12 +303,12 @@ def element(alg, coords):
 
 
 def one_element(alg):
-    return alg.basis_element(alg.unit_index)
+    return basis_element(alg, alg.unit_index)
 
 
 def element_from_labels(alg, terms):
     """The element of ``alg`` from a {label: coeff} mapping."""
-    index = {lbl: i for i, lbl in enumerate(alg.labels)}
+    index = {lbl: i for i, lbl in enumerate(labels(alg))}
     out = {}
     for lbl, c in terms.items():
         if lbl not in index:
@@ -494,7 +530,7 @@ def mu_matrix(power):
     """Sparse rows of the collapse map's matrix, base dim x power dim."""
     rows = [{} for _ in range(power.base.dim)]
     for col in range(power.dim):
-        for k, c in mu(power.base, power.r, power.basis_element(col)).terms.items():
+        for k, c in mu(power.base, power.r, basis_element(power, col)).terms.items():
             rows[k][col] = c
     return rows
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dense_reference import (
     add,
     associativity_failures,
+    basis_element,
     contains,
     coords,
     decomposable_rows,
@@ -37,6 +38,8 @@ from zclkit import (
 )
 from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import GF2, GF3, QQ
+from zclkit.invariants import zero_divisor, zero_divisor_product
+from zclkit.reader import parse_scalar
 
 
 def _pres(name, field, basis, products=None):
@@ -246,7 +249,7 @@ def test_zero_coefficients_are_dropped():
 def test_unit_law(stanley):
     one = one_element(stanley)
     for i in range(stanley.dim):
-        e = stanley.basis_element(i)
+        e = basis_element(stanley, i)
         assert one * e == e
         assert e * one == e
 
@@ -418,7 +421,7 @@ def test_zero_divisor_product_matches_two_references(corpus):
         field, one = alg.field, alg.field.one
         scalars = [c for c in map(field.coerce, (1, -1, 2, 3)) if c]
         if field.p is None:
-            scalars.append(field.parse("1/2"))
+            scalars.append(parse_scalar(field, "1/2"))
         for r in range(2, 5):
             if alg.dim ** r > 256:
                 break
@@ -429,9 +432,9 @@ def test_zero_divisor_product_matches_two_references(corpus):
                 for b in (b for b in range(alg.dim) if alg.degree_of(b) > 0):
                     y = {b: rng.choice(scalars)}
                     for s in range(2, r + 1):
-                        got = power.zero_divisor_product(u, y, s)
+                        got = zero_divisor_product(power, u, y, s)
                         z = zero_divisor_reference(power, y, s)
-                        assert power.zero_divisor(y, s) == z, (alg.name, r, b, s)
+                        assert zero_divisor(power, y, s) == z, (alg.name, r, b, s)
                         assert got == power.product_items(u.items(), z.items()), (alg.name, r, b, s)
                         expected = {}
                         for i, a in u.items():
@@ -471,7 +474,7 @@ def test_chunked_tensor_power_matches_swap_counting():
             for s in (2, r // 2, r):
                 z = zero_divisor_reference(power, {b: alg.field.one}, s)
                 expected = power.product_items(u.items(), z.items())
-                assert power.zero_divisor_product(u, {b: alg.field.one}, s) == expected
+                assert zero_divisor_product(power, u, {b: alg.field.one}, s) == expected
 
 
 def test_chunked_tensor_power_degrees_sum_the_slots():
@@ -622,7 +625,7 @@ def test_degree_additivity(corpus):
     for alg in corpus[:20]:
         for i in range(alg.dim):
             for j in range(alg.dim):
-                prod = alg.basis_element(i) * alg.basis_element(j)
+                prod = basis_element(alg, i) * basis_element(alg, j)
                 if prod.is_zero:
                     continue
                 assert prod.degree() == alg.degree_of(i) + alg.degree_of(j)

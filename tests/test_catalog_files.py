@@ -6,14 +6,10 @@ import pytest
 
 from dense_reference import element_from_labels
 from zclkit import builtin_algebra, builtin_names, builtin_presentation, validate_algebra
-from zclkit.algfile import (
-    load_presentation,
-    presentation_from_dict,
-    presentation_to_dict,
-    save_algebra,
-)
+from zclkit.algfile import load_presentation, save_algebra
 from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import Field
+from zclkit.reader import presentation_from_dict
 
 
 def test_catalog_minimum_contents():
@@ -71,7 +67,7 @@ def test_unknown_builtin_lists_catalog():
 
 def test_presentation_dict_round_trip():
     pres = builtin_presentation("surface:2")
-    doc = presentation_to_dict(pres)
+    doc = pres.to_dict()
     back = presentation_from_dict(json.loads(json.dumps(doc)))
     assert back.name == pres.name
     assert back.basis == pres.basis

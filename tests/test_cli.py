@@ -13,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from dense_reference import labels
 from zclkit import builtin_algebra, cup_length, validate_algebra
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
@@ -187,7 +188,7 @@ def test_tensor_r1_round_trip(tmp_path):
     reloaded = validate_algebra(load_presentation(out_path))
     original = builtin_algebra("stanley-p3")
     assert reloaded.dim == original.dim
-    assert reloaded.labels == original.labels
+    assert labels(reloaded) == labels(original)
     for i in range(original.dim):
         for j in range(original.dim):
             assert reloaded.basis_product(i, j) == original.basis_product(i, j)
@@ -558,6 +559,14 @@ def test_seq_takes_only_ascii_digits(seq):
     code, out, err = cli("analyze", "--seq", seq)
     assert (code, out) == (EXIT_INVALID, "")
     assert err == f"zclkit: error: --seq must be comma-separated integers, got {seq!r}\n"
+
+
+@pytest.mark.parametrize("param", ["+1", "1_0", " 2", "٢"])
+def test_a_builtin_parameter_takes_only_ascii_digits(param):
+    name = f"surface:{param}"
+    code, out, err = cli("check", f"builtin:{name}")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"zclkit: error: builtin parameter in {name!r} must be an integer\n"
 
 
 @pytest.mark.parametrize("raw", ["4_096", " 4096", "+4096"])

@@ -6,6 +6,7 @@ Pickling is checked by ``test_fields_and_algebras_survive_pickling`` and
 
 import pytest
 
+from dense_reference import basis_element
 from zclkit import (
     ClResult,
     Field,
@@ -41,7 +42,7 @@ def test_records_are_immutable():
 def test_cl_result_validates_its_chain():
     alg = builtin_algebra("stanley-p3")
     with pytest.raises(ValidationError):
-        ClResult(2, (alg.basis_element(1),))
+        ClResult(2, (basis_element(alg, 1),))
 
 
 def test_equal_witnesses_compare_equal():

@@ -6,6 +6,7 @@ reads which modules it added to ``sys.modules``; this, not a timing gate,
 keeps the lazy imports from regressing.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden" / "builtin_reports.json"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zclkit"
 
 CHILD = """\
 import io, json, sys
@@ -32,6 +34,20 @@ print(json.dumps([code, sorted(set(sys.modules) - before), out.getvalue()]))
 NO_BUILTIN_SHA256 = 'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
 
 HEAVY = {"zclkit.invariants", "zclkit.pipeline", "zclkit.series"}
+# what only a file is read with, and the witness code: elements, mu, verification
+READER = {"zclkit.algfile", "zclkit.reader"}
+WITNESS = {"zclkit.invariants", "zclkit.commands.witness_payload"}
+# the handler modules each command runs, besides the package itself
+HANDLERS = {
+    "builtins": {"builtins"},
+    "analyze": {"analyze", "analysis_payload"},
+    "check": {"check"},
+    "cl": {"cl"},
+    "zcl": {"zcl", "witness_payload"},
+    "series": {"series", "analysis_payload"},
+    "witness": {"witness", "witness_payload"},
+    "tensor": {"tensor"},
+}
 # OpenSSL for one digest, Fraction (with decimal) though every scalar is an int,
 # argparse, with the gettext and locale it loads, for the command line, and
 # pathlib and typing, which os.path, open and TYPE_CHECKING make unneeded
@@ -119,11 +135,68 @@ def test_tensor_and_check_load_no_invariant_module(loaded, tmp_path):
         ("tensor", path, "--r", "2", "--out", str(tmp_path / "fourth.json")),
     ):
         modules = loaded(*argv, "--json")
-        assert not modules & HEAVY, argv
+        assert not modules & (HEAVY | WITNESS), argv
         assert "dataclasses" not in modules, argv
         assert not modules & UNUSED, argv
         if argv[1] == path:
             assert "zclkit.catalog" not in modules, argv
+            assert "zclkit.reader" in modules, argv
+        else:
+            assert "zclkit.reader" not in modules, argv
+        assert ("zclkit.tensor" in modules) == (argv[0] == "tensor"), argv
+
+
+@pytest.mark.parametrize("argv", [a for a in COMMANDS if a[0] in ("zcl", "series", "witness")],
+                         ids=" ".join)
+def test_a_builtin_loads_no_file_reader(loaded, argv):
+    assert not loaded(*argv, "--json") & READER
+
+
+@pytest.mark.parametrize("argv", [("builtins",), ("analyze", "--seq", "2,3,4,5", "--offset", "1")],
+                         ids=" ".join)
+def test_builtins_and_analyze_load_no_algebra(loaded, argv):
+    modules = loaded(*argv, "--json")
+    assert not modules & {"zclkit.algebra", "zclkit.fields"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_a_command_loads_only_its_own_handler(loaded, argv):
+    handlers = {m.rpartition(".")[2] for m in loaded(*argv, "--json")
+                if m.startswith("zclkit.commands.")}
+    assert handlers == HANDLERS[argv[0]]
+
+
+def _imports_cli(tree: ast.Module, package: str) -> bool:
+    """Whether a module of ``package`` (its dotted name) imports ``zclkit.cli``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "zclkit.cli" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            parts = parts[:len(parts) - node.level + 1] if node.level else []
+            base = ".".join(parts + ([node.module] if node.module else []))
+            names = {f"{base}.{alias.name}" for alias in node.names}
+            if base == "zclkit.cli" or "zclkit.cli" in names:
+                return True
+    return False
+
+
+def test_no_module_imports_the_command_line():
+    """Under ``python -m zclkit.cli`` it runs as ``__main__``: an import would compile it twice."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        package = ".".join(parts if path.name == "__init__.py" else parts[:-1])
+        if _imports_cli(ast.parse(path.read_text(encoding="utf-8")), package):
+            found.append(path.name)
+    assert found == []
+    # the check itself sees each form of the import
+    for text, package in (("from .cli import run", "zclkit"),
+                          ("from .. import cli", "zclkit.commands"),
+                          ("import zclkit.cli", "zclkit"),
+                          ("from zclkit import cli", "zclkit")):
+        assert _imports_cli(ast.parse(text), package), text
 
 
 def test_a_non_integral_coefficient_loads_fractions(loaded, tmp_path):
