@@ -6,17 +6,16 @@ the remaining entries are filled in by the unit laws and the sign rule
 ``e_j e_i = (-1)^{deg_i deg_j} e_i e_j``.  Missing entries default to zero.
 :func:`validate_algebra` checks a presentation and completes its table.
 Every sparse vector, a table entry too, is an ``{index: coeff}`` dict in
-index order; only :meth:`Algebra.to_presentation` turns table entries back
-into the ``(coeff, index)`` pairs of an :class:`AlgebraPresentation`, the
-input format, and :meth:`AlgebraPresentation.to_dict` gives its file form.
+index order.  An :class:`AlgebraPresentation`, the input format, holds
+``(coeff, index)`` pairs, and :meth:`AlgebraPresentation.to_dict` gives its
+file form; ``algfile.save_algebra`` writes that form straight from an
+algebra's core table.
 
 The rest loads only with the command that runs it: tensor powers and
 products with the Koszul sign in ``tensor``, which
 :meth:`Algebra.tensor_power` imports; elements, the collapse map and the
 zero-divisor slot rule in ``invariants``; reading a file in ``reader``.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -93,7 +92,7 @@ class Algebra:
     dim: int
     unit_index: int
 
-    def __init__(self, name: str, field: Field):
+    def __init__(self, name: str, field: "Field"):
         self.name = name
         self.field = field
         self._pair_cache: dict = {}
@@ -180,17 +179,6 @@ class Algebra:
                 if self.degree_of(i) > 0 and reduce_into(field, echelon, {i: field.one})
             )
         return cached
-
-    def to_presentation(self) -> AlgebraPresentation:
-        """Positive-degree (i <= j) table entries as (coeff, index) pairs, for serialization.
-
-        Entries bypass the pair cache, which would otherwise keep the whole table.
-        """
-        basis = tuple((self.label_of(i), self.degree_of(i)) for i in range(self.dim))
-        products = {
-            key: tuple((c, k) for k, c in row.items()) for key, row in self._core_table().items()
-        }
-        return AlgebraPresentation(self.name, self.field, basis, products)
 
     def __repr__(self):
         return f"<Algebra {self.name!r} dim={self.dim} over {self.field}>"

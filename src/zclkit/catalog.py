@@ -8,8 +8,6 @@ entry is plain data until :func:`builtin_presentation` builds it, so listing
 the names loads neither ``algebra`` nor ``fields``.
 """
 
-from __future__ import annotations
-
 from .errors import ResourceLimitError, ValidationError, parse_int
 
 TYPE_CHECKING = False
@@ -76,7 +74,7 @@ def _entry(name: str, max_dim: int | None) -> tuple:
     )
 
 
-def builtin_presentation(name: str, max_dim: int | None = None) -> AlgebraPresentation:
+def builtin_presentation(name: str, max_dim: int | None = None) -> "AlgebraPresentation":
     """Presentation for a catalog name; raises with the available names.
 
     A family's parameter is ``[-]digits`` in ASCII, the integer rule of every

@@ -22,15 +22,15 @@ and ``analyze`` never load ``algebra``, ``check`` never loads ``tensor`` or
 does a command load OpenSSL (``hashlib``) for its one digest,
 ``fractions`` and ``decimal`` unless a scalar is not an integer
 (``fields`` imports ``Fraction`` on demand), ``pathlib`` or ``typing``, or
-``argparse`` with its ``gettext`` and ``locale``.  Handlers call through
+``argparse`` with its ``gettext`` and ``locale``.  ``json`` loads only
+where a command reads an algebra file, to parse it: ``jsontext`` writes
+every report, the builtin digest and every tensor file, so no command on
+a builtin, nor ``builtins`` or ``analyze``, loads it.  Handlers call through
 the module attribute (``invariants.zcl_exact``), which a caller may wrap.
 No module imports this one: under ``python -m zclkit.cli`` it runs as
 ``__main__``, and importing it again would compile it twice.
 """
 
-from __future__ import annotations
-
-import json
 import os
 import sys
 from importlib import import_module
@@ -47,6 +47,7 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, ZclkitError, parse_int
+from .jsontext import dumps
 
 ENV_MAX_DIM = "ZCLKIT_MAX_DIM"
 
@@ -269,7 +270,7 @@ def _resolve_algebra(spec: str, max_dim: int):
 
         name = spec[len("builtin:"):]
         pres = builtin_presentation(name, max_dim)
-        canonical = json.dumps(pres.to_dict(), sort_keys=True).encode()
+        canonical = dumps(pres.to_dict(), sort_keys=True).encode()
         source = {"source": spec, "sha256": sha256(canonical).hexdigest()}
     else:
         if not os.path.isfile(spec):
@@ -311,7 +312,7 @@ def _warnings_for(alg) -> list:
 
 def _emit(report: dict, as_json: bool, out) -> None:
     if as_json:
-        out.write(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
+        out.write(dumps(report, indent=2, ensure_ascii=False) + "\n")
     else:
         from .text import render_text
 

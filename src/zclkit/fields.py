@@ -18,8 +18,6 @@ read by :func:`~zclkit.reader.parse_scalar`, which only a file needs, and
 written by :meth:`Field.format`.
 """
 
-from __future__ import annotations
-
 import operator
 
 from .errors import FieldMismatchError, ValidationError
@@ -33,14 +31,14 @@ if TYPE_CHECKING:
     Scalar = Union[int, Fraction]
 
 
-def _rational(x: Scalar) -> Scalar:
+def _rational(x: "Scalar") -> "Scalar":
     """The canonical form of a rational: an int when it is integral."""
     return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
 
 def _canonical(op):
     """op on rationals, returning the canonical form; _rational inlined, as it is hot."""
-    def rational_op(x: Scalar, y: Scalar) -> Scalar:
+    def rational_op(x: "Scalar", y: "Scalar") -> "Scalar":
         z = op(x, y)
         return z if z.__class__ is int or z.denominator != 1 else z.numerator
     return rational_op
@@ -136,7 +134,7 @@ class Field(Record):
 
     # -- element admission -------------------------------------------------
 
-    def coerce(self, x: Scalar) -> Scalar:
+    def coerce(self, x: "Scalar") -> "Scalar":
         """Normalize an int or Fraction into this field."""
         if isinstance(x, bool):
             raise FieldMismatchError("booleans are not scalars")
@@ -153,7 +151,7 @@ class Field(Record):
 
     # -- arithmetic (operands assumed canonical) ---------------------------
 
-    def inv(self, x: Scalar) -> Scalar:
+    def inv(self, x: "Scalar") -> "Scalar":
         if not x:
             raise ZeroDivisionError(f"inverse of zero in {self}")
         if self.p is not None:
@@ -166,7 +164,7 @@ class Field(Record):
 
     # -- text form ----------------------------------------------------------
 
-    def format(self, x: Scalar) -> str:
+    def format(self, x: "Scalar") -> str:
         return str(x)
 
 

@@ -45,13 +45,15 @@ the collapse map live here because only this module runs them; an
 
 The route is decided here and nowhere else: :func:`zcl_auto` computes zcl_r
 exactly while d^r fits the dimension ceiling, and otherwise by
-:func:`zcl_bounds`, which seeds at the largest r0 with d^r0 within both the
-ceiling and DEFAULT_SEED_DIM; the ceiling also bounds the number of terms
-of each extended witness product.  The brute-force oracles that check these
-results live beside the tests, in ``tests/dense_reference.py``.
+:func:`zcl_bounds`.  It computes zcl_2 first.  If zcl_2 = 2 * cl, the two
+inequalities already close the sandwich at every r: by induction
+zcl_r >= zcl_2 + (r - 2) cl = r * cl, the upper bound, so zcl_r = r * cl
+and a witness extended from r = 2 meets it.  Otherwise it seeds at the
+largest r0 with d^r0 within both the ceiling and DEFAULT_SEED_DIM.  The
+ceiling also bounds the number of terms of each extended witness product.
+The brute-force oracles that check these results live beside the tests, in
+``tests/dense_reference.py``.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
@@ -92,7 +94,7 @@ class Witness(Record):
 
     _fields = ("r", "factors", "product", "chain")
 
-    def __init__(self, r: int, factors: tuple, product: Element, chain: Optional[tuple] = None):
+    def __init__(self, r: int, factors: tuple, product: "Element", chain: "Optional[tuple]" = None):
         self._set(r, factors, product, chain)
 
     def __len__(self) -> int:
@@ -132,7 +134,7 @@ class Element:
     def items(self) -> list:
         return sorted(self.terms.items())
 
-    def degree(self) -> Optional[int]:
+    def degree(self) -> "Optional[int]":
         """Common degree of the support; None for zero or mixed elements."""
         degs = {self.algebra.degree_of(i) for i in self.terms}
         return degs.pop() if len(degs) == 1 else None
@@ -162,7 +164,7 @@ class Element:
         return f"<Element {self} of {self.algebra.name}>"
 
 
-def mu(a: Algebra, r: int, u: Element) -> Element:
+def mu(a: "Algebra", r: int, u: Element) -> Element:
     """Linear extension of tuple -> product of slots; an algebra homomorphism."""
     if r < 1:
         raise ValidationError("mu requires r >= 1")
@@ -186,12 +188,12 @@ def mu(a: Algebra, r: int, u: Element) -> Element:
     return Element(a, acc)
 
 
-def zero_divisor(power: TensorPowerAlgebra, y: Mapping, s: int) -> dict:
+def zero_divisor(power: "TensorPowerAlgebra", y: "Mapping", s: int) -> dict:
     """y^(s) - y^(1) as {index: coeff}, for y = {base index: coeff} and s >= 2."""
     return zero_divisor_product(power, {power.unit_index: power.field.one}, y, s)
 
 
-def zero_divisor_product(power: TensorPowerAlgebra, u: Mapping, y: Mapping, s: int) -> dict:
+def zero_divisor_product(power: "TensorPowerAlgebra", u: "Mapping", y: "Mapping", s: int) -> dict:
     """u (y^(s) - y^(1)) as {index: coeff}, for u = {index: coeff} and y, s as above.
 
     The slot rule: by the Koszul sign, e_t y_j^(q) is e_t with slot q
@@ -206,7 +208,7 @@ def zero_divisor_product(power: TensorPowerAlgebra, u: Mapping, y: Mapping, s: i
     return acc
 
 
-def _times_slot(power: TensorPowerAlgebra, acc: dict, u: Mapping, y_items, q: int) -> None:
+def _times_slot(power: "TensorPowerAlgebra", acc: dict, u: "Mapping", y_items, q: int) -> None:
     """Add u y^(q) into acc by the slot rule."""
     n = power.r - q
     base = power.base
@@ -234,7 +236,7 @@ def _times_slot(power: TensorPowerAlgebra, acc: dict, u: Mapping, y_items, q: in
             acc[key] = v
 
 
-def _slot_moves(base: Algebra, y_items, place: int) -> list:
+def _slot_moves(base: "Algebra", y_items, place: int) -> list:
     """By base index t, the (coeff, index shift) of each term of e_t y, unsigned and signed."""
     odd, bp = [deg & 1 for deg in base.degrees], base.basis_product
     mul, neg = base.field.mul, base.field.neg
@@ -254,7 +256,7 @@ def _slot_moves(base: Algebra, y_items, place: int) -> list:
 # -- the walk over words ------------------------------------------------------------
 
 
-def _walk(a: Algebra, n: int, times, ceiling: int) -> tuple:
+def _walk(a: "Algebra", n: int, times, ceiling: int) -> tuple:
     """(word, product): the lexicographically first nonzero word of maximal length.
 
     A word is a tuple of letter indices 0..n-1, and ``times(p, i)`` is the
@@ -311,7 +313,7 @@ def _walk(a: Algebra, n: int, times, ceiling: int) -> tuple:
 # -- cup-length -------------------------------------------------------------------
 
 
-def cup_length(a: Algebra) -> ClResult:
+def cup_length(a: "Algebra") -> ClResult:
     """Largest number of positive-degree elements with nonzero product.
 
     The walk's letters are :meth:`~zclkit.algebra.Algebra.indecomposables`,
@@ -343,13 +345,13 @@ def cup_length(a: Algebra) -> ClResult:
 # -- zero-divisor cup-length --------------------------------------------------------
 
 
-def _zero_divisor_letters(power: TensorPowerAlgebra) -> list:
+def _zero_divisor_letters(power: "TensorPowerAlgebra") -> list:
     """(y, s), y = {x: 1}, for the (r-1) dim Q(A) generators x^(s) - x^(1), by (x, s)."""
     a = power.base
     return [({x: a.field.one}, s) for x in a.indecomposables() for s in range(2, power.r + 1)]
 
 
-def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
+def zcl_exact(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
     """Nilpotency length of the zero-divisor ideal in the r-th tensor power.
 
     The witness is the first longest nonzero word over the letters
@@ -373,13 +375,18 @@ def zcl_exact(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> Z
     return ZclResult(r, len(word), "exact", len(word), upper, witness)
 
 
-def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
+def zcl_bounds(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
     """Certified sandwich for zcl_r without iterating ideal powers at full size.
 
-    Seeds an exact witness at the largest r0 <= r whose tensor power fits
-    min(DEFAULT_SEED_DIM, ``max_dim``), then extends it one factor-count of
-    cl(A) per step up to r.  ``max_dim`` also caps the number of terms of
-    each extended product; ``max_dim=None`` leaves the seed at
+    Seeds an exact witness, then extends it one factor-count of cl(A) per
+    step up to r.  The seed is at r0 = 2 when zcl_2 = 2 * cl: since
+    zcl_{s+1} >= zcl_s + cl, the extended witness has r * cl factors, the
+    r * cl upper bound, so a larger seed could give no more.  Otherwise it
+    is at the largest r0 <= r whose tensor power fits
+    min(DEFAULT_SEED_DIM, ``max_dim``), as the r = 2 seed gives no more than
+    zcl_2 + (r - 2) cl.  Both seeds give the same lower bound whenever
+    zcl_2 = 2 * cl.  ``max_dim`` also caps the number of terms of each
+    extended product; ``max_dim=None`` leaves the seed dimension at
     DEFAULT_SEED_DIM and the product unbounded.  The value is reported only
     when the certified lower bound meets the r*cl upper bound.
     """
@@ -393,10 +400,13 @@ def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> 
     d = a.dim
     if d * d > seed_dim:
         return ZclResult(r, None, "bounds", 0, upper, None)
+    seed = zcl_exact(a, 2, max_dim=seed_dim)
     r0, size = 2, d * d
-    while r0 < r and size * d <= seed_dim:
-        r0, size = r0 + 1, size * d
-    seed = zcl_exact(a, r0, max_dim=seed_dim)
+    if seed.value != 2 * clres.value:
+        while r0 < r and size * d <= seed_dim:
+            r0, size = r0 + 1, size * d
+        if r0 > 2:
+            seed = zcl_exact(a, r0, max_dim=seed_dim)
     witness = seed.witness
     for _ in range(r - r0):
         witness = witness_extend(a, witness, clres.chain)
@@ -410,14 +420,14 @@ def zcl_bounds(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> 
     return ZclResult(r, value, "bounds", lower, upper, witness)
 
 
-def zcl_auto(a: Algebra, r: int, max_dim: Optional[int] = DEFAULT_MAX_DIM) -> ZclResult:
+def zcl_auto(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
     """zcl_r exactly while the r-th tensor power fits ``max_dim``, else by bounds."""
     if max_dim is None or a.dim ** r <= max_dim:
         return zcl_exact(a, r, max_dim=max_dim)
     return zcl_bounds(a, r, max_dim=max_dim)
 
 
-def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
+def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:
     """Lift a length-l witness at r to a length l + len(chain) witness at r + 1.
 
     Each factor x becomes x tensor 1; each chain element y contributes
@@ -462,7 +472,7 @@ def witness_extend(a: Algebra, w: Witness, chain: Sequence) -> Witness:
     return Witness(w.r + 1, tuple(factors), Element(big, product), chain=chain)
 
 
-def verify_witness(a: Algebra, w: Witness) -> WitnessReport:
+def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
     """Re-check a witness from scratch; reports every failing piece.
 
     Every factor must collapse to zero, the ordered product must match the

@@ -10,8 +10,6 @@ new to a span is decided here alone: a row and any nonzero multiple of it
 reduce alike, so no caller needs to normalise or deduplicate first.
 """
 
-from __future__ import annotations
-
 from .fields import Field
 
 SparseRow = dict  # column index -> nonzero coefficient

@@ -1,7 +1,5 @@
 """End-to-end run: zero-divisor cup-lengths -> sequence -> rationality data."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .algebra import DEFAULT_MAX_DIM, Algebra
@@ -37,7 +35,7 @@ class SeriesOutcome(namedtuple("SeriesOutcome", "rmax cl_value entries sequence 
         )
 
     @property
-    def p_at_one(self) -> Optional[int]:
+    def p_at_one(self) -> "Optional[int]":
         if self.analysis is not None and self.analysis.a is not None:
             return self.analysis.a
         return None
@@ -47,7 +45,7 @@ def series_pipeline(
     a: Algebra,
     rmax: int,
     min_run: int = DEFAULT_MIN_RUN,
-    max_dim: Optional[int] = DEFAULT_MAX_DIM,
+    max_dim: "Optional[int]" = DEFAULT_MAX_DIM,
 ) -> SeriesOutcome:
     """Compute zcl_r for r = 2..rmax+1 and analyze t_r = zcl_{r+1}.
 

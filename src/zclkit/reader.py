@@ -7,8 +7,6 @@ strings, read by :func:`parse_scalar` so that exact rationals and large
 integers never touch a floating-point parser.
 """
 
-from __future__ import annotations
-
 from .algebra import AlgebraPresentation
 from .errors import ValidationError
 from .fields import Field
@@ -18,7 +16,7 @@ if TYPE_CHECKING:
     from .fields import Scalar
 
 
-def parse_scalar(field: Field, text: str) -> Scalar:
+def parse_scalar(field: Field, text: str) -> "Scalar":
     """Parse ``[-]digits`` or ``[-]digits/digits`` into a canonical scalar of ``field``.
 
     Only ASCII digits, as ``schemas/algebra.schema.json`` requires (no

@@ -13,8 +13,6 @@ sandwich check on a window, are test references in
 ``tests/dense_reference.py``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import ValidationError
@@ -115,7 +113,7 @@ def polynomial_from_series(t: IntSequence, a: int, d: int, stab: int) -> list:
     return coeffs
 
 
-def polynomial_to_text(p_coeffs: Sequence[int], var: str = "x") -> str:
+def polynomial_to_text(p_coeffs: "Sequence[int]", var: str = "x") -> str:
     """Human form of a coefficient list, constant term first."""
     if not any(p_coeffs):
         return "0"
@@ -135,5 +133,5 @@ def polynomial_to_text(p_coeffs: Sequence[int], var: str = "x") -> str:
     return " ".join(parts)
 
 
-def polynomial_at_one(p_coeffs: Sequence[int]) -> int:
+def polynomial_at_one(p_coeffs: "Sequence[int]") -> int:
     return sum(p_coeffs)

@@ -18,8 +18,6 @@ invariants use, are in ``invariants``; a swap-counting sign reference is a
 test reference in ``tests/dense_reference.py``.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, TableAlgebra
@@ -32,7 +30,7 @@ if TYPE_CHECKING:
 _CHUNK_DIM = 256
 
 
-def _koszul_product(slots: Sequence["Algebra"], tu: Sequence[int], tv: Sequence[int]) -> dict:
+def _koszul_product(slots: "Sequence[Algebra]", tu: "Sequence[int]", tv: "Sequence[int]") -> dict:
     """e_u e_v in slots[0] x ... x slots[-1] for slot basis tuples u and v, as {index: coeff}.
 
     The sign is (-1)^{sum_{s<t} |v_s||u_t|}; indices are mixed radix, slot 0
@@ -63,7 +61,7 @@ def _koszul_product(slots: Sequence["Algebra"], tu: Sequence[int], tv: Sequence[
     return out
 
 
-def _tensor_table(slots: Sequence["Algebra"]) -> dict:
+def _tensor_table(slots: "Sequence[Algebra]") -> dict:
     """{(i, j): e_i e_j} over positive-degree i <= j of slots[0] x ... x slots[-1], nonzero only.
 
     A pair is nonzero exactly when it is nonzero in every slot, so only the
@@ -126,7 +124,7 @@ class TensorPowerAlgebra(Algebra):
             out.append(slot)
         return tuple(reversed(out))
 
-    def index_of_tuple(self, t: Sequence[int]) -> int:
+    def index_of_tuple(self, t: "Sequence[int]") -> int:
         d = self.base.dim
         idx = 0
         for slot in t:

@@ -20,13 +20,15 @@ indecomposable b, and :func:`full_walk` is the walk over every word, with
 no ceiling.  :func:`indecomposable_labels` scans for the letters with
 dense ranks, against :func:`decomposables_rank`.
 :func:`normalize_sparse` keys a row by the line it spans.
+:func:`zcl_bounds_largest_seed` is ``zcl_bounds`` without its r = 2 seed.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
 :func:`div` divides two scalars, which zclkit's own code never does;
-:func:`check` admits only a canonical scalar of a field, and :func:`labels`
-lists an algebra's basis labels, which only tests ask for; and
-:func:`element`, :func:`one_element`, :func:`basis_element`,
+:func:`check` admits only a canonical scalar of a field, :func:`labels`
+lists an algebra's basis labels, and :func:`to_presentation` gives the
+presentation whose file form ``save_algebra`` writes, which only tests ask
+for; and :func:`element`, :func:`one_element`, :func:`basis_element`,
 :func:`element_from_labels`, :func:`add`, :func:`sub`, :func:`neg` and
 :func:`scale` build and combine elements as only the tests do; zclkit
 itself only multiplies them.
@@ -36,14 +38,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from zclkit.algebra import AlgebraPresentation
 from zclkit.errors import DEFAULT_MAX_DIM, FieldMismatchError, ResourceLimitError, ValidationError
 from zclkit.fields import Field
 from zclkit.invariants import (
+    DEFAULT_SEED_DIM,
     Element,
+    ZclResult,
     _walk,
     _zero_divisor_letters,
     cup_length,
     mu,
+    witness_extend,
+    zcl_exact,
     zero_divisor,
     zero_divisor_product,
 )
@@ -74,6 +81,19 @@ def check(field: Field, x):
 def labels(alg):
     """The basis labels of ``alg``, in index order."""
     return tuple(alg.label_of(i) for i in range(alg.dim))
+
+
+def to_presentation(alg):
+    """The presentation of ``alg``: its positive (i <= j) table entries as (coeff, index) pairs.
+
+    Its ``to_dict`` is the file form that ``algfile.save_algebra`` streams.
+    Entries bypass the pair cache, which would otherwise keep the whole table.
+    """
+    basis = tuple((alg.label_of(i), alg.degree_of(i)) for i in range(alg.dim))
+    products = {
+        key: tuple((c, k) for k, c in row.items()) for key, row in alg._core_table().items()
+    }
+    return AlgebraPresentation(alg.name, alg.field, basis, products)
 
 
 def basis_element(alg, i):
@@ -675,3 +695,26 @@ def sandwich_check(t, a, c):
         if i > 0 and t.values[i - 1] + a > v:
             return False
     return True
+
+
+def zcl_bounds_largest_seed(a, r, max_dim=DEFAULT_MAX_DIM):
+    """``zcl_bounds`` with its seed always at the largest r0 whose power fits the seed dimension.
+
+    ``zcl_bounds`` seeds at r0 = 2 instead when zcl_2 = 2 * cl; both rules
+    must give the same value, lower and upper bound.
+    """
+    cl = cup_length(a)
+    upper = r * cl.value
+    if cl.value == 0:
+        return ZclResult(r, 0, "bounds", 0, 0, None)
+    seed_dim = DEFAULT_SEED_DIM if max_dim is None else min(DEFAULT_SEED_DIM, max_dim)
+    if a.dim ** 2 > seed_dim:
+        return ZclResult(r, None, "bounds", 0, upper, None)
+    r0 = 2
+    while r0 < r and a.dim ** (r0 + 1) <= seed_dim:
+        r0 += 1
+    witness = zcl_exact(a, r0, max_dim=seed_dim).witness
+    for _ in range(r - r0):
+        witness = witness_extend(a, witness, cl.chain)
+    lower = len(witness.factors)
+    return ZclResult(r, lower if lower == upper else None, "bounds", lower, upper, witness)

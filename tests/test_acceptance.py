@@ -22,6 +22,7 @@ from dense_reference import (
     kernel_mu,
     reconstruct_series,
     subspace_product,
+    to_presentation,
     zcl_oracle,
 )
 from zclkit import (
@@ -209,7 +210,7 @@ def test_criterion_8_sphere_sanity():
 def test_criterion_9_validation_compares_indecomposable_middles_only():
     # the presentation `tensor builtin:surface:1 --r 5` writes; 5.8 s when every
     # positive middle was compared, not only the 10 indecomposable ones
-    pres = builtin_algebra("surface:1").tensor_power(5).to_presentation()
+    pres = to_presentation(builtin_algebra("surface:1").tensor_power(5))
     start = time.monotonic()
     alg = validate_algebra(pres)
     elapsed = time.monotonic() - start

@@ -29,6 +29,7 @@ from dense_reference import (
     one_element,
     scale,
     subspace_product,
+    zcl_bounds_largest_seed,
     zcl_oracle,
     zcl_over_all_generators,
     zero_divisor_generators,
@@ -605,6 +606,22 @@ def test_walk_matches_the_walk_over_every_word(corpus):
     assert checked == 478
 
 
+def _count_walk_products(monkeypatch) -> list:
+    """Make every walk count the products it forms into the returned one-item list."""
+    count = [0]
+    walk = invariants._walk
+
+    def counting(a, n, times, ceiling):
+        def counted(p, i):
+            count[0] += 1
+            return times(p, i)
+
+        return walk(a, n, counted, ceiling)
+
+    monkeypatch.setattr(invariants, "_walk", counting)
+    return count
+
+
 @pytest.mark.parametrize(
     "name, r, products",
     [("surface:1", 4, 126), ("stanley-p3", 4, 200), ("surface:1", 6, 2046)],
@@ -614,20 +631,9 @@ def test_walk_forms_only_the_products_it_needs(monkeypatch, name, r, products):
     # 384, 1,872 and 10,240 products here.  Products are counted, not timed.
     alg = builtin_algebra(name)
     cup_length(alg)  # cached, so only the zcl walk is counted below
-    count = 0
-    walk = invariants._walk
-
-    def counting(a, n, times, ceiling):
-        def counted(p, i):
-            nonlocal count
-            count += 1
-            return times(p, i)
-
-        return walk(a, n, counted, ceiling)
-
-    monkeypatch.setattr(invariants, "_walk", counting)
+    count = _count_walk_products(monkeypatch)
     zcl_exact(alg, r)
-    assert count == products
+    assert count == [products]
 
 
 def test_cup_length_chain_is_the_first_longest_word_over_every_letter(corpus):
@@ -686,3 +692,38 @@ def test_fields_and_algebras_survive_pickling():
     warmed = pickle.loads(pickle.dumps(alg))  # caches filled by the run above
     assert summary(fresh) == expected == summary(warmed)
     assert verify_witness(warmed, zcl_exact(warmed, 2).witness).ok
+
+
+def test_zcl_bounds_seed_rule_keeps_every_bound(corpus):
+    # the r = 2 seed when zcl_2 = 2 cl, else the largest one: the same sandwich as
+    # always seeding at the largest r0, with a witness that verifies
+    seeded_at_two = checked = 0
+    for alg in corpus:
+        cl = cup_length(alg).value
+        if cl == 0:
+            continue
+        two = alg.dim ** 2 <= invariants.DEFAULT_SEED_DIM and zcl_exact(alg, 2).value == 2 * cl
+        seeded_at_two += two
+        for r in range(2, 11):
+            res = zcl_bounds(alg, r)
+            ref = zcl_bounds_largest_seed(alg, r)
+            assert (res.value, res.lower, res.upper) == (ref.value, ref.lower, ref.upper), (
+                alg.name, r)
+            if two:
+                assert res.value == r * cl, (alg.name, r)
+            if res.witness is not None:
+                assert verify_witness(alg, res.witness).ok, (alg.name, r)
+            checked += 1
+    assert (seeded_at_two, checked) == (53, 116 * 9)
+
+
+def test_zcl_bounds_seeds_stanley_at_r2(monkeypatch, stanley):
+    # zcl_2 = 2 = 2 cl on stanley-p3, so the walk runs at r = 2 (dim 16), not at r = 4
+    cup_length(stanley)
+    count = _count_walk_products(monkeypatch)
+    res = zcl_bounds(stanley, 9)
+    assert count == [4]
+    ref = zcl_bounds_largest_seed(stanley, 9)
+    assert count == [4 + 200]
+    assert (res.value, res.lower, res.upper) == (ref.value, ref.lower, ref.upper) == (9, 9, 9)
+    assert res.witness.factors == ref.witness.factors

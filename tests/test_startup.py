@@ -17,8 +17,9 @@ import pytest
 GOLDEN = Path(__file__).parent / "golden" / "builtin_reports.json"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zclkit"
 
+# json is imported only after the modules are listed, so a command's own import shows
 CHILD = """\
-import io, json, sys
+import io, sys
 before = set(sys.modules)
 out = io.StringIO()
 if sys.argv[1:]:
@@ -27,7 +28,9 @@ if sys.argv[1:]:
 else:
     import zclkit
     code = 0
-print(json.dumps([code, sorted(set(sys.modules) - before), out.getvalue()]))
+added = sorted(set(sys.modules) - before)
+import json
+print(json.dumps([code, added, out.getvalue()]))
 """
 
 # a CPython built without its builtin hash modules: the digest comes from hashlib
@@ -55,6 +58,10 @@ UNUSED = {
     "_hashlib", "hashlib", "fractions", "decimal", "argparse", "gettext", "locale",
     "pathlib", "typing",
 }
+
+# the parser and its regexes, which only reading an algebra file needs, and the
+# __future__ module, which `from __future__ import annotations` imports at run time
+PARSER = {"json", "json.decoder", "json.scanner", "json.encoder", "_json", "__future__"}
 
 COMMANDS = [
     ("builtins",),
@@ -125,6 +132,20 @@ def test_no_command_loads_openssl_or_fractions(loaded, argv):
 def test_only_a_text_report_loads_the_renderer(loaded, argv):
     assert "zclkit.text" not in loaded(*argv, "--json")
     assert "zclkit.text" in loaded(*argv)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_no_command_on_a_builtin_loads_json(loaded, argv):
+    assert not loaded(*argv, "--json") & PARSER
+    assert not loaded(*argv) & PARSER
+
+
+def test_only_reading_a_file_loads_json(loaded, tmp_path):
+    path = str(tmp_path / "square.json")
+    assert not loaded("tensor", "builtin:stanley-p3", "--r", "2", "--out", path, "--json") & PARSER
+    modules = loaded("check", path, "--json")
+    assert {"json", "json.decoder", "json.scanner"} <= modules
+    assert "__future__" not in modules
 
 
 def test_tensor_and_check_load_no_invariant_module(loaded, tmp_path):
