@@ -5,7 +5,7 @@ from .witness_payload import witness_payload
 
 
 def run(alg, args):
-    res = invariants.zcl_auto(alg, args.r, max_dim=args.max_dim)
+    res = next(invariants.zcl_route(alg, args.r, args.max_dim))
     payload = {
         "kind": "witness",
         "name": alg.name,

@@ -166,9 +166,3 @@ class Field(Record):
 
     def format(self, x: "Scalar") -> str:
         return str(x)
-
-
-QQ = Field.rationals()
-GF2 = Field.prime(2)
-GF3 = Field.prime(3)
-GF5 = Field.prime(5)

@@ -43,14 +43,14 @@ kernel against the Koszul product.  :class:`Element`, the slot rule and
 the collapse map live here because only this module runs them; an
 :class:`Element` here only multiplies.
 
-The route is decided here and nowhere else: :func:`zcl_auto` computes zcl_r
-exactly while d^r fits the dimension ceiling, and otherwise by
-:func:`zcl_bounds`.  It computes zcl_2 first.  If zcl_2 = 2 * cl, the two
-inequalities already close the sandwich at every r: by induction
-zcl_r >= zcl_2 + (r - 2) cl = r * cl, the upper bound, so zcl_r = r * cl
-and a witness extended from r = 2 meets it.  Otherwise it seeds at the
-largest r0 with d^r0 within both the ceiling and DEFAULT_SEED_DIM.  The
-ceiling also bounds the number of terms of each extended witness product.
+The route is decided here and nowhere else: :func:`zcl_route` yields zcl_r
+for r, r + 1, ... exactly while d^r fits the dimension ceiling, and past it
+as a sandwich whose witness extends the one of the r before.  It seeds at
+r = 2 if zcl_2 = 2 * cl, since the two inequalities then close the
+sandwich at every r: by induction zcl_r >= zcl_2 + (r - 2) cl = r * cl.
+Otherwise it seeds at the largest r0 with d^r0 within both the ceiling and
+DEFAULT_SEED_DIM, reusing a walk it already yielded.  The ceiling also
+bounds the number of terms of each extended witness product.
 The brute-force oracles that check these results live beside the tests, in
 ``tests/dense_reference.py``.
 """
@@ -65,7 +65,7 @@ from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Mapping, Optional, Sequence
+    from typing import Iterator, Mapping, Optional, Sequence
 
     from .algebra import Algebra
     from .tensor import TensorPowerAlgebra
@@ -375,56 +375,56 @@ def zcl_exact(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) 
     return ZclResult(r, len(word), "exact", len(word), upper, witness)
 
 
-def zcl_bounds(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
-    """Certified sandwich for zcl_r without iterating ideal powers at full size.
+def zcl_route(
+    a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM, exact: bool = True
+) -> "Iterator[ZclResult]":
+    """Yield the ZclResult for r, r + 1, ... in order, by the route described above.
 
-    Seeds an exact witness, then extends it one factor-count of cl(A) per
-    step up to r.  The seed is at r0 = 2 when zcl_2 = 2 * cl: since
-    zcl_{s+1} >= zcl_s + cl, the extended witness has r * cl factors, the
-    r * cl upper bound, so a larger seed could give no more.  Otherwise it
-    is at the largest r0 <= r whose tensor power fits
-    min(DEFAULT_SEED_DIM, ``max_dim``), as the r = 2 seed gives no more than
-    zcl_2 + (r - 2) cl.  Both seeds give the same lower bound whenever
-    zcl_2 = 2 * cl.  ``max_dim`` also caps the number of terms of each
-    extended product; ``max_dim=None`` leaves the seed dimension at
-    DEFAULT_SEED_DIM and the product unbounded.  The value is reported only
-    when the certified lower bound meets the r*cl upper bound.
+    Results are exact while ``exact`` holds and d^r fits ``max_dim`` (None
+    for no ceiling).  A sandwich has a value only when its lower bound
+    meets r * cl, and its seed is at no r past the first one it yields.
     """
     if r < 2:
         raise ValidationError("zero-divisor cup-length needs r >= 2")
-    clres = cup_length(a)
-    upper = r * clres.value
-    if clres.value == 0:
-        return ZclResult(r, 0, "bounds", 0, 0, None)
-    seed_dim = DEFAULT_SEED_DIM if max_dim is None else min(DEFAULT_SEED_DIM, max_dim)
     d = a.dim
-    if d * d > seed_dim:
-        return ZclResult(r, None, "bounds", 0, upper, None)
-    seed = zcl_exact(a, 2, max_dim=seed_dim)
-    r0, size = 2, d * d
-    if seed.value != 2 * clres.value:
-        while r0 < r and size * d <= seed_dim:
-            r0, size = r0 + 1, size * d
-        if r0 > 2:
-            seed = zcl_exact(a, r0, max_dim=seed_dim)
+    walked = {}
+    while exact and (max_dim is None or d ** r <= max_dim):
+        walked[r] = res = zcl_exact(a, r, max_dim)
+        yield res
+        r += 1
+    clres = cup_length(a)
+    cl = clres.value
+    seed_dim = DEFAULT_SEED_DIM if max_dim is None else min(DEFAULT_SEED_DIM, max_dim)
+    if cl == 0 or d * d > seed_dim:
+        while True:
+            yield ZclResult(r, None if cl else 0, "bounds", 0, r * cl, None)
+            r += 1
+    r0 = 2
+    seed = walked.get(r0) or zcl_exact(a, r0, max_dim=seed_dim)
+    while seed.value != 2 * cl and r0 < r and d ** (r0 + 1) <= seed_dim:
+        r0 += 1
+    if r0 > 2:
+        seed = walked.get(r0) or zcl_exact(a, r0, max_dim=seed_dim)
     witness = seed.witness
-    for _ in range(r - r0):
-        witness = witness_extend(a, witness, clres.chain)
-        if max_dim is not None and len(witness.product.terms) > max_dim:
-            raise ResourceLimitError(
-                f"the witness product at r = {witness.r} has {len(witness.product.terms)} "
-                f"terms, over the ceiling {max_dim}; raise the ceiling to opt in"
-            )
-    lower = len(witness.factors)
-    value = lower if lower == upper else None
-    return ZclResult(r, value, "bounds", lower, upper, witness)
+    while True:
+        while witness.r < r:
+            witness = witness_extend(a, witness, clres.chain)
+            if max_dim is not None and len(witness.product.terms) > max_dim:
+                raise ResourceLimitError(
+                    f"the witness product at r = {witness.r} has {len(witness.product.terms)} "
+                    f"terms, over the ceiling {max_dim}; raise the ceiling to opt in"
+                )
+        lower = len(witness)
+        yield ZclResult(r, lower if lower == r * cl else None, "bounds", lower, r * cl, witness)
+        r += 1
 
 
-def zcl_auto(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
-    """zcl_r exactly while the r-th tensor power fits ``max_dim``, else by bounds."""
-    if max_dim is None or a.dim ** r <= max_dim:
-        return zcl_exact(a, r, max_dim=max_dim)
-    return zcl_bounds(a, r, max_dim=max_dim)
+def zcl_bounds(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
+    """Certified sandwich for zcl_r: the first result of :func:`zcl_route` with no exact walk.
+
+    ``max_dim=None`` leaves the seed dimension at DEFAULT_SEED_DIM and the product unbounded.
+    """
+    return next(zcl_route(a, r, max_dim, exact=False))
 
 
 def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:

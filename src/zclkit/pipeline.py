@@ -1,10 +1,11 @@
 """End-to-end run: zero-divisor cup-lengths -> sequence -> rationality data."""
 
 from collections import namedtuple
+from itertools import islice
 
 from .algebra import DEFAULT_MAX_DIM, Algebra
 from .errors import ValidationError
-from .invariants import cup_length, zcl_auto
+from .invariants import cup_length, zcl_route
 from .series import (
     DEFAULT_MIN_RUN,
     RATIONAL_FORM_DETECTED,
@@ -49,17 +50,17 @@ def series_pipeline(
 ) -> SeriesOutcome:
     """Compute zcl_r for r = 2..rmax+1 and analyze t_r = zcl_{r+1}.
 
-    Each r takes the route :func:`~zclkit.invariants.zcl_auto` picks for the
-    ceiling ``max_dim`` (None for no ceiling); entries keep their method tag
-    so callers can tell certified values from sandwiches that did not close.
+    The entries are the first rmax results of :func:`~zclkit.invariants.zcl_route`
+    for the ceiling ``max_dim`` (None for no ceiling), one extension step per r
+    past it; their method tags tell certified values from open sandwiches.
     """
     if rmax < 3:
         raise ValidationError("series pipeline needs rmax >= 3")
     cl_value = cup_length(a).value
-    entries = [zcl_auto(a, r, max_dim=max_dim) for r in range(2, rmax + 2)]
+    entries = tuple(islice(zcl_route(a, 2, max_dim), rmax))
     sequence = None
     analysis = None
     if all(e.value is not None for e in entries):
         sequence = IntSequence(1, tuple(e.value for e in entries))
         analysis = analyze_sequence(sequence, min_run=min_run)
-    return SeriesOutcome(rmax, cl_value, tuple(entries), sequence, analysis)
+    return SeriesOutcome(rmax, cl_value, entries, sequence, analysis)

@@ -31,7 +31,8 @@ presentation whose file form ``save_algebra`` writes, which only tests ask
 for; and :func:`element`, :func:`one_element`, :func:`basis_element`,
 :func:`element_from_labels`, :func:`add`, :func:`sub`, :func:`neg` and
 :func:`scale` build and combine elements as only the tests do; zclkit
-itself only multiplies them.
+itself only multiplies them.  ``QQ``, ``GF2``, ``GF3`` and ``GF5`` are the
+fields the tests name.
 """
 
 import itertools
@@ -59,6 +60,11 @@ from zclkit.series import IntSequence
 
 DEFAULT_ORACLE_DIM = 64
 DEFAULT_ORACLE_AMBIENT = 81
+
+QQ = Field.rationals()
+GF2 = Field.prime(2)
+GF3 = Field.prime(3)
+GF5 = Field.prime(5)
 
 
 def check(field: Field, x):

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    GF2,
+    GF3,
+    QQ,
     add,
     associativity_failures,
     basis_element,
@@ -38,7 +41,6 @@ from zclkit import (
     validate_algebra,
 )
 from zclkit.errors import ResourceLimitError, ValidationError
-from zclkit.fields import GF2, GF3, QQ
 from zclkit.invariants import zero_divisor, zero_divisor_product
 from zclkit.reader import parse_scalar
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_reference import check, div
+from dense_reference import GF2, GF3, GF5, QQ, check, div
 from zclkit.errors import FieldMismatchError, ValidationError
-from zclkit.fields import GF2, GF3, GF5, QQ, Field, is_prime
+from zclkit.fields import Field, is_prime
 from zclkit.reader import parse_scalar
 
 SMALL_FIELDS = [GF2, GF3, GF5]

@@ -13,6 +13,8 @@ import pytest
 
 import zclkit
 from dense_reference import (
+    GF3,
+    QQ,
     Subspace,
     add,
     basis_element,
@@ -47,7 +49,7 @@ from zclkit import (
     zcl_exact,
 )
 from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantError
-from zclkit.fields import GF3, QQ, Field
+from zclkit.fields import Field
 from zclkit import invariants
 from zclkit.algebra import DEFAULT_MAX_DIM, Algebra
 from zclkit.invariants import (
@@ -55,7 +57,7 @@ from zclkit.invariants import (
     WitnessReport,
     _walk,
     _zero_divisor_letters,
-    zcl_auto,
+    zcl_route,
     zero_divisor,
     zero_divisor_product,
 )
@@ -453,17 +455,51 @@ def test_bounds_route_at_r_100_stays_under_100_mb():
     assert peak_kb < 100 * 1024  # ru_maxrss is in kilobytes on Linux
 
 
-def test_series_past_the_ceiling_to_r_30_is_certified(stanley):
-    outcome = series_pipeline(stanley, 30, max_dim=256)
-    assert outcome.certified
-    assert outcome.sequence.values == tuple(range(2, 32))
-    assert outcome.p_at_one == 1
-    assert [e.method for e in outcome.entries] == ["exact"] * 3 + ["bounds"] * 27
-    for e in outcome.entries:
+@pytest.mark.parametrize(
+    "name, max_dim, exact, certified",
+    [
+        pytest.param("stanley-p3", 256, 3, True, id="stanley-p3"),
+        pytest.param("surface:1", DEFAULT_MAX_DIM, 5, False, id="surface:1"),
+        pytest.param("sphere-odd:3", DEFAULT_MAX_DIM, 11, False, id="sphere-odd:3"),
+    ],
+)
+def test_series_past_the_ceiling_to_r_30_is_certified(name, max_dim, exact, certified):
+    # each entry past the ceiling extends the one before it by cl factors, and is
+    # the sandwich zcl_bounds certifies from scratch, witness included
+    alg = builtin_algebra(name)
+    cl = cup_length(alg).value
+    outcome = series_pipeline(alg, 30, max_dim=max_dim)
+    assert outcome.certified is certified
+    assert [e.method for e in outcome.entries] == ["exact"] * exact + ["bounds"] * (30 - exact)
+    for prev, e in zip((None,) + outcome.entries, outcome.entries):
         if e.method == "exact":
-            assert e == zcl_exact(stanley, e.r, max_dim=256)
-        else:
-            assert e == zcl_bounds(stanley, e.r, max_dim=256)
+            assert e == zcl_exact(alg, e.r, max_dim=max_dim)
+            continue
+        assert e == zcl_bounds(alg, e.r, max_dim=max_dim)
+        if prev.method == "bounds":
+            assert e.lower == prev.lower + cl
+    assert verify_witness(alg, outcome.entries[-1].witness).ok
+    if certified:
+        assert outcome.sequence.values == tuple(range(2, 32))
+        assert outcome.p_at_one == 1
+
+
+def test_witness_past_the_ceiling_walks_only_its_seeds(monkeypatch):
+    # zcl_2 = 2 < 2 cl on the torus, so r = 7 walks r = 2, then seeds at r = 4
+    # (dim 256) and extends; the walks at r = 5 and 6 are never made
+    alg = builtin_algebra("surface:1")
+    cup_length(alg)
+    walked = []
+    walk = invariants._walk
+
+    def recording(a, n, times, ceiling):
+        walked.append(a.r)
+        return walk(a, n, times, ceiling)
+
+    monkeypatch.setattr(invariants, "_walk", recording)
+    res = next(zcl_route(alg, 7))
+    assert walked == [2, 4]
+    assert (res.method, res.lower, res.upper) == ("bounds", 12, 14)
 
 
 def test_exterior_kernel_squares_to_zero_as_a_subspace():
@@ -502,11 +538,13 @@ def test_max_dim_none_means_no_ceiling(monkeypatch, stanley):
     monkeypatch.setattr(Algebra, "tensor_power", recording)
     assert zcl_exact(stanley, 2, max_dim=None).value == 2
     assert ceilings == [None]
-    # and zcl_auto takes the exact route however large d^r is
+    # and the route is exact however large d^r is
     routes = []
     monkeypatch.setattr(invariants, "zcl_exact", lambda a, r, max_dim: routes.append((r, max_dim)))
-    zcl_auto(stanley, 7, max_dim=None)
-    assert routes == [(7, None)]
+    route = zcl_route(stanley, 7, max_dim=None)
+    for _ in range(3):
+        next(route)
+    assert routes == [(7, None), (8, None), (9, None)]
 
 
 def test_zcl_exact_matches_oracle_small(stanley):

@@ -12,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    GF2,
+    GF3,
+    GF5,
+    QQ,
     Subspace,
     contains,
     dense_rows,
@@ -24,7 +28,6 @@ from dense_reference import (
     subspace_product,
 )
 from zclkit.errors import ValidationError
-from zclkit.fields import GF2, GF3, GF5, QQ
 
 ALL_FIELDS = [GF2, GF3, GF5, QQ]
 

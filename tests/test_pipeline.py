@@ -70,3 +70,25 @@ def test_series_builds_the_cup_length_ladder_once(monkeypatch):
     assert [e.method for e in out.entries] == ["exact"] * 3
     assert sum(a is alg for a in ladders) == 1
     assert len(ladders) == 4  # the cl ladder, then one per r = 2, 3, 4
+
+
+def test_series_past_the_ceiling_extends_the_entry_before_it(monkeypatch):
+    # the torus: exact walks at r = 2..6 (d^6 = 4096), then r = 7..13 from the
+    # r = 4 seed already walked, one extension step per r
+    alg = builtin_algebra("surface:1")
+    calls = []
+    walk, extend = invariants._walk, invariants.witness_extend
+
+    def walking(a, n, times, ceiling):
+        calls.append("walk")
+        return walk(a, n, times, ceiling)
+
+    def extending(a, w, chain):
+        calls.append("extend")
+        return extend(a, w, chain)
+
+    monkeypatch.setattr(invariants, "_walk", walking)
+    monkeypatch.setattr(invariants, "witness_extend", extending)
+    out = series_pipeline(alg, 12)
+    assert [e.method for e in out.entries] == ["exact"] * 5 + ["bounds"] * 7
+    assert (calls.count("walk"), calls.count("extend")) == (6, 9)
