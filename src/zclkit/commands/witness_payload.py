@@ -10,7 +10,7 @@ def witness_payload(alg, witness) -> dict:
     return {
         "r": witness.r,
         "length": len(witness.factors),
-        "factors": [str(f) for f in witness.factors],
+        "factors": [str(f) for f in invariants.witness_factors(alg, witness)],
         "product": str(witness.product),
         "verified": report.ok,
         "projection_checked": report.projection_checked,

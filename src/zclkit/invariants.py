@@ -34,29 +34,29 @@ certified constructively by extending a witness with the zero divisors
 y^(r+1) - y^(1) built from a maximal cup-length chain.  The first is the
 walk's ceiling: it stops at the first nonzero product of length r * cl.
 The cup-length walk stops at the top degree over the least letter degree.
-Every zero divisor here, generator or extension factor, is built by
-:func:`zero_divisor`, and every product with one, in the walk and in the
-extension, is formed slot by slot by :func:`zero_divisor_product`.
-:func:`verify_witness` multiplies the factors again through the pair
-table and collapses each by :func:`mu`, so each certificate checks that
-kernel against the Koszul product.  :class:`Element`, the slot rule and
+Every zero divisor here, generator or witness factor, is its letter (y, s),
+the pair :func:`zero_divisor` takes, and every product with one, in the walk
+and in the extension, is formed slot by slot by :func:`zero_divisor_product`.
+:func:`verify_witness` builds the factors once, multiplies them again through
+the pair table and collapses each by :func:`mu`, so each certificate checks
+that kernel against the Koszul product.  :class:`Element`, the slot rule and
 the collapse map live here because only this module runs them; an
 :class:`Element` here only multiplies.
 
 The route is decided here and nowhere else: :func:`zcl_route` yields zcl_r
 for r, r + 1, ... exactly while d^r fits the dimension ceiling, and past it
-as a sandwich whose witness extends the one of the r before.  It seeds at
-r = 2 if zcl_2 = 2 * cl, since the two inequalities then close the
-sandwich at every r: by induction zcl_r >= zcl_2 + (r - 2) cl = r * cl.
-Otherwise it seeds at the largest r0 with d^r0 within both the ceiling and
-DEFAULT_SEED_DIM, reusing a walk it already yielded.  The ceiling also
-bounds the number of terms of each extended witness product.
-The brute-force oracles that check these results live beside the tests, in
-``tests/dense_reference.py``.
+as a sandwich whose witness extends the one of the r before.  It walks r = 2
+whenever d^2 fits the ceiling and seeds there if zcl_2 = 2 * cl, since the
+two inequalities then close the sandwich at every r: by induction
+zcl_r >= zcl_2 + (r - 2) cl = r * cl.  Otherwise it seeds at the largest r0
+with d^r0 also within DEFAULT_SEED_DIM, or at 2, reusing a walk it already
+yielded.  The ceiling also bounds the number of terms of each extended
+witness product.  The brute-force oracles that check these results live
+beside the tests, in ``tests/dense_reference.py``.
 """
 
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 from operator import mul
 
 from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, WitnessInvariantError
@@ -87,9 +87,10 @@ class ClResult(Record):
 class Witness(Record):
     """Zero divisors whose nonzero ordered product certifies a lower bound.
 
-    ``chain`` records the cup-length chain used by the most recent witness
-    extension (None for witnesses read off by the walk); it feeds the
-    degree-functional projection check in :func:`verify_witness`.
+    A factor is a letter (y, s) for y^(s) - y^(1), y a {base index: coeff}
+    row and 2 <= s <= r; ``product`` is the :class:`Element` they multiply
+    to.  ``chain`` is the cup-length chain of the latest extension (None
+    from the walk), for the projection check of :func:`verify_witness`.
     """
 
     _fields = ("r", "factors", "product", "chain")
@@ -194,7 +195,7 @@ def zero_divisor(power: "TensorPowerAlgebra", y: "Mapping", s: int) -> dict:
 
 
 def zero_divisor_product(power: "TensorPowerAlgebra", u: "Mapping", y: "Mapping", s: int) -> dict:
-    """u (y^(s) - y^(1)) as {index: coeff}, for u = {index: coeff} and y, s as above.
+    """u (y^(s) - y^(1)) as {index: coeff}, for homogeneous u = {index: coeff} and y, s as above.
 
     The slot rule: by the Koszul sign, e_t y_j^(q) is e_t with slot q
     replaced by t_q y_j, times (-1)^{|y_j| (|t_{q+1}| + ... + |t_r|)}.  So
@@ -209,7 +210,8 @@ def zero_divisor_product(power: "TensorPowerAlgebra", u: "Mapping", y: "Mapping"
 
 
 def _times_slot(power: "TensorPowerAlgebra", acc: dict, u: "Mapping", y_items, q: int) -> None:
-    """Add u y^(q) into acc by the slot rule."""
+    """Add u y^(q) into acc by the slot rule, for homogeneous u: the slots after
+    q have the degree of u, read once, minus that of slots 1..q."""
     n = power.r - q
     base = power.base
     d = base.dim
@@ -219,11 +221,13 @@ def _times_slot(power: "TensorPowerAlgebra", acc: dict, u: "Mapping", y_items, q
     if moves is None:
         moves = power._moves[q, y_items] = _slot_moves(base, y_items, place)
     signed = n and any(base.degree_of(j) & 1 for j, _ in y_items)
-    low_degree = power._low_degree
+    if signed:
+        udeg = power.degree_of(next(iter(u), 0))
+        head = power._deg[q].__getitem__ if q < len(power._deg) else partial(power._low_degree, n=q)
     mul, add = power.field.mul, power.field.add
     for idx, a in u.items():
-        high, low = divmod(idx, place)
-        flip = signed and low_degree(low, n) & 1
+        high = idx // place
+        flip = signed and (udeg - head(high)) & 1
         for c, shift in moves[high % d][flip]:
             key = idx + shift
             v = mul(a, c)
@@ -370,8 +374,7 @@ def zcl_exact(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) 
         return ZclResult(r, 0, "exact", 0, upper, None)
     if not product:
         raise WitnessInvariantError("extracted witness has zero product")
-    factors = tuple(Element(power, zero_divisor(power, *letters[p])) for p in word)
-    witness = Witness(r, factors, Element(power, product))
+    witness = Witness(r, tuple(letters[p] for p in word), Element(power, product))
     return ZclResult(r, len(word), "exact", len(word), upper, witness)
 
 
@@ -394,13 +397,13 @@ def zcl_route(
         r += 1
     clres = cup_length(a)
     cl = clres.value
-    seed_dim = DEFAULT_SEED_DIM if max_dim is None else min(DEFAULT_SEED_DIM, max_dim)
-    if cl == 0 or d * d > seed_dim:
+    if cl == 0 or (max_dim is not None and d * d > max_dim):
         while True:
             yield ZclResult(r, None if cl else 0, "bounds", 0, r * cl, None)
             r += 1
     r0 = 2
-    seed = walked.get(r0) or zcl_exact(a, r0, max_dim=seed_dim)
+    seed = walked.get(r0) or zcl_exact(a, r0, max_dim)
+    seed_dim = DEFAULT_SEED_DIM if max_dim is None else min(DEFAULT_SEED_DIM, max_dim)
     while seed.value != 2 * cl and r0 < r and d ** (r0 + 1) <= seed_dim:
         r0 += 1
     if r0 > 2:
@@ -422,28 +425,26 @@ def zcl_route(
 def zcl_bounds(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
     """Certified sandwich for zcl_r: the first result of :func:`zcl_route` with no exact walk.
 
-    ``max_dim=None`` leaves the seed dimension at DEFAULT_SEED_DIM and the product unbounded.
-    """
+    ``max_dim`` (None for no ceiling) bounds the walk at r = 2 and the terms of
+    the product; a seed past r = 2 stays within DEFAULT_SEED_DIM too."""
     return next(zcl_route(a, r, max_dim, exact=False))
 
 
 def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:
-    """Lift a length-l witness at r to a length l + len(chain) witness at r + 1.
+    """Extend a length-l witness at r to a length l + len(chain) witness at r + 1.
 
-    Each factor x becomes x tensor 1; each chain element y contributes
-    1 x ... x 1 x y - y x 1 x ... x 1, a zero divisor at r + 1.  Lifting by
-    tensor 1 is multiplicative with no Koszul sign (the new slot holds the
-    degree-0 unit), so the new product is the stored product tensor 1 times
-    the chain factors, each multiplied in by :func:`zero_divisor_product`;
-    it must be nonzero for valid inputs.  The stored product is trusted here:
-    :func:`verify_witness` recomputes it from the factors.
+    A letter's factor at r + 1 is its factor at r tensor 1, so the letters
+    stay; each chain element y adds the letter (y, r + 1).  Lifting by tensor
+    1 is multiplicative with no Koszul sign (the new slot holds the degree-0
+    unit), so the new product is the stored product tensor 1 times the new
+    factors, each multiplied in by :func:`zero_divisor_product`; it must be
+    nonzero for valid inputs.  :func:`verify_witness` recomputes it.
     """
     if not w.factors:
         raise ValidationError("witness extension needs at least one factor")
     chain = tuple(chain)
     if not chain:
         raise ValidationError("witness extension needs a nonempty chain")
-    small = a.tensor_power(w.r, max_dim=None)
     for y in chain:
         if y.algebra is not a:
             raise ValidationError("chain elements must live in the base algebra")
@@ -451,47 +452,45 @@ def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:
             raise ValidationError("chain elements must be homogeneous of positive degree")
     if reduce(mul, chain).is_zero:
         raise ValidationError("chain product must be nonzero")
-    if w.product.algebra is not small or any(f.algebra is not small for f in w.factors):
-        raise ValidationError("witness factors do not live in the stated tensor power")
+    if w.product.algebra is not a.tensor_power(w.r, max_dim=None):
+        raise ValidationError("witness product does not live in the stated tensor power")
     big = a.tensor_power(w.r + 1, max_dim=None)
-    d = a.dim
-    unit = a.unit_index
-
-    def lift(x: Element) -> dict:
-        return {idx * d + unit: c for idx, c in x.terms.items()}
-
-    product = lift(w.product)
+    product = {idx * a.dim + a.unit_index: c for idx, c in w.product.terms.items()}
     for y in chain:
         product = zero_divisor_product(big, product, y.terms, w.r + 1)
     if not product:
         raise WitnessInvariantError(
             "extended witness product vanished; inputs violate the extension invariant"
         )
-    factors = [Element(big, lift(f)) for f in w.factors]
-    factors += [Element(big, zero_divisor(big, y.terms, w.r + 1)) for y in chain]
-    return Witness(w.r + 1, tuple(factors), Element(big, product), chain=chain)
+    factors = (*w.factors, *((y.terms, w.r + 1) for y in chain))
+    return Witness(w.r + 1, factors, Element(big, product), chain=chain)
+
+
+def witness_factors(a: "Algebra", w: Witness) -> tuple:
+    """The factors of w as elements of the r-th tensor power, y^(s) - y^(1) for each (y, s)."""
+    power = a.tensor_power(w.r, max_dim=None)
+    return tuple(Element(power, zero_divisor(power, y, s)) for y, s in w.factors)
 
 
 def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
     """Re-check a witness from scratch; reports every failing piece.
 
-    Every factor must collapse to zero, the ordered product must match the
-    stored one and be nonzero, and for extended witnesses the projection
-    that evaluates a degree functional on the last slot must stay nonzero.
+    Every letter (y, s) must be a row over the base with 2 <= s <= r, every
+    factor must collapse to zero, the ordered product must match the stored
+    one and be nonzero, and for extended witnesses the projection that
+    evaluates a degree functional on the last slot must stay nonzero.
     """
-    problems = []
     if not w.factors:
         return WitnessReport(False, ("witness has no factors",))
-    power = a.tensor_power(w.r, max_dim=None)
-    for n, f in enumerate(w.factors):
-        if f.algebra is not power:
-            return WitnessReport(
-                False, (f"factor {n} does not live in the {w.r}-th tensor power",)
-            )
-        image = mu(a, w.r, f)
-        if not image.is_zero:
-            problems.append(f"factor {n} is not a zero divisor (collapses to {image})")
-    product = reduce(mul, w.factors)
+    for n, (y, s) in enumerate(w.factors):
+        if not (2 <= s <= w.r and all(0 <= j < a.dim for j in y)):
+            problem = f"factor {n} is not a letter (y, s) over the base with 2 <= s <= {w.r}"
+            return WitnessReport(False, (problem,))
+    factors = witness_factors(a, w)
+    images = [mu(a, w.r, f) for f in factors]
+    problems = [f"factor {n} is not a zero divisor (collapses to {image})"
+                for n, image in enumerate(images) if not image.is_zero]
+    product = reduce(mul, factors)
     if product != w.product:
         problems.append("stored product differs from the recomputed one")
     if product.is_zero:

@@ -417,7 +417,8 @@ def test_tensor_signs_match_a_swap_counting_reference(corpus):
 
 
 def test_zero_divisor_product_matches_two_references(corpus):
-    # the slot rule against the pair table and against signs counted swap by swap
+    # the slot rule against the pair table and against signs counted swap by swap,
+    # on homogeneous u: the rule reads its signs from the degree of u
     rng = random.Random(20261018)
     fields, odd_letters, checked = set(), 0, 0
     for alg in corpus:
@@ -429,8 +430,12 @@ def test_zero_divisor_product_matches_two_references(corpus):
             if alg.dim ** r > 256:
                 break
             power, slots = alg.tensor_power(r, max_dim=None), (alg,) * r
+            by_degree = {}
+            for i in range(power.dim):
+                by_degree.setdefault(power.degree_of(i), []).append(i)
             for _ in range(3):
-                support = rng.sample(range(power.dim), min(power.dim, rng.randint(1, 8)))
+                part = by_degree[rng.choice(sorted(by_degree))]
+                support = rng.sample(part, min(len(part), rng.randint(1, 8)))
                 u = {i: rng.choice(scalars) for i in support}
                 for b in (b for b in range(alg.dim) if alg.degree_of(b) > 0):
                     y = {b: rng.choice(scalars)}
@@ -471,8 +476,13 @@ def test_chunked_tensor_power_matches_swap_counting():
             assert terms == tensor_basis_product(slots, i, j), (alg.name, i, j)
             nonzero += bool(terms)
         assert nonzero > 30, alg.name
-        # the slot rule reads the degrees of more slots than one chunk holds
-        u = {rng.randrange(power.dim): alg.field.one for _ in range(20)}
+        # the slot rule reads the degrees of more slots than one chunk holds; u is
+        # homogeneous, its terms the reorderings of one random tuple
+        t = list(power.tuple_of_index(rng.randrange(power.dim)))
+        u = {}
+        for _ in range(20):
+            rng.shuffle(t)
+            u[power.index_of_tuple(t)] = alg.field.one
         for b in (b for b in range(alg.dim) if alg.degree_of(b) > 0):
             for s in (2, r // 2, r):
                 z = zero_divisor_reference(power, {b: alg.field.one}, s)

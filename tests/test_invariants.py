@@ -1,5 +1,6 @@
 """Cup-length, zero-divisor cup-length, witnesses, and their cross-checks."""
 
+import itertools
 import json
 import os
 import pickle
@@ -35,6 +36,7 @@ from dense_reference import (
     zcl_oracle,
     zcl_over_all_generators,
     zero_divisor_generators,
+    zero_divisor_reference,
 )
 from zclkit import (
     AlgebraPresentation,
@@ -52,11 +54,15 @@ from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantE
 from zclkit.fields import Field
 from zclkit import invariants
 from zclkit.algebra import DEFAULT_MAX_DIM, Algebra
+from zclkit.tensor import TensorPowerAlgebra
 from zclkit.invariants import (
+    Element,
     Witness,
     WitnessReport,
     _walk,
     _zero_divisor_letters,
+    mu,
+    witness_factors,
     zcl_route,
     zero_divisor,
     zero_divisor_product,
@@ -238,18 +244,23 @@ def test_witness_extend_rejects_empty_witness(stanley):
 
 
 def test_witness_extend_even_truncated_cube():
-    # base k[a]/(a^3): r=2 witness (abar, abar), chain (a); lands in the dim-27 cube
+    # base k[x]/(x^3): r=2 witness (xbar, xbar), xbar = x^(2) - x^(1), chain (x);
+    # lands in the dim-27 cube
     alg = truncated_height3()
     sq = alg.tensor_power(2)
-    abar = element_from_labels(sq, {"x⊗1": 1, "1⊗x": -1})
-    square = abar * abar
+    x = element_from_labels(alg, {"x": 1})
+    xbar = element_from_labels(sq, {"1⊗x": 1, "x⊗1": -1})
+    square = xbar * xbar
     assert not square.is_zero
-    seed = Witness(2, (abar, abar), square)
-    chain = (element_from_labels(alg, {"x": 1}),)
-    extended = witness_extend(alg, seed, chain)
+    seed = Witness(2, ((x.terms, 2), (x.terms, 2)), square)
+    extended = witness_extend(alg, seed, (x,))
     assert extended.r == 3
-    assert extended.factors[0].algebra.dim == 27
-    assert len(extended.factors) == 3
+    assert extended.factors == ((x.terms, 2), (x.terms, 2), (x.terms, 3))
+    cube = alg.tensor_power(3)
+    assert cube.dim == 27
+    assert witness_factors(alg, extended) == (
+        element_from_labels(cube, {"1⊗x⊗1": 1, "x⊗1⊗1": -1}),
+    ) * 2 + (element_from_labels(cube, {"1⊗1⊗x": 1, "x⊗1⊗1": -1}),)
     assert not extended.product.is_zero
     assert verify_witness(alg, extended).ok
 
@@ -264,15 +275,26 @@ def test_verify_witness_accepts_exact_output(stanley):
     assert report.problems == ()
 
 
-def test_verify_witness_rejects_tampered_factor(stanley):
-    res = zcl_exact(stanley, 2)
-    sq = stanley.tensor_power(2)
-    tampered = Witness(
-        2, (res.witness.factors[0], one_element(sq)), res.witness.product
-    )
-    report = verify_witness(stanley, tampered)
+def test_verify_witness_rejects_tampered_factor(monkeypatch, stanley):
+    w = zcl_exact(stanley, 2).witness
+    (y, _), unit = w.factors[0], stanley.unit_index
+    # a slot outside 2..r, or a row off the base basis, is not a letter
+    for letter in ((y, 1), (y, 3), ({stanley.dim: 1}, 2)):
+        report = verify_witness(stanley, Witness(2, (w.factors[0], letter), w.product))
+        assert not report.ok
+        assert report.problems == (
+            "factor 1 is not a letter (y, s) over the base with 2 <= s <= 2",
+        )
+    # the unit as y is the zero factor 1 - 1
+    report = verify_witness(stanley, Witness(2, (w.factors[0], ({unit: 1}, 2)), w.product))
     assert not report.ok
-    assert any("zero divisor" in p for p in report.problems)
+    assert "product of the factors is zero" in report.problems
+    assert "stored product differs from the recomputed one" in report.problems
+    # a factor built wrong is caught by the collapse map
+    monkeypatch.setattr(invariants, "zero_divisor", lambda power, y, s: {power.unit_index: 1})
+    report = verify_witness(stanley, w)
+    assert not report.ok
+    assert any("factor 0 is not a zero divisor" in p for p in report.problems)
 
 
 def test_verify_witness_rejects_wrong_product(stanley):
@@ -338,10 +360,12 @@ def test_every_returned_witness_verifies(corpus):
     assert checked > 5
 
 
-def _product_from_scratch(w):
-    product = w.factors[0]
-    for f in w.factors[1:]:
-        product = product * f
+def _product_from_scratch(a, w):
+    """The ordered product of w's factors, each built by its closed form."""
+    power = a.tensor_power(w.r, max_dim=None)
+    product = Element(power, {power.unit_index: a.field.one})
+    for y, s in w.factors:
+        product = product * Element(power, zero_divisor_reference(power, y, s))
     return product
 
 
@@ -357,7 +381,7 @@ def test_incremental_extension_matches_the_product_from_scratch(corpus):
         w = seed = zcl_exact(alg, 2, max_dim=81).witness
         while w.r < 8:
             w = witness_extend(alg, w, clres.chain)
-            assert w.product == _product_from_scratch(w), (alg.name, w.r)
+            assert w.product == _product_from_scratch(alg, w), (alg.name, w.r)
             assert verify_witness(alg, w).ok, (alg.name, w.r)
         assert len(w) == len(seed) + 6 * clres.value
         checked += 1
@@ -372,11 +396,80 @@ def test_extended_witness_built_on_a_forgery_is_rejected(stanley):
     assert not report.ok
     assert any("differs" in p for p in report.problems)
     good = witness_extend(stanley, seed, chain)
-    cube = stanley.tensor_power(3)
-    tampered = Witness(3, (one_element(cube),) + good.factors[1:], good.product, good.chain)
-    report = verify_witness(stanley, tampered)
-    assert not report.ok
-    assert any("zero divisor" in p for p in report.problems)
+    (y, _), unit = good.factors[-1], stanley.unit_index
+    # the last letter moved to slot 2, to a slot past r, or made the unit
+    for letter, problem in (
+        ((y, 2), "stored product differs from the recomputed one"),
+        ((y, 4), "factor 2 is not a letter (y, s) over the base with 2 <= s <= 3"),
+        (({unit: 1}, 3), "product of the factors is zero"),
+    ):
+        tampered = Witness(3, good.factors[:-1] + (letter,), good.product, good.chain)
+        report = verify_witness(stanley, tampered)
+        assert not report.ok
+        assert problem in report.problems, letter
+
+
+def test_every_witness_factor_is_a_letter(corpus):
+    # a factor is stored as its letter (y, s); its vector is y^(s) - y^(1) by the
+    # closed form, and it collapses to zero
+    checked = 0
+    for alg in corpus:
+        witnesses = [zcl_exact(alg, r, max_dim=256).witness
+                     for r in range(2, 11) if alg.dim ** r <= 256]
+        witnesses += [zcl_bounds(alg, r).witness for r in range(2, 11)]
+        witnesses += [res.witness for res in itertools.islice(zcl_route(alg, 2, max_dim=256), 9)]
+        for w in filter(None, witnesses):
+            power = alg.tensor_power(w.r, max_dim=None)
+            assert len(witness_factors(alg, w)) == len(w.factors)
+            for (y, s), f in zip(w.factors, witness_factors(alg, w)):
+                assert type(y) is dict and y and all(alg.degree_of(j) > 0 for j in y)
+                assert type(s) is int and 2 <= s <= w.r, (alg.name, w.r, s)
+                assert f.algebra is power
+                assert f.terms == zero_divisor_reference(power, y, s), (alg.name, w.r, s)
+                assert mu(alg, w.r, f).is_zero, (alg.name, w.r, s)
+                checked += 1
+    assert checked > 19_000
+
+
+def test_slot_one_factor_of_an_extension_reads_no_degree_per_term(monkeypatch):
+    # the slot-1 sign of each term is the degree of u, read once, minus that of
+    # slot 1, read from a table; no walk over the other slots per term
+    alg = builtin_algebra("surface:1")
+    w = zcl_bounds(alg, 12).witness
+    big = alg.tensor_power(13, max_dim=None)
+    d, unit = alg.dim, alg.unit_index
+    u = {idx * d + unit: c for idx, c in w.product.terms.items()}
+    y = {x: alg.field.one for x in alg.indecomposables()[:1]}
+    assert alg.degree_of(next(iter(y))) % 2 and len(u) == 144
+    calls = []
+    low_degree = TensorPowerAlgebra._low_degree
+
+    def counting(self, low, n):
+        calls.append(n)
+        return low_degree(self, low, n)
+
+    monkeypatch.setattr(TensorPowerAlgebra, "_low_degree", counting)
+    got = zero_divisor_product(big, u, y, 13)
+    assert len(calls) <= 2, len(calls)
+    z = zero_divisor_reference(big, y, 13)
+    assert got == big.product_items(u.items(), z.items())
+
+
+def test_bounds_route_walks_r2_whenever_its_square_fits_the_ceiling():
+    # surface:8 has d^2 = 324, past the seed dimension 256 but within the ceiling:
+    # zcl_2 = 4 = 2 cl, so zcl_r = 2r at every r
+    alg = builtin_algebra("surface:8")
+    assert alg.dim ** 2 == 324 and cup_length(alg).value == 2
+    outcome = series_pipeline(alg, 4)
+    assert outcome.certified
+    assert outcome.sequence.values == (4, 6, 8, 10)
+    assert [e.method for e in outcome.entries] == ["exact"] + ["bounds"] * 3
+    res = next(zcl_route(alg, 3))
+    assert (res.method, res.value, res.lower, res.upper) == ("bounds", 6, 6, 6)
+    assert len(res.witness) == 6 and verify_witness(alg, res.witness).ok
+    assert zcl_bounds(alg, 5, max_dim=None).value == 10
+    # a ceiling under d^2 still leaves only r * cl
+    assert zcl_bounds(alg, 5, max_dim=300)[2:6] == ("bounds", 0, 10, None)
 
 
 # -- the bounds route at large r ----------------------------------------------------------
@@ -635,8 +728,10 @@ def test_walk_matches_the_walk_over_every_word(corpus):
             res = zcl_exact(alg, r, max_dim=256)
             assert res.value == len(word), (alg.name, r)
             if word:
+                assert res.witness.factors == tuple(gens[i] for i in word), (alg.name, r)
                 factors = tuple(zero_divisor(power, *gens[i]) for i in word)
-                assert tuple(f.terms for f in res.witness.factors) == factors, (alg.name, r)
+                built = witness_factors(alg, res.witness)
+                assert tuple(f.terms for f in built) == factors, (alg.name, r)
                 assert res.witness.product.terms == product, (alg.name, r)
             else:
                 assert res.witness is None, (alg.name, r)
@@ -721,7 +816,7 @@ def test_fields_and_algebras_survive_pickling():
     def summary(alg):
         cl = cup_length(alg)
         res = zcl_exact(alg, 2)
-        witness = [str(f) for f in res.witness.factors] + [str(res.witness.product)]
+        witness = [str(f) for f in witness_factors(alg, res.witness)] + [str(res.witness.product)]
         return cl.value, [str(e) for e in cl.chain], res.value, res.upper, witness
 
     alg = builtin_algebra("surface:1")
