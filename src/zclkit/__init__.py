@@ -20,7 +20,7 @@ _SUBMODULE = {
         ("errors", "DEFAULT_MAX_DIM FieldMismatchError ResourceLimitError ValidationError "
                    "WitnessInvariantError ZclkitError"),
         ("fields", "Field"),
-        ("invariants", "ClResult Element Witness WitnessReport ZclResult cup_length mu "
+        ("invariants", "ClResult Witness WitnessReport ZclResult cup_length mu "
                        "verify_witness witness_extend zcl_bounds zcl_exact"),
         ("pipeline", "SeriesOutcome series_pipeline"),
         ("series", "IntSequence RationalityReport analyze_sequence polynomial_from_series"),

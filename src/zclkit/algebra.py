@@ -5,11 +5,11 @@ multiplication table for positive-degree pairs ``(i, j)`` with ``i <= j``;
 the remaining entries are filled in by the unit laws and the sign rule
 ``e_j e_i = (-1)^{deg_i deg_j} e_i e_j``.  Missing entries default to zero.
 :func:`validate_algebra` checks a presentation and completes its table.
-Every sparse vector, a table entry too, is an ``{index: coeff}`` dict in
-index order.  An :class:`AlgebraPresentation`, the input format, holds
-``(coeff, index)`` pairs, and :meth:`AlgebraPresentation.to_dict` gives its
-file form; ``algfile.save_algebra`` writes that form straight from an
-algebra's core table.
+Every sparse vector, a table entry and a presentation row too, is an
+``{index: coeff}`` dict; a table entry lists its terms in index order.
+:meth:`AlgebraPresentation.to_dict` gives a presentation's file form;
+``algfile.save_algebra`` writes that form straight from an algebra's core
+table.
 
 The rest loads only with the command that runs it: tensor powers and
 products with the Koszul sign in ``tensor``, which
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .fields import Field
 
 
-# basis: ((label, degree), ...); products: (i, j) -> sequence of (coeff, basis index), i <= j
+# basis: ((label, degree), ...); products: (i, j) -> {basis index: coeff}, i <= j
 class AlgebraPresentation(namedtuple("AlgebraPresentation", "name field basis products")):
     """Raw input data for :func:`validate_algebra`."""
 
@@ -35,18 +35,15 @@ class AlgebraPresentation(namedtuple("AlgebraPresentation", "name field basis pr
 
     @classmethod
     def from_labels(cls, name, field, basis, products=None):
-        """Build a presentation keyed by labels instead of indices."""
+        """Build a presentation keyed by labels: products map (label, label) to {label: coeff}."""
         basis = tuple((str(lbl), int(deg)) for lbl, deg in basis)
         index = {lbl: i for i, (lbl, _) in enumerate(basis)}
         if len(index) != len(basis):
             raise ValidationError(f"algebra {name!r}: duplicate basis labels")
         table = {}
-        for (left, right), terms in (products or {}).items():
+        for (left, right), row in (products or {}).items():
             try:
-                table[(index[left], index[right])] = tuple(
-                    (coeff, index[lbl]) if isinstance(lbl, str) else (coeff, lbl)
-                    for coeff, lbl in terms
-                )
+                table[(index[left], index[right])] = {index[lbl]: c for lbl, c in row.items()}
             except KeyError as exc:
                 raise ValidationError(
                     f"algebra {name!r}: product references unknown label {exc.args[0]!r}"
@@ -69,7 +66,7 @@ class AlgebraPresentation(namedtuple("AlgebraPresentation", "name field basis pr
                     "right": labels[j],
                     "value": [
                         {"coeff": field.format(field.coerce(c)), "basis": labels[k]}
-                        for c, k in terms
+                        for k, c in terms.items()
                     ],
                 }
             )
@@ -266,14 +263,10 @@ def _check_core(pres, labels, degrees):
                 f"algebra {name!r}: unit products are implicit; remove entry "
                 f"({labels[i]}, {labels[j]})"
             )
-        merged: dict = {}
-        for coeff, k in terms:
+        for k in terms:
             if not (0 <= k < dim):
                 raise ValidationError(f"algebra {name!r}: term index {k} out of range")
-            c = field.coerce(coeff)
-            prev = merged.get(k, field.zero)
-            merged[k] = field.add(prev, c)
-        clean = {k: c for k, c in sorted(merged.items()) if c}
+        clean = {k: c for k, c in sorted((k, field.coerce(c)) for k, c in terms.items()) if c}
         for k in clean:
             if degrees[k] != degrees[i] + degrees[j]:
                 raise ValidationError(

@@ -49,7 +49,7 @@ def _surface(genus: int, max_dim: int | None) -> tuple:
     basis.append(("c", 2))
     products = {}
     for i in range(1, genus + 1):
-        products[(f"a{i}", f"b{i}")] = [(1, "c")]
+        products[(f"a{i}", f"b{i}")] = {"c": 1}
     return f"surface:{genus}", None, basis, products
 
 

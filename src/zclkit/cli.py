@@ -1,11 +1,11 @@
 """Command-line front end; it and ``text``, its renderer, are the only modules with I/O.
 
 Exit codes: 0 success, 1 validation failure or I/O error, 2 inconclusive
-or an uncertified bound, 3 usage error, 4 resource ceiling.  Reports are
-human text by default and stable-ordered JSON under ``--json``; the report
-schema ships in ``schemas/report.schema.json``.  ``text`` renders the
-human reports and shares this module's I/O: it writes to the stream
-``run`` was given.
+or an uncertified bound, 3 usage error, 4 resource ceiling or out of
+memory.  Reports are human text by default and stable-ordered JSON under
+``--json``; the report schema ships in ``schemas/report.schema.json``.
+``text`` renders the human reports and shares this module's I/O: it
+writes to the stream ``run`` was given.
 
 Each call runs in a fresh interpreter, so it pays for start-up, and for
 compiling every module it imports, but not for shut-down: :func:`main` ends
@@ -352,21 +352,24 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             payload, conclusive = command.run(alg, args)
         else:
             payload, conclusive = command.run(args)
+        status = EXIT_OK if conclusive else EXIT_INCONCLUSIVE
+        report = {
+            "command": echo,
+            "input": source,
+            "result": payload,
+            "warnings": warnings,
+            "status": status,
+        }
+        _emit(report, args.json, stdout)
     except ResourceLimitError as exc:
         stderr.write(f"zclkit: resource ceiling: {exc}\n")
+        return EXIT_RESOURCE
+    except MemoryError:
+        stderr.write("zclkit: resource ceiling: out of memory\n")
         return EXIT_RESOURCE
     except ZclkitError as exc:
         stderr.write(f"zclkit: error: {exc}\n")
         return EXIT_INVALID
-    status = EXIT_OK if conclusive else EXIT_INCONCLUSIVE
-    report = {
-        "command": echo,
-        "input": source,
-        "result": payload,
-        "warnings": warnings,
-        "status": status,
-    }
-    _emit(report, args.json, stdout)
     return status
 
 

@@ -9,6 +9,6 @@ def run(alg, args):
         "kind": "cl",
         "name": alg.name,
         "value": res.value,
-        "chain": [str(e) for e in res.chain],
+        "chain": [invariants.row_text(alg, e) for e in res.chain],
     }
     return payload, True

@@ -7,11 +7,13 @@ def witness_payload(alg, witness) -> dict:
     if witness is None:
         return None
     report = invariants.verify_witness(alg, witness)
+    power = alg.tensor_power(witness.r, max_dim=None)
+    factors = invariants.witness_factors(alg, witness)
     return {
         "r": witness.r,
         "length": len(witness.factors),
-        "factors": [str(f) for f in invariants.witness_factors(alg, witness)],
-        "product": str(witness.product),
+        "factors": [invariants.row_text(power, f) for f in factors],
+        "product": invariants.row_text(power, witness.product),
         "verified": report.ok,
         "projection_checked": report.projection_checked,
         "problems": list(report.problems),

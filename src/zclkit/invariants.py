@@ -39,9 +39,10 @@ the pair :func:`zero_divisor` takes, and every product with one, in the walk
 and in the extension, is formed slot by slot by :func:`zero_divisor_product`.
 :func:`verify_witness` builds the factors once, multiplies them again through
 the pair table and collapses each by :func:`mu`, so each certificate checks
-that kernel against the Koszul product.  :class:`Element`, the slot rule and
-the collapse map live here because only this module runs them; an
-:class:`Element` here only multiplies.
+that kernel against the Koszul product.  The slot rule and the collapse map
+live here because only this module runs them.  Every element here, a chain
+entry, a factor or a product, is a sparse row ``{index: coeff}`` of the
+algebra or tensor power the caller names, printed by :func:`row_text`.
 
 The route is decided here and nowhere else: :func:`zcl_route` yields zcl_r
 for r, r + 1, ... exactly while d^r fits the dimension ceiling, and past it
@@ -57,7 +58,6 @@ beside the tests, in ``tests/dense_reference.py``.
 
 from collections import namedtuple
 from functools import partial, reduce
-from operator import mul
 
 from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, WitnessInvariantError
 from .linalg import reduce_into
@@ -88,14 +88,15 @@ class Witness(Record):
     """Zero divisors whose nonzero ordered product certifies a lower bound.
 
     A factor is a letter (y, s) for y^(s) - y^(1), y a {base index: coeff}
-    row and 2 <= s <= r; ``product`` is the :class:`Element` they multiply
-    to.  ``chain`` is the cup-length chain of the latest extension (None
-    from the walk), for the projection check of :func:`verify_witness`.
+    row and 2 <= s <= r; ``product`` is the row in the r-th tensor power
+    they multiply to.  ``chain`` is the cup-length chain of the latest
+    extension, rows of the base (None from the walk), for the projection
+    check of :func:`verify_witness`.
     """
 
     _fields = ("r", "factors", "product", "chain")
 
-    def __init__(self, r: int, factors: tuple, product: "Element", chain: "Optional[tuple]" = None):
+    def __init__(self, r: int, factors: tuple, product: dict, chain: "Optional[tuple]" = None):
         self._set(r, factors, product, chain)
 
     def __len__(self) -> int:
@@ -108,75 +109,40 @@ ZclResult = namedtuple("ZclResult", "r value method lower upper witness")
 WitnessReport = namedtuple("WitnessReport", "ok problems projection_checked", defaults=(False,))
 
 
-# -- elements, the collapse map and the slot rule ----------------------------------
+# -- rows, the collapse map and the slot rule ----------------------------------------
 
 
-class Element:
-    """An exact vector over an algebra's basis, stored by its nonzero terms.
-
-    ``terms`` maps a basis index to its coefficient and never holds a zero,
-    so memory and arithmetic follow the support, not the dimension: a
-    zero divisor in a tensor power of dimension d^r with two terms costs two
-    entries.  :meth:`items` lists the terms in index order.
-    """
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: "Algebra", terms: dict):
-        if not isinstance(terms, dict):
-            raise ValidationError("Element takes a {index: coeff} dict")
-        self.algebra = algebra
-        self.terms = terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self) -> list:
-        return sorted(self.terms.items())
-
-    def degree(self) -> "Optional[int]":
-        """Common degree of the support; None for zero or mixed elements."""
-        degs = {self.algebra.degree_of(i) for i in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
-    def __mul__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        if other.algebra is not self.algebra:
-            raise ValidationError("elements belong to different algebras")
-        return Element(
-            self.algebra, self.algebra.product_items(self.terms.items(), other.terms.items())
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and other.algebra is self.algebra
-            and other.terms == self.terms
-        )
-
-    def __str__(self):
-        fmt = self.algebra.field.format
-        parts = [f"{fmt(c)}·{self.algebra.label_of(i)}" for i, c in self.items()]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<Element {self} of {self.algebra.name}>"
+def row_text(a: "Algebra", row: "Mapping") -> str:
+    """A row of ``a`` as ``c·label`` terms in index order joined by `` + ``, or ``0``."""
+    fmt, label = a.field.format, a.label_of
+    return " + ".join(f"{fmt(c)}·{label(i)}" for i, c in sorted(row.items())) or "0"
 
 
-def mu(a: "Algebra", r: int, u: Element) -> Element:
-    """Linear extension of tuple -> product of slots; an algebra homomorphism."""
+def _degree(a: "Algebra", row: "Mapping") -> "Optional[int]":
+    """The common degree of a row's support; None for zero or mixed rows."""
+    degs = {a.degree_of(i) for i in row}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def _fold(a: "Algebra", rows) -> dict:
+    """The ordered product of a nonempty sequence of rows of ``a``, through the pair table."""
+    return reduce(lambda p, q: a.product_items(p.items(), q.items()), rows)
+
+
+def mu(a: "Algebra", r: int, u: "Mapping") -> dict:
+    """Linear extension of tuple -> product of slots; an algebra homomorphism.
+
+    ``u`` is a row of the r-th tensor power, and the image a row of ``a``."""
     if r < 1:
         raise ValidationError("mu requires r >= 1")
     power = a.tensor_power(r, max_dim=None)
-    if u.algebra is not power:
-        raise ValidationError("element does not live in the r-th tensor power")
+    if not all(0 <= idx < power.dim for idx in u):
+        raise ValidationError("row does not lie in the r-th tensor power")
     if r == 1:
         return u
     unit, one, add = a.unit_index, a.field.one, a.field.add
     acc: dict = {}
-    for idx, c in u.terms.items():
+    for idx, c in u.items():
         image = ((unit, c),)
         for slot in power.tuple_of_index(idx):
             if slot != unit:  # the unit slots leave the product as it is
@@ -186,7 +152,7 @@ def mu(a: "Algebra", r: int, u: Element) -> Element:
                 v = add(acc.pop(k), v)
             if v:
                 acc[k] = v
-    return Element(a, acc)
+    return acc
 
 
 def zero_divisor(power: "TensorPowerAlgebra", y: "Mapping", s: int) -> dict:
@@ -341,7 +307,7 @@ def cup_length(a: "Algebra") -> ClResult:
             lambda p, n: a.product_items(p.items(), ((letters[n], one),)),
             ceiling,
         )
-        cached = ClResult(len(word), tuple(Element(a, {letters[n]: one}) for n in word))
+        cached = ClResult(len(word), tuple({letters[n]: one} for n in word))
         a._cup_length = cached
     return cached
 
@@ -374,7 +340,7 @@ def zcl_exact(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) 
         return ZclResult(r, 0, "exact", 0, upper, None)
     if not product:
         raise WitnessInvariantError("extracted witness has zero product")
-    witness = Witness(r, tuple(letters[p] for p in word), Element(power, product))
+    witness = Witness(r, tuple(letters[p] for p in word), product)
     return ZclResult(r, len(word), "exact", len(word), upper, witness)
 
 
@@ -412,9 +378,9 @@ def zcl_route(
     while True:
         while witness.r < r:
             witness = witness_extend(a, witness, clres.chain)
-            if max_dim is not None and len(witness.product.terms) > max_dim:
+            if max_dim is not None and len(witness.product) > max_dim:
                 raise ResourceLimitError(
-                    f"the witness product at r = {witness.r} has {len(witness.product.terms)} "
+                    f"the witness product at r = {witness.r} has {len(witness.product)} "
                     f"terms, over the ceiling {max_dim}; raise the ceiling to opt in"
                 )
         lower = len(witness)
@@ -446,30 +412,31 @@ def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:
     if not chain:
         raise ValidationError("witness extension needs a nonempty chain")
     for y in chain:
-        if y.algebra is not a:
-            raise ValidationError("chain elements must live in the base algebra")
-        if (y.degree() or 0) <= 0:
+        if not all(0 <= j < a.dim for j in y):
+            raise ValidationError("chain elements must be rows of the base algebra")
+        if (_degree(a, y) or 0) <= 0:
             raise ValidationError("chain elements must be homogeneous of positive degree")
-    if reduce(mul, chain).is_zero:
+    if not _fold(a, chain):
         raise ValidationError("chain product must be nonzero")
-    if w.product.algebra is not a.tensor_power(w.r, max_dim=None):
-        raise ValidationError("witness product does not live in the stated tensor power")
     big = a.tensor_power(w.r + 1, max_dim=None)
-    product = {idx * a.dim + a.unit_index: c for idx, c in w.product.terms.items()}
+    dim = big.dim // a.dim  # of the power w.r names
+    if not all(0 <= idx < dim for idx in w.product):
+        raise ValidationError("witness product does not lie in the stated tensor power")
+    product = {idx * a.dim + a.unit_index: c for idx, c in w.product.items()}
     for y in chain:
-        product = zero_divisor_product(big, product, y.terms, w.r + 1)
+        product = zero_divisor_product(big, product, y, w.r + 1)
     if not product:
         raise WitnessInvariantError(
             "extended witness product vanished; inputs violate the extension invariant"
         )
-    factors = (*w.factors, *((y.terms, w.r + 1) for y in chain))
-    return Witness(w.r + 1, factors, Element(big, product), chain=chain)
+    factors = (*w.factors, *((y, w.r + 1) for y in chain))
+    return Witness(w.r + 1, factors, product, chain=chain)
 
 
 def witness_factors(a: "Algebra", w: Witness) -> tuple:
-    """The factors of w as elements of the r-th tensor power, y^(s) - y^(1) for each (y, s)."""
+    """The factors of w as rows of the r-th tensor power, y^(s) - y^(1) for each (y, s)."""
     power = a.tensor_power(w.r, max_dim=None)
-    return tuple(Element(power, zero_divisor(power, y, s)) for y, s in w.factors)
+    return tuple(zero_divisor(power, y, s) for y, s in w.factors)
 
 
 def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
@@ -488,23 +455,23 @@ def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
             return WitnessReport(False, (problem,))
     factors = witness_factors(a, w)
     images = [mu(a, w.r, f) for f in factors]
-    problems = [f"factor {n} is not a zero divisor (collapses to {image})"
-                for n, image in enumerate(images) if not image.is_zero]
-    product = reduce(mul, factors)
+    problems = [f"factor {n} is not a zero divisor (collapses to {row_text(a, image)})"
+                for n, image in enumerate(images) if image]
+    product = _fold(a.tensor_power(w.r, max_dim=None), factors)
     if product != w.product:
         problems.append("stored product differs from the recomputed one")
-    if product.is_zero:
+    if not product:
         problems.append("product of the factors is zero")
     projection_checked = False
-    if w.chain and not product.is_zero:
-        yprod = reduce(mul, w.chain)
-        if yprod.degree() is None:
+    if w.chain and product:
+        yprod = _fold(a, w.chain)
+        if _degree(a, yprod) is None:
             problems.append("chain product is zero or inhomogeneous")
         else:
             # Terms of the product with c* = min(supp yprod) in the last slot
             # differ in the other slots, so the projection cancels nothing.
-            cstar = min(yprod.terms)
+            cstar = min(yprod)
             projection_checked = True
-            if not any(idx % a.dim == cstar for idx in product.terms):
+            if not any(idx % a.dim == cstar for idx in product):
                 problems.append("degree-functional projection of the product vanished")
     return WitnessReport(not problems, tuple(problems), projection_checked)

@@ -112,7 +112,7 @@ def presentation_from_dict(doc) -> AlgebraPresentation:
             raise ValidationError(f"{where}: duplicate product entry ({left}, {right})")
         if not isinstance(entry["value"], list):
             raise ValidationError(f"{where}: 'value' must be an array")
-        terms = []
+        row = {}
         for m, term in enumerate(entry["value"]):
             _require_keys(term, ["coeff", "basis"], f"{where}.value[{m}]")
             coeff, lbl = term["coeff"], term["basis"]
@@ -126,6 +126,7 @@ def presentation_from_dict(doc) -> AlgebraPresentation:
                 value = parse_scalar(field, coeff)
             except (ValidationError, ZeroDivisionError) as exc:
                 raise ValidationError(f"{where}.value[{m}]: {exc}") from None
-            terms.append((value, index[lbl]))
-        products[(i, j)] = tuple(terms)
+            k = index[lbl]
+            row[k] = field.add(row[k], value) if k in row else value  # a repeated term sums
+        products[(i, j)] = row
     return AlgebraPresentation(name, field, tuple(basis), products)

@@ -115,14 +115,22 @@ class TensorPowerAlgebra(Algebra):
         for _ in range(k):
             self._deg.append(tuple(p + q for p in self._deg[-1] for q in base.degrees))
         self._moves: dict = {}  # the slot rule's moves, by (slot, y): see invariants
+        # by chunk, the slots of each chunk index; built on first use, since the
+        # bounds route builds a power for every r and reads the slots of few
+        self._slot_tables = None
 
     def tuple_of_index(self, idx: int) -> tuple:
-        d = self.base.dim
-        out = []
-        for _ in range(self.r):
-            idx, slot = divmod(idx, d)
-            out.append(slot)
-        return tuple(reversed(out))
+        """The r slots of idx: its chunk digits, each read as slots from a table per chunk."""
+        tables = self._slot_tables
+        if tables is None:
+            base = self.base
+            slots = {
+                alg: tuple(itertools.product(range(base.dim), repeat=1 if alg is base else alg.r))
+                for alg in set(self._chunks)
+            }
+            tables = self._slot_tables = tuple(slots[alg] for alg in self._chunks)
+        digits = self._split(idx)
+        return tuple(itertools.chain.from_iterable(map(tuple.__getitem__, tables, digits)))
 
     def index_of_tuple(self, t: "Sequence[int]") -> int:
         d = self.base.dim
@@ -135,8 +143,7 @@ class TensorPowerAlgebra(Algebra):
         return self._low_degree(i, self.r)
 
     def label_of(self, i: int) -> str:
-        base_lbl = self.base.label_of
-        return "⊗".join(base_lbl(s) for s in self.tuple_of_index(i))
+        return "⊗".join(map(self.base.label_of, self.tuple_of_index(i)))
 
     def _core_table(self):
         return _tensor_table((self.base,) * self.r)

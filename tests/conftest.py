@@ -67,14 +67,14 @@ def _truncated_generator(rng: random.Random, field: Field, tag: str) -> AlgebraP
     for i in range(1, height):
         for j in range(i, height):
             if i + j < height:
-                products[(f"x{i}", f"x{j}")] = [(1, f"x{i+j}")]
+                products[(f"x{i}", f"x{j}")] = {f"x{i+j}": 1}
     return AlgebraPresentation.from_labels(tag, field, basis, products)
 
 
 def _dual_pair(rng: random.Random, field: Field, tag: str) -> AlgebraPresentation:
     da, db = rng.randint(1, 3), rng.randint(1, 3)
     basis = [("1", 0), ("a", da), ("b", db), ("c", da + db)]
-    products = {("a", "b"): [(1, "c")]}
+    products = {("a", "b"): {"c": 1}}
     return AlgebraPresentation.from_labels(tag, field, basis, products)
 
 
@@ -95,11 +95,9 @@ def _degree_truncate(alg, tag: str, max_dim: int, max_deg: int) -> AlgebraPresen
         for j in keep[a:]:
             if alg.degree_of(j) == 0:
                 continue
-            terms = [
-                (c, remap[k]) for k, c in alg.basis_product(i, j).items() if k in remap
-            ]
-            if terms:
-                products[(remap[i], remap[j])] = tuple(terms)
+            row = {remap[k]: c for k, c in alg.basis_product(i, j).items() if k in remap}
+            if row:
+                products[(remap[i], remap[j])] = row
     return AlgebraPresentation(tag, alg.field, tuple(basis), products)
 
 

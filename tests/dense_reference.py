@@ -24,15 +24,17 @@ dense ranks, against :func:`decomposables_rank`.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
+:func:`index_slots` splits a tensor-power index by plain index arithmetic.
 :func:`div` divides two scalars, which zclkit's own code never does;
 :func:`check` admits only a canonical scalar of a field, :func:`labels`
 lists an algebra's basis labels, and :func:`to_presentation` gives the
 presentation whose file form ``save_algebra`` writes, which only tests ask
 for; and :func:`element`, :func:`one_element`, :func:`basis_element`,
-:func:`element_from_labels`, :func:`add`, :func:`sub`, :func:`neg` and
-:func:`scale` build and combine elements as only the tests do; zclkit
-itself only multiplies them.  ``QQ``, ``GF2``, ``GF3`` and ``GF5`` are the
-fields the tests name.
+:func:`element_from_labels`, :func:`coords`, :func:`add`, :func:`sub`,
+:func:`neg`, :func:`scale` and :func:`multiply` build, read and combine
+elements, sparse rows ``{index: coeff}`` of the algebra they take, as only
+the tests do; zclkit itself only multiplies them.  ``QQ``, ``GF2``, ``GF3``
+and ``GF5`` are the fields the tests name.
 """
 
 import itertools
@@ -44,7 +46,6 @@ from zclkit.errors import DEFAULT_MAX_DIM, FieldMismatchError, ResourceLimitErro
 from zclkit.fields import Field
 from zclkit.invariants import (
     DEFAULT_SEED_DIM,
-    Element,
     ZclResult,
     _walk,
     _zero_divisor_letters,
@@ -90,20 +91,26 @@ def labels(alg):
 
 
 def to_presentation(alg):
-    """The presentation of ``alg``: its positive (i <= j) table entries as (coeff, index) pairs.
+    """The presentation of ``alg``: its nonzero positive (i <= j) table rows.
 
     Its ``to_dict`` is the file form that ``algfile.save_algebra`` streams.
     Entries bypass the pair cache, which would otherwise keep the whole table.
     """
     basis = tuple((alg.label_of(i), alg.degree_of(i)) for i in range(alg.dim))
-    products = {
-        key: tuple((c, k) for k, c in row.items()) for key, row in alg._core_table().items()
-    }
-    return AlgebraPresentation(alg.name, alg.field, basis, products)
+    return AlgebraPresentation(alg.name, alg.field, basis, dict(alg._core_table()))
+
+
+def index_slots(power, idx):
+    """The r base indices of ``idx`` in a tensor power, by r divmods; slot 1 leads."""
+    slots = []
+    for _ in range(power.r):
+        idx, slot = divmod(idx, power.base.dim)
+        slots.append(slot)
+    return tuple(reversed(slots))
 
 
 def basis_element(alg, i):
-    return Element(alg, {i: alg.field.one})
+    return {i: alg.field.one}
 
 
 def div(field: Field, x, y):
@@ -314,18 +321,18 @@ def subspace_product(s, t, product_items):
     return Subspace.from_sparse_rows(field, collected, s.ambient_dim)
 
 
-def coords(element):
-    """The dense coordinate tuple of an element."""
-    zero = element.algebra.field.zero
-    return tuple(element.terms.get(i, zero) for i in range(element.algebra.dim))
+def coords(alg, row):
+    """The dense coordinate tuple of a row of ``alg``."""
+    zero = alg.field.zero
+    return tuple(row.get(i, zero) for i in range(alg.dim))
 
 
 def element(alg, coords):
-    """The element of ``alg`` with the dense coordinates ``coords``."""
+    """The row of ``alg`` with the dense coordinates ``coords``."""
     coords = tuple(alg.field.coerce(c) for c in coords)
     if len(coords) != alg.dim:
         raise ValidationError(f"coordinate length {len(coords)} does not match dim {alg.dim}")
-    return Element(alg, {i: c for i, c in enumerate(coords) if c})
+    return {i: c for i, c in enumerate(coords) if c}
 
 
 def one_element(alg):
@@ -333,7 +340,7 @@ def one_element(alg):
 
 
 def element_from_labels(alg, terms):
-    """The element of ``alg`` from a {label: coeff} mapping."""
+    """The row of ``alg`` from a {label: coeff} mapping."""
     index = {lbl: i for i, lbl in enumerate(labels(alg))}
     out = {}
     for lbl, c in terms.items():
@@ -342,43 +349,42 @@ def element_from_labels(alg, terms):
         c = alg.field.coerce(c)
         if c:
             out[index[lbl]] = c
-    return Element(alg, out)
+    return out
 
 
-def _combine(u, v, op):
-    if not isinstance(v, Element) or v.algebra is not u.algebra:
-        raise ValidationError("elements belong to different algebras")
-    out = dict(u.terms)
-    zero = u.algebra.field.zero
-    for k, b in v.terms.items():
+def _combine(u, v, op, zero):
+    out = dict(u)
+    for k, b in v.items():
         c = op(out.get(k, zero), b)
         if c:
             out[k] = c
         else:
             out.pop(k, None)
-    return Element(u.algebra, out)
+    return out
 
 
-def add(u, v):
-    return _combine(u, v, u.algebra.field.add)
+def add(alg, u, v):
+    return _combine(u, v, alg.field.add, alg.field.zero)
 
 
-def sub(u, v):
-    return _combine(u, v, u.algebra.field.sub)
+def sub(alg, u, v):
+    return _combine(u, v, alg.field.sub, alg.field.zero)
 
 
-def neg(u):
-    field = u.algebra.field
-    return Element(u.algebra, {k: field.neg(a) for k, a in u.terms.items()})
+def neg(alg, u):
+    return {k: alg.field.neg(a) for k, a in u.items()}
 
 
-def scale(u, c):
+def scale(alg, u, c):
     """c u, for a scalar c in any form the field coerces."""
-    field = u.algebra.field
+    field = alg.field
     c = field.coerce(c)
-    if not c:
-        return Element(u.algebra, {})
-    return Element(u.algebra, {k: field.mul(c, a) for k, a in u.terms.items()})
+    return {k: field.mul(c, a) for k, a in u.items()} if c else {}
+
+
+def multiply(alg, u, v):
+    """u v through the pair table of ``alg``."""
+    return alg.product_items(u.items(), v.items())
 
 
 def full_space(field, ambient_dim):
@@ -421,7 +427,7 @@ def associativity_failures(pres):
 
     Every positive triple is compared, in ``(j, i, k)`` index order, on dense
     vectors.  The table is completed here from the raw presentation: the
-    unit laws, summed terms, and ``e_j e_i = -e_i e_j`` when both degrees
+    unit laws, coerced terms, and ``e_j e_i = -e_i e_j`` when both degrees
     are odd.
     """
     field = pres.field
@@ -432,7 +438,7 @@ def associativity_failures(pres):
 
     def vector(terms):
         v = [field.zero] * dim
-        for c, k in terms:
+        for k, c in terms.items():
             v[k] = field.add(v[k], field.coerce(c))
         return v
 
@@ -440,11 +446,11 @@ def associativity_failures(pres):
     for i in range(dim):
         for j in range(dim):
             if i == unit or j == unit:
-                table[i, j] = vector([(1, j if i == unit else i)])
+                table[i, j] = vector({j if i == unit else i: 1})
             elif i <= j:
-                table[i, j] = vector(pres.products.get((i, j), ()))
+                table[i, j] = vector(pres.products.get((i, j), {}))
             else:
-                v = vector(pres.products.get((j, i), ()))
+                v = vector(pres.products.get((j, i), {}))
                 if degrees[i] & 1 and degrees[j] & 1:
                     v = [field.neg(x) for x in v]
                 table[i, j] = v
@@ -477,7 +483,7 @@ def decomposable_rows(pres):
     rows = []
     for terms in pres.products.values():
         v = [field.zero] * dim
-        for c, k in terms:
+        for k, c in terms.items():
             v[k] = field.add(v[k], field.coerce(c))
         rows.append(v)
     return rows
@@ -556,7 +562,7 @@ def mu_matrix(power):
     """Sparse rows of the collapse map's matrix, base dim x power dim."""
     rows = [{} for _ in range(power.base.dim)]
     for col in range(power.dim):
-        for k, c in mu(power.base, power.r, basis_element(power, col)).terms.items():
+        for k, c in mu(power.base, power.r, basis_element(power, col)).items():
             rows[k][col] = c
     return rows
 

@@ -20,7 +20,9 @@ from dense_reference import (
     element,
     element_from_labels,
     indecomposable_labels,
+    index_slots,
     kernel_mu,
+    multiply,
     neg,
     one_element,
     rref,
@@ -32,16 +34,17 @@ from dense_reference import (
 )
 from zclkit import (
     AlgebraPresentation,
-    Element,
     Field,
     TensorPowerAlgebra,
     builtin_algebra,
     mu,
     tensor_product,
     validate_algebra,
+    witness_extend,
+    zcl_exact,
 )
 from zclkit.errors import ResourceLimitError, ValidationError
-from zclkit.invariants import zero_divisor, zero_divisor_product
+from zclkit.invariants import row_text, zero_divisor, zero_divisor_product
 from zclkit.reader import parse_scalar
 
 
@@ -56,7 +59,7 @@ def exterior(field=QQ, deg=1, name="ext"):
 def truncated(field=QQ, deg=2, height=3, name="trunc"):
     basis = [("1", 0)] + [(f"x{k}", k * deg) for k in range(1, height)]
     products = {
-        (f"x{i}", f"x{j}"): [(1, f"x{i+j}")]
+        (f"x{i}", f"x{j}"): {f"x{i+j}": 1}
         for i in range(1, height)
         for j in range(i, height)
         if i + j < height
@@ -86,7 +89,7 @@ def test_inhomogeneous_product_rejected():
                 "bad",
                 GF3,
                 [("1", 0), ("a2", 2), ("a3", 3), ("a11", 11)],
-                {("a2", "a2"): [(1, "a3")]},
+                {("a2", "a2"): {"a3": 1}},
             )
         )
 
@@ -105,7 +108,7 @@ def test_duplicate_labels_rejected():
 
 @pytest.mark.parametrize(
     "products",
-    [{("a", "zz"): [(1, "a")]}, {("a", "a"): [(1, "zz")]}],
+    [{("a", "zz"): {"a": 1}}, {("a", "a"): {"zz": 1}}],
     ids=["factor", "term"],
 )
 def test_unknown_labels_in_products_are_rejected(products):
@@ -116,27 +119,43 @@ def test_unknown_labels_in_products_are_rejected(products):
 def test_unit_products_must_be_implicit():
     with pytest.raises(ValidationError, match="implicit"):
         validate_algebra(
-            _pres("unitprod", QQ, [("1", 0), ("a", 1)], {("1", "a"): [(1, "a")]})
+            _pres("unitprod", QQ, [("1", 0), ("a", 1)], {("1", "a"): {"a": 1}})
         )
+
+
+def test_core_rows_are_range_checked_coerced_and_sorted():
+    basis = (("1", 0), ("a", 2), ("b", 4), ("c", 4))
+    with pytest.raises(ValidationError, match=r"product key \(1, 4\) out of range"):
+        validate_algebra(AlgebraPresentation("range", QQ, basis, {(1, 4): {2: 1}}))
+    with pytest.raises(ValidationError, match="term index 4 out of range"):
+        validate_algebra(AlgebraPresentation("range", QQ, basis, {(1, 1): {4: 1}}))
+    # a row's zeros are dropped and its terms sorted by index
+    alg = validate_algebra(AlgebraPresentation("rows", GF3, basis, {(1, 1): {3: 4, 2: 3}}))
+    assert alg.basis_product(1, 1) == {3: 1}
+    alg = validate_algebra(AlgebraPresentation("rows", GF3, basis, {(1, 1): {3: -1, 2: 1}}))
+    assert list(alg.basis_product(1, 1).items()) == [(2, 1), (3, 2)]
+    # an empty row is no product, in the file form too
+    pres = AlgebraPresentation("rows", QQ, basis, {(1, 1): {}})
+    assert pres.to_dict()["products"] == [] and validate_algebra(pres)._core == {}
 
 
 def test_products_keyed_by_lower_index_first():
     pres = AlgebraPresentation(
-        "swapped", QQ, (("1", 0), ("a", 1), ("b", 1), ("c", 2)), {(2, 1): ((1, 3),)}
+        "swapped", QQ, (("1", 0), ("a", 1), ("b", 1), ("c", 2)), {(2, 1): {3: 1}}
     )
     with pytest.raises(ValidationError, match="lower basis index"):
         validate_algebra(pres)
 
 
 def test_odd_square_must_vanish_outside_char_two():
-    bad = _pres("oddsq", QQ, [("1", 0), ("a", 1), ("b", 2)], {("a", "a"): [(1, "b")]})
+    bad = _pres("oddsq", QQ, [("1", 0), ("a", 1), ("b", 2)], {("a", "a"): {"b": 1}})
     with pytest.raises(ValidationError, match="odd degree"):
         validate_algebra(bad)
     # same table is fine over F2
-    ok = _pres("oddsq2", GF2, [("1", 0), ("a", 1), ("b", 2)], {("a", "a"): [(1, "b")]})
+    ok = _pres("oddsq2", GF2, [("1", 0), ("a", 1), ("b", 2)], {("a", "a"): {"b": 1}})
     alg = validate_algebra(ok)
     a = element_from_labels(alg, {"a": 1})
-    assert (a * a) == element_from_labels(alg, {"b": 1})
+    assert multiply(alg, a, a) == element_from_labels(alg, {"b": 1})
 
 
 def test_associativity_violation_reported():
@@ -145,7 +164,7 @@ def test_associativity_violation_reported():
         "nonassoc",
         QQ,
         [("1", 0), ("x", 2), ("y", 4), ("u", 8)],
-        {("x", "x"): [(1, "y")], ("y", "y"): [(1, "u")]},
+        {("x", "x"): {"y": 1}, ("y", "y"): {"u": 1}},
     )
     with pytest.raises(ValidationError, match=r"associativity fails on \(x, x, y\)"):
         validate_algebra(bad)
@@ -157,7 +176,7 @@ def test_mirrored_associativity_violation_reported():
         "nonassoc-mirror",
         QQ,
         [("1", 0), ("x", 2), ("y", 4), ("z", 6), ("u", 8)],
-        {("x", "y"): [(1, "z")], ("x", "z"): [(1, "u")]},
+        {("x", "y"): {"z": 1}, ("x", "z"): {"u": 1}},
     )
     with pytest.raises(ValidationError, match=r"associativity fails on \(x, x, y\)"):
         validate_algebra(bad)
@@ -174,23 +193,24 @@ def _perturbed(pres, rng, edits):
     field = pres.field
     degrees = [deg for _, deg in pres.basis]
     pos = [i for i, deg in enumerate(degrees) if deg]
-    products = {key: list(terms) for key, terms in pres.products.items()}
+    products = {key: dict(row) for key, row in pres.products.items()}
     for _ in range(edits):
         kind = rng.choice(["change", "drop", "add"])
-        entries = sorted(key for key, terms in products.items() if terms)
+        entries = sorted(key for key, row in products.items() if row)
         if kind in ("change", "drop") and entries:
             key = rng.choice(entries)
-            n = rng.randrange(len(products[key]))
+            k = rng.choice(list(products[key]))
             if kind == "drop":
-                del products[key][n]
+                del products[key][k]
             else:
-                c, k = products[key][n]
-                products[key][n] = (field.add(c, field.coerce(rng.choice([1, 2, -1]))), k)
+                products[key][k] = field.add(products[key][k], field.coerce(rng.choice([1, 2, -1])))
         elif kind == "add" and pos:
             i, j = sorted((rng.choice(pos), rng.choice(pos)))
             targets = [k for k, deg in enumerate(degrees) if deg == degrees[i] + degrees[j]]
             if targets and not (i == j and degrees[i] & 1 and field.characteristic != 2):
-                products.setdefault((i, j), []).append((field.one, rng.choice(targets)))
+                row = products.setdefault((i, j), {})
+                k = rng.choice(targets)
+                row[k] = field.add(row.get(k, field.zero), field.one)
     return AlgebraPresentation(pres.name, field, pres.basis, products)
 
 
@@ -240,10 +260,10 @@ def test_indecomposables_span_q_of_a(corpus):
 
 def test_zero_coefficients_are_dropped():
     alg = validate_algebra(
-        _pres("dropzero", GF3, [("1", 0), ("a", 1), ("b", 2)], {("a", "a"): [(3, "b")]})
+        _pres("dropzero", GF3, [("1", 0), ("a", 1), ("b", 2)], {("a", "a"): {"b": 3}})
     )
     a = element_from_labels(alg, {"a": 1})
-    assert (a * a).is_zero
+    assert not multiply(alg, a, a)
 
 
 # -- multiplication ----------------------------------------------------------------
@@ -253,44 +273,48 @@ def test_unit_law(stanley):
     one = one_element(stanley)
     for i in range(stanley.dim):
         e = basis_element(stanley, i)
-        assert one * e == e
-        assert e * one == e
+        assert multiply(stanley, one, e) == e
+        assert multiply(stanley, e, one) == e
 
 
 def test_stanley_generators_annihilate(stanley):
     a2 = element_from_labels(stanley, {"a2": 1})
     a3 = element_from_labels(stanley, {"a3": 1})
-    assert (a2 * a3).is_zero
-    assert (a2 * a2).is_zero
+    assert not multiply(stanley, a2, a3)
+    assert not multiply(stanley, a2, a2)
 
 
 def test_odd_generator_squares_to_zero_over_q():
     alg = exterior()
     a = element_from_labels(alg, {"a": 1})
-    assert (a * a).is_zero
+    assert not multiply(alg, a, a)
 
 
 def test_graded_commutativity_signs():
     alg = validate_algebra(
-        _pres("two-odds", QQ, [("1", 0), ("a", 1), ("b", 1), ("c", 2)], {("a", "b"): [(1, "c")]})
+        _pres("two-odds", QQ, [("1", 0), ("a", 1), ("b", 1), ("c", 2)], {("a", "b"): {"c": 1}})
     )
     a = element_from_labels(alg, {"a": 1})
     b = element_from_labels(alg, {"b": 1})
     c = element_from_labels(alg, {"c": 1})
-    assert a * b == c
-    assert b * a == neg(c)
+    assert multiply(alg, a, b) == c
+    assert multiply(alg, b, a) == neg(alg, c)
 
 
 def test_element_mismatch_rejected(stanley):
-    other = exterior()
-    with pytest.raises(ValidationError):
-        one_element(stanley) * one_element(other)
+    # a row names no algebra: the collapse map and the extension range-check its
+    # indices against the algebra the caller names
+    cube, w = stanley.tensor_power(3), zcl_exact(stanley, 2).witness
+    with pytest.raises(ValidationError, match="does not lie in the r-th tensor power"):
+        mu(stanley, 2, basis_element(cube, cube.dim - 1))
+    with pytest.raises(ValidationError, match="must be rows of the base algebra"):
+        witness_extend(stanley, w, (basis_element(cube, cube.dim - 1),))
 
 
 def test_scalar_action(stanley):
     a2 = element_from_labels(stanley, {"a2": 1})
-    assert scale(a2, 2) == add(a2, a2)
-    assert scale(a2, 3).is_zero
+    assert scale(stanley, a2, 2) == add(stanley, a2, a2)
+    assert not scale(stanley, a2, 3)
 
 
 # -- tensor powers -------------------------------------------------------------------
@@ -323,23 +347,23 @@ def test_koszul_signs_on_odd_generator():
     a1 = element_from_labels(sq, {"a⊗1": 1})
     one_a = element_from_labels(sq, {"1⊗a": 1})
     aa = element_from_labels(sq, {"a⊗a": 1})
-    assert one_a * a1 == neg(aa)
-    assert a1 * one_a == aa
+    assert multiply(sq, one_a, a1) == neg(sq, aa)
+    assert multiply(sq, a1, one_a) == aa
 
 
 def test_stanley_difference_square(stanley):
     sq = stanley.tensor_power(2)
     x = element_from_labels(sq, {"a2⊗1": 1, "1⊗a2": -1})
     target = element_from_labels(sq, {"a2⊗a2": -2})
-    assert x * x == target  # -2 = 1 mod 3
-    assert coords(x * x)[5] == 1
+    assert multiply(sq, x, x) == target  # -2 = 1 mod 3
+    assert coords(sq, multiply(sq, x, x))[5] == 1
 
 
 def test_difference_square_over_rationals():
     alg = validate_algebra(_pres("even-sphere", QQ, [("1", 0), ("a", 2)]))
     sq = alg.tensor_power(2)
     x = element_from_labels(sq, {"a⊗1": 1, "1⊗a": -1})
-    assert x * x == element_from_labels(sq, {"a⊗a": -2})
+    assert multiply(sq, x, x) == element_from_labels(sq, {"a⊗a": -2})
 
 
 def test_tuple_index_round_trip(stanley):
@@ -348,6 +372,23 @@ def test_tuple_index_round_trip(stanley):
         t = cube.tuple_of_index(idx)
         assert cube.index_of_tuple(t) == idx
     assert cube.label_of(cube.index_of_tuple((1, 0, 2))) == "a2⊗1⊗a3"
+
+
+def test_slots_and_labels_of_chunked_powers_match_index_arithmetic():
+    # tuple_of_index reads each chunk digit's slots from a table; past 256 dimensions
+    # these powers have full chunks and a remainder of one slot (stanley-p3) or three
+    rng = random.Random(31)
+    for name, r in (("stanley-p3", 5), ("stanley-p3", 9), ("surface:1", 7)):
+        alg = builtin_algebra(name)
+        power = alg.tensor_power(r, max_dim=None)
+        assert len(power._chunks) > 1
+        indices = [0, power.unit_index, power.dim - 1]
+        indices += [rng.randrange(power.dim) for _ in range(300)]
+        for idx in indices:
+            slots = index_slots(power, idx)
+            assert power.tuple_of_index(idx) == slots, (name, r, idx)
+            assert power.label_of(idx) == "⊗".join(map(alg.label_of, slots)), (name, r, idx)
+        assert power.tuple_of_index(power.unit_index) == (alg.unit_index,) * r
 
 
 def test_tensor_power_output_validates(random_corpus):
@@ -373,7 +414,7 @@ def test_to_presentation_leaves_the_pair_cache_empty(corpus):
         assert cube._pair_cache == {}, alg.name
         pos = [i for i in range(cube.dim) if cube.degree_of(i) > 0]
         expected = {
-            (i, j): tuple((c, k) for k, c in cube.basis_product(i, j).items())
+            (i, j): cube.basis_product(i, j)
             for i in pos
             for j in pos
             if i <= j and cube.basis_product(i, j)
@@ -514,19 +555,26 @@ def test_mu_unit_factors(stanley):
 def test_mu_kills_differences(stanley):
     sq = stanley.tensor_power(2)
     x = element_from_labels(sq, {"a2⊗1": 1, "1⊗a2": -1})
-    assert mu(stanley, 2, x).is_zero
+    assert not mu(stanley, 2, x)
 
 
 def test_mu_of_pure_tensor_is_table_product(stanley):
     sq = stanley.tensor_power(2)
     u = element_from_labels(sq, {"a2⊗a2": 1})
-    assert mu(stanley, 2, u).is_zero  # a2 squared vanishes
+    assert not mu(stanley, 2, u)  # a2 squared vanishes
 
 
 def test_mu_layout_mismatch(stanley):
-    sq = stanley.tensor_power(2)
+    cube = stanley.tensor_power(3)
     with pytest.raises(ValidationError):
-        mu(stanley, 3, one_element(sq))
+        mu(stanley, 2, basis_element(cube, 16))  # past the square's last index, 15
+
+
+def test_mu_at_r_one_is_the_identity(stanley):
+    u = element_from_labels(stanley, {"a2": 1, "a11": 2})
+    assert mu(stanley, 1, u) == u
+    with pytest.raises(ValidationError, match="mu requires r >= 1"):
+        mu(stanley, 0, u)
 
 
 def test_mu_is_an_algebra_homomorphism(random_corpus):
@@ -537,7 +585,7 @@ def test_mu_is_an_algebra_homomorphism(random_corpus):
         for _ in range(10):
             u = element(power, [rng.randint(-2, 2) for _ in range(power.dim)])
             v = element(power, [rng.randint(-2, 2) for _ in range(power.dim)])
-            assert mu(alg, 2, u * v) == mu(alg, 2, u) * mu(alg, 2, v)
+            assert mu(alg, 2, multiply(power, u, v)) == multiply(alg, mu(alg, 2, u), mu(alg, 2, v))
 
 
 # -- sparse elements against a dense reference --------------------------------------
@@ -598,50 +646,39 @@ def test_sparse_elements_match_a_dense_reference(small_powers, data):
     c = f.coerce(data.draw(st.integers(-2, 2)))
     x, y = element(power, u), element(power, v)
 
-    assert coords(x) == tuple(u)
-    assert x.items() == [(i, a) for i, a in enumerate(u) if a]
-    assert x.is_zero == (not any(u))
+    assert coords(power, x) == tuple(u)
+    assert sorted(x.items()) == [(i, a) for i, a in enumerate(u) if a]
     assert (x == y) == (u == v)
     assert x == element(power, u)
     expected = {
-        "add": (add(x, y), [f.add(a, b) for a, b in zip(u, v)]),
-        "sub": (sub(x, y), [f.sub(a, b) for a, b in zip(u, v)]),
-        "neg": (neg(x), [f.neg(a) for a in u]),
-        "scale": (scale(x, c), [f.mul(c, a) for a in u]),
-        "zero scale": (scale(x, 0), [f.zero] * power.dim),
-        "mul": (x * y, _dense_mul(power, u, v)),
-        "self sub": (sub(x, x), [f.zero] * power.dim),
+        "add": (add(power, x, y), [f.add(a, b) for a, b in zip(u, v)]),
+        "sub": (sub(power, x, y), [f.sub(a, b) for a, b in zip(u, v)]),
+        "neg": (neg(power, x), [f.neg(a) for a in u]),
+        "scale": (scale(power, x, c), [f.mul(c, a) for a in u]),
+        "zero scale": (scale(power, x, 0), [f.zero] * power.dim),
+        "mul": (multiply(power, x, y), _dense_mul(power, u, v)),
+        "self sub": (sub(power, x, x), [f.zero] * power.dim),
     }
     for op, (got, want) in expected.items():
-        assert coords(got) == tuple(want), op
-        assert got.items() == [(i, a) for i, a in enumerate(want) if a], op
-        assert all(got.terms.values()), f"{op} kept a zero term"
-        assert got.is_zero == (not any(want)), op
-    assert str(x) == (
+        assert coords(power, got) == tuple(want), op
+        assert sorted(got.items()) == [(i, a) for i, a in enumerate(want) if a], op
+        assert all(got.values()), f"{op} kept a zero term"
+    assert row_text(power, x) == (
         " + ".join(f"{f.format(a)}·{power.label_of(i)}" for i, a in enumerate(u) if a) or "0"
     )
     if r > 1:
         image = mu(alg, r, x)
-        assert coords(image) == tuple(_dense_mu(power, u))
-        assert all(image.terms.values())
-
-
-def test_element_rejects_a_coordinate_tuple(stanley):
-    # the constructor takes terms; dense coordinates go through element()
-    dense = coords(one_element(stanley))
-    with pytest.raises(ValidationError):
-        Element(stanley, dense)
-    assert element(stanley, dense) == Element(stanley, {stanley.unit_index: stanley.field.one})
+        assert coords(alg, image) == tuple(_dense_mu(power, u))
+        assert all(image.values())
 
 
 def test_degree_additivity(corpus):
     for alg in corpus[:20]:
         for i in range(alg.dim):
             for j in range(alg.dim):
-                prod = basis_element(alg, i) * basis_element(alg, j)
-                if prod.is_zero:
-                    continue
-                assert prod.degree() == alg.degree_of(i) + alg.degree_of(j)
+                prod = multiply(alg, basis_element(alg, i), basis_element(alg, j))
+                degrees = {alg.degree_of(k) for k in prod}
+                assert degrees <= {alg.degree_of(i) + alg.degree_of(j)}
 
 
 def test_kernel_mu_dimension(stanley):
@@ -654,7 +691,7 @@ def test_kernel_mu_exterior():
     assert ker.dim == 2
     sq = alg.tensor_power(2)
     x = element_from_labels(sq, {"a⊗1": 1, "1⊗a": -1})
-    assert contains(ker, coords(x))
+    assert contains(ker, coords(sq, x))
 
 
 def test_difference_always_in_kernel(corpus):
@@ -688,9 +725,9 @@ def test_tensor_product_of_odd_lines_is_torus_like():
     assert prod.dim == 4
     a = element_from_labels(prod, {"a⊗1": 1})
     b = element_from_labels(prod, {"1⊗a": 1})
-    ab = a * b
-    assert not ab.is_zero
-    assert b * a == neg(ab)
+    ab = multiply(prod, a, b)
+    assert ab
+    assert multiply(prod, b, a) == neg(prod, ab)
     revalidated = validate_algebra(to_presentation(prod))
     assert revalidated.dim == 4
 

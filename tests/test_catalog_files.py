@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dense_reference import element_from_labels
+from dense_reference import element_from_labels, multiply
 from zclkit import builtin_algebra, builtin_names, builtin_presentation, validate_algebra
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.errors import ResourceLimitError, ValidationError
@@ -169,4 +169,4 @@ def test_coefficient_strings_parse_in_the_field(tmp_path):
     path.write_text(json.dumps(doc))
     alg = validate_algebra(load_presentation(path))
     a = element_from_labels(alg, {"a": 1})
-    assert (a * a) == element_from_labels(alg, {"c": 1})  # -2 = 1 mod 3
+    assert multiply(alg, a, a) == element_from_labels(alg, {"c": 1})  # -2 = 1 mod 3

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 from dense_reference import labels
-from zclkit import builtin_algebra, cup_length, validate_algebra
+from zclkit import builtin_algebra, cup_length, invariants, validate_algebra
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
     EXIT_INCONCLUSIVE,
@@ -219,6 +219,74 @@ def test_char_two_run_is_flagged(tmp_path):
     code, report, _ = cli_json("check", str(path))
     assert code == EXIT_OK
     assert any("characteristic-2" in w for w in report["warnings"])
+    assert cli("check", str(path)) == (
+        EXIT_OK,
+        "mod2: valid; dim 2 over F2; degrees [0, 1]\n"
+        "warning: characteristic-2 field: odd-degree squares are not forced to vanish; "
+        "only the literal sign rule is enforced\n",
+        "",
+    )
+
+
+# -- text reports ------------------------------------------------------------------------
+
+TEXT_REPORTS = [
+    (
+        ("series", "builtin:stanley-p3", "--rmax", "3", "--min-run", "2"),
+        EXIT_OK,
+        "stanley-p3: cl = 1\n"
+        "  r=2: zcl = 2 (exact)\n"
+        "  r=3: zcl = 3 (exact)\n"
+        "  r=4: zcl = 4 (exact)\n"
+        "sequence t_r = zcl_(r+1), r >= 1: [2, 3, 4]\n"
+        "verdict: rational_form_detected (window 3)\n"
+        "P(x) = 2x - x^2; P(1) = 1; equals cl: True\n",
+    ),
+    (
+        ("series", "builtin:surface:1", "--rmax", "3", "--max-dim", "16"),
+        EXIT_INCONCLUSIVE,
+        "surface:1: cl = 2\n"
+        "  r=2: zcl = 2 (exact)\n"
+        "  r=3: zcl = [4, 6] (bounds)\n"
+        "  r=4: zcl = [6, 8] (bounds)\n"
+        "analysis skipped: some entries are uncertified bounds\n",
+    ),
+    (
+        ("analyze", "--seq", "2,3,4,5", "--offset", "1"),
+        EXIT_OK,
+        "verdict: rational_form_detected (window 4)\n"
+        "tail: t_r = 1*r + 1 from r = 1 (within window)\n"
+        "P(x) = 2x - x^2; P(1) = 1\n",
+    ),
+    (
+        ("builtins",),
+        EXIT_OK,
+        "point\nstanley-p3\nsphere-odd:<odd n>\nsphere-even:<even n>\nsurface:<genus g>\n",
+    ),
+    (("witness", "builtin:point", "--r", "2"), EXIT_INCONCLUSIVE, "no witness available\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status, text", TEXT_REPORTS, ids=[" ".join(argv[:3]) for argv, _, _ in TEXT_REPORTS]
+)
+def test_text_reports_are_pinned(argv, status, text):
+    assert cli(*argv) == (status, text, "")
+
+
+def test_text_report_lists_the_problems_of_a_witness(monkeypatch):
+    # a valid witness never fails; a verifier that reports a problem shows the listing
+    failed = invariants.WitnessReport(False, ("stored product differs from the recomputed one",))
+    monkeypatch.setattr(invariants, "verify_witness", lambda alg, witness: failed)
+    assert cli("witness", "builtin:stanley-p3", "--r", "2") == (
+        EXIT_OK,
+        "witness for zcl_2(stanley-p3), length 2, verified=False\n"
+        "  factor 1: 1·1⊗a2 + 2·a2⊗1\n"
+        "  factor 2: 1·1⊗a2 + 2·a2⊗1\n"
+        "  product: 1·a2⊗a2\n"
+        "  problem: stored product differs from the recomputed one\n",
+        "",
+    )
 
 
 def test_json_reports_are_stable():
@@ -257,9 +325,15 @@ def test_invalid_algebra_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "data", [b'{"name": "caf\xe9"}', b"[" * 100000], ids=["latin-1", "deeply-nested"]
+    "data, message",
+    [
+        (b'{"name": "caf\xe9"}', "not UTF-8 ("),
+        (b"[" * 100000, "JSON nested too deeply to parse\n"),
+        (b'{"name": ', "not valid JSON ("),
+    ],
+    ids=["latin-1", "deeply-nested", "truncated"],
 )
-def test_malformed_file_is_an_error_not_a_traceback(tmp_path, data, child_env):
+def test_malformed_file_is_an_error_not_a_traceback(tmp_path, data, message, child_env):
     path = tmp_path / "malformed.json"
     path.write_bytes(data)
     proc = subprocess.run(
@@ -271,8 +345,9 @@ def test_malformed_file_is_an_error_not_a_traceback(tmp_path, data, child_env):
     )
     assert proc.returncode == EXIT_INVALID
     assert proc.stdout == ""
-    assert proc.stderr.startswith("zclkit: error: "), proc.stderr
+    assert proc.stderr.startswith(f"zclkit: error: {path}: {message}"), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == cli("check", str(path))
 
 
 @pytest.mark.parametrize(
@@ -327,6 +402,72 @@ def test_non_string_product_label_is_an_invalid_file(tmp_path, entry, where):
     assert err.startswith(f"zclkit: error: {where}: unknown basis label") and err.count("\n") == 1
 
 
+def _document(**changes):
+    """A valid algebra file's document over Q, with the top-level keys ``changes`` replaced."""
+    doc = {
+        "name": "doc",
+        "field": {"kind": "rational"},
+        "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2}],
+        "products": [],
+    }
+    doc.update(changes)
+    return doc
+
+
+def _basis(label, degree):
+    return [{"label": "1", "degree": 0}, {"label": label, "degree": degree}]
+
+
+# each fault the reader or the structure check names, with the message it prints
+MALFORMED_DOCUMENTS = [
+    ([], "algebra file: expected a JSON object"),
+    ({}, "algebra file: missing keys ['name', 'field', 'basis', 'products']"),
+    (_document(field={"kind": "complex"}), "field: unknown field kind 'complex'"),
+    (_document(field={"kind": "prime"}), "field: prime field needs 'p'"),
+    (_document(field={"kind": "prime", "p": "3"}), "field: 'p' must be an integer"),
+    (_document(name=7), "algebra file: 'name' must be a string"),
+    (_document(basis={}), "algebra file: 'basis' must be an array"),
+    (_document(products={}), "algebra file: 'products' must be an array"),
+    (
+        _document(products=[{"left": "x", "right": "x", "value": {}}]),
+        "products[0]: 'value' must be an array",
+    ),
+    (_document(basis=_basis(2, 2)), "basis[1]: label must be a string"),
+    (_document(basis=_basis("x", 2.0)), "basis[1]: degree must be an integer"),
+    (_document(basis=_basis("1", 2)), "algebra file: duplicate basis labels"),
+    (_document(basis=[]), "algebra 'doc': empty basis"),
+    (_document(basis=_basis("", 2)), "algebra 'doc': basis labels must be nonempty strings"),
+    (
+        _document(basis=_basis("x", -2)),
+        "algebra 'doc': degree of 'x' must be a nonnegative integer",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message", MALFORMED_DOCUMENTS, ids=[m for _, m in MALFORMED_DOCUMENTS]
+)
+def test_a_malformed_document_names_its_fault(tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli("check", str(path)) == (EXIT_INVALID, "", f"zclkit: error: {message}\n")
+
+
+def test_a_repeated_term_of_a_product_is_summed(tmp_path):
+    # x^2 lists y twice: 1 + 1 = 2 over Q, and 1 + 2 = 0 over F_3, no product at all
+    term = {"coeff": "1", "basis": "y"}
+    basis = _basis("x", 2) + [{"label": "y", "degree": 4}]
+    for field, second, square in (({"kind": "rational"}, "1", {2: 2}),
+                                  ({"kind": "prime", "p": 3}, "2", {})):
+        value = [term, {"coeff": second, "basis": "y"}]
+        doc = _document(field=field, basis=basis,
+                        products=[{"left": "x", "right": "x", "value": value}])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        alg = validate_algebra(load_presentation(path))
+        assert alg.basis_product(1, 1) == square
+
+
 def test_usage_error_exit_code():
     code, _, err = cli("zcl", "builtin:stanley-p3")  # missing --r
     assert code == EXIT_USAGE
@@ -361,6 +502,14 @@ def test_analyze_non_arithmetic_is_inconclusive_exit():
     assert report["result"]["verdict"] == "not_arithmetic_in_window"
 
 
+def test_a_double_dash_before_the_algebra_reads_it_as_the_algebra():
+    assert cli("check", "--", "builtin:stanley-p3") == cli("check", "builtin:stanley-p3")
+    # as in argparse, every token after -- is a positional
+    assert cli("cl", "--", "builtin:surface:1", "--json") == (
+        EXIT_USAGE, "", "zclkit: error: unrecognized arguments: --json\n"
+    )
+
+
 def test_env_var_sets_ceiling(monkeypatch):
     monkeypatch.setenv("ZCLKIT_MAX_DIM", "100")
     code, _, err = cli("zcl", "builtin:stanley-p3", "--r", "4")
@@ -368,6 +517,10 @@ def test_env_var_sets_ceiling(monkeypatch):
     monkeypatch.setenv("ZCLKIT_MAX_DIM", "not-a-number")
     code, _, err = cli("zcl", "builtin:stanley-p3", "--r", "2")
     assert code == EXIT_INVALID
+    monkeypatch.setenv("ZCLKIT_MAX_DIM", "0")
+    assert cli("check", "builtin:stanley-p3") == (
+        EXIT_INVALID, "", "zclkit: error: ZCLKIT_MAX_DIM must be positive\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -530,6 +683,32 @@ def test_builtin_above_the_ceiling_is_refused_before_it_is_built(child_env):
     assert elapsed < 2.0, f"took {elapsed:.1f}s"
 
 
+def test_a_command_out_of_memory_exits_4(child_env, tmp_path):
+    # a valid file whose one label is 48 MB: reading and parsing it take several
+    # copies of it, more than the 128 MB address-space cap of the child allows
+    path = tmp_path / "long-label.json"
+    with open(path, "w") as file:
+        file.write('{"name": "long", "field": {"kind": "rational"}, "basis": [{"label": "')
+        for _ in range(48):
+            file.write("x" * (1 << 20))
+        file.write('", "degree": 0}], "products": []}')
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 128 << 20 if hard == resource.RLIM_INFINITY else min(128 << 20, hard)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zclkit.cli", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env=child_env,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+    finally:
+        path.unlink()
+    assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, ""), proc.stderr
+    assert proc.stderr == "zclkit: resource ceiling: out of memory\n"
+
+
 def test_file_above_the_ceiling_is_refused_before_validation(tmp_path, monkeypatch):
     path = tmp_path / "square.json"
     assert cli("tensor", "builtin:stanley-p3", "--r", "2", "--out", str(path))[0] == EXIT_OK
@@ -656,6 +835,7 @@ def test_an_out_file_that_cannot_be_written_is_one_line(child_env):
     proc = _main(child_env, argv)
     assert proc.stdout == ""
     _one_error_line(proc, "cannot write /nonexistent/x.json: ")
+    assert (proc.returncode, proc.stdout, proc.stderr) == cli(*argv)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")

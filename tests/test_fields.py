@@ -71,6 +71,20 @@ def test_division_by_zero():
         div(QQ, Fraction(1), Fraction(0))
 
 
+def test_admission_and_inversion_name_their_faults():
+    with pytest.raises(ValidationError, match="field modulus must be an integer"):
+        Field("3")
+    with pytest.raises(FieldMismatchError, match="booleans are not scalars"):
+        GF3.coerce(True)
+    assert GF3.coerce(Fraction(8, 2)) == 1  # an integral Fraction is its residue
+    with pytest.raises(FieldMismatchError, match=r"cannot coerce Fraction\(1, 2\) into F3"):
+        GF3.coerce(Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError, match="inverse of zero in Q"):
+        QQ.inv(0)
+    two = parse_scalar(QQ, "4/2")  # an integral literal is read as an int
+    assert two == 2 and type(two) is int
+
+
 def test_mixed_field_operands_rejected():
     with pytest.raises(FieldMismatchError):
         check(GF3, Fraction(1, 2))  # rational scalar fed to F3

@@ -28,6 +28,8 @@ from dense_reference import (
     full_space,
     full_walk,
     kernel_mu,
+    multiply,
+    neg,
     null_space,
     one_element,
     scale,
@@ -56,12 +58,12 @@ from zclkit import invariants
 from zclkit.algebra import DEFAULT_MAX_DIM, Algebra
 from zclkit.tensor import TensorPowerAlgebra
 from zclkit.invariants import (
-    Element,
     Witness,
     WitnessReport,
     _walk,
     _zero_divisor_letters,
     mu,
+    row_text,
     witness_factors,
     zcl_route,
     zero_divisor,
@@ -83,7 +85,7 @@ def exterior_line():
 
 def truncated_height3():
     return _alg(
-        "t3", QQ, [("1", 0), ("x", 2), ("xx", 4)], {("x", "x"): [(1, "xx")]}
+        "t3", QQ, [("1", 0), ("x", 2), ("xx", 4)], {("x", "x"): {"xx": 1}}
     )
 
 
@@ -98,7 +100,7 @@ def test_cup_length_stanley(stanley):
     res = cup_length(stanley)
     assert res.value == 1
     assert len(res.chain) == 1
-    assert not res.chain[0].is_zero
+    assert res.chain[0]
 
 
 def test_cup_length_point():
@@ -119,16 +121,16 @@ def test_cup_length_chain_product_is_nonzero(corpus):
             continue
         prod = res.chain[0]
         for e in res.chain[1:]:
-            prod = prod * e
-        assert not prod.is_zero
-        assert all(e.degree() > 0 for e in res.chain)
+            prod = multiply(alg, prod, e)
+        assert prod
+        assert all(alg.degree_of(i) > 0 for e in res.chain for i in e)
 
 
 def test_cup_length_oracle_examples(stanley):
     assert cup_length_oracle(stanley) == 1
     assert cup_length_oracle(point()) == 0
     two_odds = _alg(
-        "ext2", QQ, [("1", 0), ("a", 1), ("b", 1), ("ab", 2)], {("a", "b"): [(1, "ab")]}
+        "ext2", QQ, [("1", 0), ("a", 1), ("b", 1), ("ab", 2)], {("a", "b"): {"ab": 1}}
     )
     assert cup_length_oracle(two_odds) == 2
 
@@ -170,6 +172,8 @@ def test_zcl_exact_point_is_zero():
 def test_zcl_exact_requires_r_at_least_two(stanley):
     with pytest.raises(ValidationError):
         zcl_exact(stanley, 1)
+    with pytest.raises(ValidationError, match="needs r >= 2"):
+        next(zcl_route(stanley, 1))
 
 
 def test_zcl_exact_respects_ceiling(stanley):
@@ -226,7 +230,7 @@ def test_witness_extend_stanley(stanley):
     extended = witness_extend(stanley, seed.witness, chain)
     assert extended.r == 3
     assert len(extended.factors) == 3
-    assert not extended.product.is_zero
+    assert extended.product
     assert verify_witness(stanley, extended).ok
 
 
@@ -241,6 +245,26 @@ def test_witness_extend_rejects_empty_witness(stanley):
     empty = Witness(2, (), one_element(sq))
     with pytest.raises(ValidationError):
         witness_extend(stanley, empty, cup_length(stanley).chain)
+    assert verify_witness(stanley, empty) == WitnessReport(False, ("witness has no factors",))
+
+
+def test_witness_extend_names_each_rejected_input(stanley):
+    # an empty witness or chain, and a chain row of another algebra, are the
+    # tests above and test_element_mismatch_rejected
+    seed = zcl_exact(stanley, 2).witness
+    chain = cup_length(stanley).chain
+    a2, a3 = (element_from_labels(stanley, {lbl: 1}) for lbl in ("a2", "a3"))
+    for w, rows, message in (
+        (seed, (one_element(stanley),), "homogeneous of positive degree"),
+        (seed, (add(stanley, a2, a3),), "homogeneous of positive degree"),
+        (seed, (a2, a3), "chain product must be nonzero"),
+        (Witness(2, seed.factors, {16: 1}), chain, "does not lie in the stated tensor power"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            witness_extend(stanley, w, rows)
+    # a zero stored product is the only way the extension itself can vanish
+    with pytest.raises(WitnessInvariantError, match="extended witness product vanished"):
+        witness_extend(stanley, Witness(2, seed.factors, {}), chain)
 
 
 def test_witness_extend_even_truncated_cube():
@@ -250,18 +274,18 @@ def test_witness_extend_even_truncated_cube():
     sq = alg.tensor_power(2)
     x = element_from_labels(alg, {"x": 1})
     xbar = element_from_labels(sq, {"1⊗x": 1, "x⊗1": -1})
-    square = xbar * xbar
-    assert not square.is_zero
-    seed = Witness(2, ((x.terms, 2), (x.terms, 2)), square)
+    square = multiply(sq, xbar, xbar)
+    assert square
+    seed = Witness(2, ((x, 2), (x, 2)), square)
     extended = witness_extend(alg, seed, (x,))
     assert extended.r == 3
-    assert extended.factors == ((x.terms, 2), (x.terms, 2), (x.terms, 3))
+    assert extended.factors == ((x, 2), (x, 2), (x, 3))
     cube = alg.tensor_power(3)
     assert cube.dim == 27
     assert witness_factors(alg, extended) == (
         element_from_labels(cube, {"1⊗x⊗1": 1, "x⊗1⊗1": -1}),
     ) * 2 + (element_from_labels(cube, {"1⊗1⊗x": 1, "x⊗1⊗1": -1}),)
-    assert not extended.product.is_zero
+    assert extended.product
     assert verify_witness(alg, extended).ok
 
 
@@ -313,8 +337,8 @@ def test_projection_of_extended_witness_matches_parent_up_to_sign(stanley):
     # collapse the last slot with the functional dual to the chain product
     yprod = chain[0]
     for y in chain[1:]:
-        yprod = yprod * y
-    cstar, lam = yprod.items()[0]
+        yprod = multiply(stanley, yprod, y)
+    cstar, lam = min(yprod.items())
     field = stanley.field
     inv_lam = field.inv(lam)
     d = stanley.dim
@@ -325,8 +349,8 @@ def test_projection_of_extended_witness_matches_parent_up_to_sign(stanley):
         if s == cstar:
             collapsed[q] = field.add(collapsed[q], field.mul(c, inv_lam))
     projected = element(sq, collapsed)
-    assert projected == seed.witness.product or projected == -seed.witness.product
-    assert not projected.is_zero
+    assert projected in (seed.witness.product, neg(sq, seed.witness.product))
+    assert projected
 
 
 def test_verify_witness_checks_the_chain_of_an_extension(stanley):
@@ -339,7 +363,7 @@ def test_verify_witness_checks_the_chain_of_an_extension(stanley):
     assert report == WitnessReport(
         False, ("degree-functional projection of the product vanished",), True
     )
-    mixed = (add(a2, a11),)
+    mixed = (add(stanley, a2, a11),)
     report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, mixed))
     assert report == WitnessReport(False, ("chain product is zero or inhomogeneous",), False)
 
@@ -363,9 +387,9 @@ def test_every_returned_witness_verifies(corpus):
 def _product_from_scratch(a, w):
     """The ordered product of w's factors, each built by its closed form."""
     power = a.tensor_power(w.r, max_dim=None)
-    product = Element(power, {power.unit_index: a.field.one})
+    product = one_element(power)
     for y, s in w.factors:
-        product = product * Element(power, zero_divisor_reference(power, y, s))
+        product = multiply(power, product, zero_divisor_reference(power, y, s))
     return product
 
 
@@ -391,7 +415,7 @@ def test_incremental_extension_matches_the_product_from_scratch(corpus):
 def test_extended_witness_built_on_a_forgery_is_rejected(stanley):
     seed = zcl_exact(stanley, 2).witness
     chain = cup_length(stanley).chain
-    forged = Witness(2, seed.factors, scale(seed.product, 2))
+    forged = Witness(2, seed.factors, scale(stanley.tensor_power(2), seed.product, 2))
     report = verify_witness(stanley, witness_extend(stanley, forged, chain))
     assert not report.ok
     assert any("differs" in p for p in report.problems)
@@ -424,9 +448,8 @@ def test_every_witness_factor_is_a_letter(corpus):
             for (y, s), f in zip(w.factors, witness_factors(alg, w)):
                 assert type(y) is dict and y and all(alg.degree_of(j) > 0 for j in y)
                 assert type(s) is int and 2 <= s <= w.r, (alg.name, w.r, s)
-                assert f.algebra is power
-                assert f.terms == zero_divisor_reference(power, y, s), (alg.name, w.r, s)
-                assert mu(alg, w.r, f).is_zero, (alg.name, w.r, s)
+                assert f == zero_divisor_reference(power, y, s), (alg.name, w.r, s)
+                assert not mu(alg, w.r, f), (alg.name, w.r, s)
                 checked += 1
     assert checked > 19_000
 
@@ -438,7 +461,7 @@ def test_slot_one_factor_of_an_extension_reads_no_degree_per_term(monkeypatch):
     w = zcl_bounds(alg, 12).witness
     big = alg.tensor_power(13, max_dim=None)
     d, unit = alg.dim, alg.unit_index
-    u = {idx * d + unit: c for idx, c in w.product.terms.items()}
+    u = {idx * d + unit: c for idx, c in w.product.items()}
     y = {x: alg.field.one for x in alg.indecomposables()[:1]}
     assert alg.degree_of(next(iter(y))) % 2 and len(u) == 144
     calls = []
@@ -508,7 +531,7 @@ def test_torus_bounds_at_r_40_verified_in_under_three_seconds():
     report = verify_witness(alg, res.witness)
     elapsed = time.perf_counter() - start
     assert (res.value, res.lower, res.upper) == (None, 78, 80)
-    assert len(res.witness.product.terms) == 40 ** 2
+    assert len(res.witness.product) == 40 ** 2
     assert report.ok and report.projection_checked
     assert elapsed < 3.0, f"took {elapsed:.1f}s"
 
@@ -731,8 +754,8 @@ def test_walk_matches_the_walk_over_every_word(corpus):
                 assert res.witness.factors == tuple(gens[i] for i in word), (alg.name, r)
                 factors = tuple(zero_divisor(power, *gens[i]) for i in word)
                 built = witness_factors(alg, res.witness)
-                assert tuple(f.terms for f in built) == factors, (alg.name, r)
-                assert res.witness.product.terms == product, (alg.name, r)
+                assert built == factors, (alg.name, r)
+                assert res.witness.product == product, (alg.name, r)
             else:
                 assert res.witness is None, (alg.name, r)
             checked += 1
@@ -816,8 +839,10 @@ def test_fields_and_algebras_survive_pickling():
     def summary(alg):
         cl = cup_length(alg)
         res = zcl_exact(alg, 2)
-        witness = [str(f) for f in witness_factors(alg, res.witness)] + [str(res.witness.product)]
-        return cl.value, [str(e) for e in cl.chain], res.value, res.upper, witness
+        sq = alg.tensor_power(2)
+        witness = [row_text(sq, f) for f in witness_factors(alg, res.witness)]
+        witness.append(row_text(sq, res.witness.product))
+        return cl.value, [row_text(alg, e) for e in cl.chain], res.value, res.upper, witness
 
     alg = builtin_algebra("surface:1")
     fresh = pickle.loads(pickle.dumps(alg))

@@ -90,7 +90,7 @@ def test_a_saved_file_matches_json_in_the_tensor_file_form(tmp_path_factory, nam
         coeffs = [int(c) % p for c in coeffs]
     one, a1, b1, a2, b2, c = labels
     basis = list(zip(labels, (0, 1, 1, 1, 1, 2)))
-    products = {(a2, b2): [(coeffs[1], c)], (a1, b1): [(coeffs[0], c)]}
+    products = {(a2, b2): {c: coeffs[1]}, (a1, b1): {c: coeffs[0]}}
     alg = validate_algebra(AlgebraPresentation.from_labels(name, field, basis, products))
     path = tmp_path_factory.mktemp("file") / "alg.json"
     save_algebra(alg, path)
