@@ -13,7 +13,7 @@ table.
 
 The rest loads only with the command that runs it: tensor powers and
 products with the Koszul sign in ``tensor``, which
-:meth:`Algebra.tensor_power` imports; elements, the collapse map and the
+:meth:`Algebra.tensor_power` imports; the collapse map and the
 zero-divisor slot rule in ``invariants``; reading a file in ``reader``.
 """
 
@@ -93,7 +93,7 @@ class Algebra:
         self.name = name
         self.field = field
         self._pair_cache: dict = {}
-        self._tensor_cache: dict = {}
+        self._power_tables = None  # what every tensor power of self reads: see ``tensor``
 
     @property
     def degrees(self) -> tuple:
@@ -141,7 +141,7 @@ class Algebra:
     # -- derived algebras ----------------------------------------------------
 
     def tensor_power(self, r: int, max_dim: int | None = DEFAULT_MAX_DIM) -> "Algebra":
-        """The r-fold tensor power, cached per r so element ownership is stable."""
+        """The r-fold tensor power: past 256 dimensions a new view on each call, never kept."""
         if r < 1:
             raise ValidationError("tensor power requires r >= 1")
         if r == 1:
@@ -151,14 +151,10 @@ class Algebra:
                 f"dim {self.dim}^{r} = {self.dim ** r} exceeds the ceiling {max_dim}; "
                 "raise the ceiling to opt in"
             )
-        cached = self._tensor_cache.get(r)
-        if cached is not None:
-            return cached
         from .tensor import TensorPowerAlgebra  # here, so `check` does not load it
 
-        power = TensorPowerAlgebra(self, r)
-        self._tensor_cache[r] = power
-        return power
+        power = TensorPowerAlgebra(self, r)  # a chunk is kept with the tables, a wider view is not
+        return power if r > power.tables.width else power.tables.powers.setdefault(r, power)
 
     def indecomposables(self) -> tuple:
         """The positive basis indices independent of (A+)^2 and of the ones before them.

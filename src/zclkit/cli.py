@@ -1,9 +1,10 @@
 """Command-line front end; it and ``text``, its renderer, are the only modules with I/O.
 
 Exit codes: 0 success, 1 validation failure or I/O error, 2 inconclusive
-or an uncertified bound, 3 usage error, 4 resource ceiling or out of
-memory.  Reports are human text by default and stable-ordered JSON under
-``--json``; the report schema ships in ``schemas/report.schema.json``.
+or uncertified (a bound, or a witness that fails verification), 3 usage
+error, 4 resource ceiling or out of memory.  Reports are human text by
+default and stable-ordered JSON under ``--json``; the report schema ships
+in ``schemas/report.schema.json``.
 ``text`` renders the human reports and shares this module's I/O: it
 writes to the stream ``run`` was given.
 

@@ -6,12 +6,13 @@ from .witness_payload import witness_payload
 
 def run(alg, args):
     res = next(invariants.zcl_route(alg, args.r, args.max_dim))
+    witness = witness_payload(alg, res.witness)
     payload = {
         "kind": "witness",
         "name": alg.name,
         "r": args.r,
         "method": res.method,
         "length": len(res.witness.factors) if res.witness else 0,
-        "witness": witness_payload(alg, res.witness),
+        "witness": witness,
     }
-    return payload, res.witness is not None
+    return payload, witness is not None and witness["verified"]

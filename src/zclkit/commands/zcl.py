@@ -9,6 +9,7 @@ def run(alg, args):
         res = invariants.zcl_exact(alg, args.r, max_dim=args.max_dim)
     else:
         res = invariants.zcl_bounds(alg, args.r, max_dim=args.max_dim)
+    witness = witness_payload(alg, res.witness)
     payload = {
         "kind": "zcl",
         "name": alg.name,
@@ -17,6 +18,6 @@ def run(alg, args):
         "value": res.value,
         "lower": res.lower,
         "upper": res.upper,
-        "witness": witness_payload(alg, res.witness),
+        "witness": witness,
     }
-    return payload, res.value is not None
+    return payload, res.value is not None and (witness is None or witness["verified"])

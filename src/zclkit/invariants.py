@@ -138,8 +138,12 @@ def mu(a: "Algebra", r: int, u: "Mapping") -> dict:
     power = a.tensor_power(r, max_dim=None)
     if not all(0 <= idx < power.dim for idx in u):
         raise ValidationError("row does not lie in the r-th tensor power")
-    if r == 1:
-        return u
+    return u if r == 1 else _collapse(power, u)
+
+
+def _collapse(power: "TensorPowerAlgebra", u: "Mapping") -> dict:
+    """:func:`mu` on a row of ``power``, multiplying out only the non-unit slots of each term."""
+    a = power.base
     unit, one, add = a.unit_index, a.field.one, a.field.add
     acc: dict = {}
     for idx, c in u.items():
@@ -177,25 +181,26 @@ def zero_divisor_product(power: "TensorPowerAlgebra", u: "Mapping", y: "Mapping"
 
 def _times_slot(power: "TensorPowerAlgebra", acc: dict, u: "Mapping", y_items, q: int) -> None:
     """Add u y^(q) into acc by the slot rule, for homogeneous u: the slots after
-    q have the degree of u, read once, minus that of slots 1..q."""
+    q have the degree of u, read once, minus that of slots 1..q.  The moves of y
+    are kept per base as slot shifts, so each is scaled to an index shift here."""
     n = power.r - q
-    base = power.base
+    base, tab = power.base, power.tables
     d = base.dim
     place = d ** n
     y_items = tuple(y_items)
-    moves = power._moves.get((q, y_items))
+    moves = tab.moves.get(y_items)
     if moves is None:
-        moves = power._moves[q, y_items] = _slot_moves(base, y_items, place)
+        moves = tab.moves[y_items] = _slot_moves(base, y_items)
     signed = n and any(base.degree_of(j) & 1 for j, _ in y_items)
     if signed:
         udeg = power.degree_of(next(iter(u), 0))
-        head = power._deg[q].__getitem__ if q < len(power._deg) else partial(power._low_degree, n=q)
+        head = tab.degrees[q].__getitem__ if q <= tab.width else partial(tab.low_degree, n=q)
     mul, add = power.field.mul, power.field.add
     for idx, a in u.items():
         high = idx // place
         flip = signed and (udeg - head(high)) & 1
         for c, shift in moves[high % d][flip]:
-            key = idx + shift
+            key = idx + shift * place
             v = mul(a, c)
             prev = acc.get(key)
             if prev is not None:
@@ -206,16 +211,13 @@ def _times_slot(power: "TensorPowerAlgebra", acc: dict, u: "Mapping", y_items, q
             acc[key] = v
 
 
-def _slot_moves(base: "Algebra", y_items, place: int) -> list:
-    """By base index t, the (coeff, index shift) of each term of e_t y, unsigned and signed."""
+def _slot_moves(base: "Algebra", y_items) -> list:
+    """By base index t, the (coeff, slot shift) of each term of e_t y, unsigned and signed."""
     odd, bp = [deg & 1 for deg in base.degrees], base.basis_product
     mul, neg = base.field.mul, base.field.neg
     moves = []
     for t in range(base.dim):
-        terms = [
-            (odd[j], mul(c, c2), (k - t) * place)
-            for j, c in y_items for k, c2 in bp(t, j).items()
-        ]
+        terms = [(odd[j], mul(c, c2), k - t) for j, c in y_items for k, c2 in bp(t, j).items()]
         moves.append((
             [(c, shift) for _, c, shift in terms],
             [(neg(c) if oj else c, shift) for oj, c, shift in terms],
@@ -453,11 +455,12 @@ def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
         if not (2 <= s <= w.r and all(0 <= j < a.dim for j in y)):
             problem = f"factor {n} is not a letter (y, s) over the base with 2 <= s <= {w.r}"
             return WitnessReport(False, (problem,))
-    factors = witness_factors(a, w)
-    images = [mu(a, w.r, f) for f in factors]
+    power = a.tensor_power(w.r, max_dim=None)
+    factors = [zero_divisor(power, y, s) for y, s in w.factors]
+    images = [_collapse(power, f) for f in factors]
     problems = [f"factor {n} is not a zero divisor (collapses to {row_text(a, image)})"
                 for n, image in enumerate(images) if image]
-    product = _fold(a.tensor_power(w.r, max_dim=None), factors)
+    product = _fold(power, factors)
     if product != w.product:
         problems.append("stored product differs from the recomputed one")
     if not product:

@@ -13,12 +13,14 @@ table of nonzero positive pairs ``i <= j`` of a tensor product in
 :func:`_tensor_table`.  A tensor power past _CHUNK_DIM dimensions
 multiplies basis pairs as a tensor product of smaller powers, chunks of
 adjacent slots, so a pair costs a few chunk lookups instead of one lookup
-per slot.  The zero-divisor slot rule and the collapse map, which only the
-invariants use, are in ``invariants``; a swap-counting sign reference is a
-test reference in ``tests/dense_reference.py``.
+per slot.  A power is a view of (base, r) over the :class:`PowerTables` of
+its base, shared by every r.  The zero-divisor slot rule and the collapse
+map, which only the invariants use, are in ``invariants``; a swap-counting
+sign reference is a test reference in ``tests/dense_reference.py``.
 """
 
 import itertools
+from functools import cached_property
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, TableAlgebra
 from .errors import ResourceLimitError, ValidationError
@@ -88,59 +90,66 @@ def _tensor_table(slots: "Sequence[Algebra]") -> dict:
     return dict(sorted(table.items()))
 
 
+class PowerTables:
+    """What every tensor power of one base reads, built once per base and never per r.
+
+    Pairs are multiplied ``width`` slots at a time, d^width <= _CHUNK_DIM at most;
+    ``powers`` keeps the powers of at most ``width`` slots, the chunks, with their
+    pair caches.  ``slots[n]``, ``degrees[n]`` and ``radices[n]`` = d^n describe the
+    indices of A^(x n), n <= width; ``moves`` holds the slot rule's moves by letter.
+    """
+
+    def __init__(self, base: Algebra):
+        k = 1
+        while 1 < base.dim ** (k + 1) <= _CHUNK_DIM:
+            k += 1
+        self.width, self.powers, self.moves = k, {}, {}
+        widths = range(k + 1)
+        self.slots = [tuple(itertools.product(range(base.dim), repeat=n)) for n in widths]
+        self.degrees = [tuple(map(sum, itertools.product(base.degrees, repeat=n))) for n in widths]
+        self.radices = [base.dim ** n for n in widths]
+
+    def low_degree(self, low: int, n: int) -> int:
+        """Degree of the n lowest slots of an index, given low = index mod d^n."""
+        deg, k, total = self.degrees, self.width, 0
+        while n > k:
+            low, m = divmod(low, len(deg[k]))
+            total += deg[k][m]
+            n -= k
+        return total + deg[n][low]
+
+
 class TensorPowerAlgebra(Algebra):
-    """Lazy r-fold tensor power; basis tuples never materialize eagerly."""
+    """Lazy r-fold tensor power: a view of (base, r) that builds no table of its own."""
 
     def __init__(self, base: Algebra, r: int):
         super().__init__(f"{base.name}^tensor{r}", base.field)
-        self.base = base
-        self.r = r
-        self.dim = base.dim ** r
-        self.unit_index = self.index_of_tuple((base.unit_index,) * r)
-        # Pairs are multiplied k slots at a time, d^k <= _CHUNK_DIM: A^(x r) is the
-        # Koszul tensor product of powers A^(x k), indexed by chunks of base-d digits.
-        k = 1
-        while k < r and base.dim ** (k + 1) <= _CHUNK_DIM:
-            k += 1
-        if k == r:
-            self._chunks = (base,) * r
-        else:
-            q, rem = divmod(r, k)
-            self._chunks = (base.tensor_power(k, None),) * q
-            if rem:
-                self._chunks += (base.tensor_power(rem, None),)
-        self._radices = tuple(alg.dim for alg in self._chunks)
-        # _deg[n][m]: degree of index m of A^(x n), for n <= k
-        self._deg = [(0,)]
-        for _ in range(k):
-            self._deg.append(tuple(p + q for p in self._deg[-1] for q in base.degrees))
-        self._moves: dict = {}  # the slot rule's moves, by (slot, y): see invariants
-        # by chunk, the slots of each chunk index; built on first use, since the
-        # bounds route builds a power for every r and reads the slots of few
-        self._slot_tables = None
+        self.base, self.r, self.dim = base, r, base.dim ** r
+        # (1, ..., 1): the unit digit times 1 + d + ... + d^(r-1)
+        self.unit_index = base.unit_index * ((self.dim - 1) // max(base.dim - 1, 1))
+        if base._power_tables is None:
+            base._power_tables = PowerTables(base)
+        self.tables = base._power_tables
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """Slots per chunk, most significant first: width each, then the rest; 1 each in a chunk."""
+        k = self.tables.width if self.r > self.tables.width else 1
+        q, rem = divmod(self.r, k)
+        return (k,) * q + (rem,) * bool(rem)
+
+    @cached_property
+    def _chunks(self) -> tuple:
+        powers = {n: self.base.tensor_power(n, None) for n in set(self._layout)}
+        return tuple(map(powers.__getitem__, self._layout))
 
     def tuple_of_index(self, idx: int) -> tuple:
         """The r slots of idx: its chunk digits, each read as slots from a table per chunk."""
-        tables = self._slot_tables
-        if tables is None:
-            base = self.base
-            slots = {
-                alg: tuple(itertools.product(range(base.dim), repeat=1 if alg is base else alg.r))
-                for alg in set(self._chunks)
-            }
-            tables = self._slot_tables = tuple(slots[alg] for alg in self._chunks)
-        digits = self._split(idx)
-        return tuple(itertools.chain.from_iterable(map(tuple.__getitem__, tables, digits)))
-
-    def index_of_tuple(self, t: "Sequence[int]") -> int:
-        d = self.base.dim
-        idx = 0
-        for slot in t:
-            idx = idx * d + slot
-        return idx
+        slots = map(self.tables.slots.__getitem__, self._layout)
+        return tuple(itertools.chain.from_iterable(map(tuple.__getitem__, slots, self._split(idx))))
 
     def degree_of(self, i: int) -> int:
-        return self._low_degree(i, self.r)
+        return self.tables.low_degree(i, self.r)
 
     def label_of(self, i: int) -> str:
         return "⊗".join(map(self.base.label_of, self.tuple_of_index(i)))
@@ -153,23 +162,11 @@ class TensorPowerAlgebra(Algebra):
 
     def _split(self, idx: int) -> list:
         """The digits of idx in the radices of the chunks, most significant first."""
-        out = []
-        for radix in reversed(self._radices):
-            idx, digit = divmod(idx, radix)
+        radices, out = self.tables.radices, []
+        for n in reversed(self._layout):
+            idx, digit = divmod(idx, radices[n])
             out.append(digit)
-        out.reverse()
-        return out
-
-    def _low_degree(self, low: int, n: int) -> int:
-        """Degree of the n lowest slots of an index, given low = index mod d^n."""
-        deg = self._deg
-        k = len(deg) - 1
-        total = 0
-        while n > k:
-            low, m = divmod(low, len(deg[k]))
-            total += deg[k][m]
-            n -= k
-        return total + deg[n][low]
+        return out[::-1]
 
 
 def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM) -> TableAlgebra:

@@ -109,6 +109,14 @@ def index_slots(power, idx):
     return tuple(reversed(slots))
 
 
+def index_of_tuple(power, slots):
+    """The index of a tuple of r base indices in a tensor power, slot 1 most significant."""
+    idx = 0
+    for slot in slots:
+        idx = idx * power.base.dim + slot
+    return idx
+
+
 def basis_element(alg, i):
     return {i: alg.field.one}
 

@@ -279,7 +279,7 @@ def test_text_report_lists_the_problems_of_a_witness(monkeypatch):
     failed = invariants.WitnessReport(False, ("stored product differs from the recomputed one",))
     monkeypatch.setattr(invariants, "verify_witness", lambda alg, witness: failed)
     assert cli("witness", "builtin:stanley-p3", "--r", "2") == (
-        EXIT_OK,
+        EXIT_INCONCLUSIVE,
         "witness for zcl_2(stanley-p3), length 2, verified=False\n"
         "  factor 1: 1·1⊗a2 + 2·a2⊗1\n"
         "  factor 2: 1·1⊗a2 + 2·a2⊗1\n"
@@ -287,6 +287,18 @@ def test_text_report_lists_the_problems_of_a_witness(monkeypatch):
         "  problem: stored product differs from the recomputed one\n",
         "",
     )
+
+
+def test_a_value_whose_witness_fails_verification_is_uncertified(monkeypatch):
+    # a zcl value stands on its witness: with a verifier that reports a problem it exits 2
+    failed = invariants.WitnessReport(False, ("stored product differs from the recomputed one",))
+    monkeypatch.setattr(invariants, "verify_witness", lambda alg, witness: failed)
+    code, report, err = cli_json("zcl", "builtin:stanley-p3", "--r", "2")
+    assert (code, err) == (EXIT_INCONCLUSIVE, "")
+    res = report["result"]
+    assert (res["value"], res["lower"], res["upper"]) == (2, 2, 2)
+    assert res["witness"]["verified"] is False
+    assert res["witness"]["problems"] == ["stored product differs from the recomputed one"]
 
 
 def test_json_reports_are_stable():

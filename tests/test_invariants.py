@@ -1,5 +1,6 @@
 """Cup-length, zero-divisor cup-length, witnesses, and their cross-checks."""
 
+import gc
 import itertools
 import json
 import os
@@ -8,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -56,7 +58,7 @@ from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantE
 from zclkit.fields import Field
 from zclkit import invariants
 from zclkit.algebra import DEFAULT_MAX_DIM, Algebra
-from zclkit.tensor import TensorPowerAlgebra
+from zclkit.tensor import PowerTables, TensorPowerAlgebra
 from zclkit.invariants import (
     Witness,
     WitnessReport,
@@ -465,17 +467,54 @@ def test_slot_one_factor_of_an_extension_reads_no_degree_per_term(monkeypatch):
     y = {x: alg.field.one for x in alg.indecomposables()[:1]}
     assert alg.degree_of(next(iter(y))) % 2 and len(u) == 144
     calls = []
-    low_degree = TensorPowerAlgebra._low_degree
+    low_degree = PowerTables.low_degree
 
     def counting(self, low, n):
         calls.append(n)
         return low_degree(self, low, n)
 
-    monkeypatch.setattr(TensorPowerAlgebra, "_low_degree", counting)
+    monkeypatch.setattr(PowerTables, "low_degree", counting)
     got = zero_divisor_product(big, u, y, 13)
     assert len(calls) <= 2, len(calls)
     z = zero_divisor_reference(big, y, 13)
     assert got == big.product_items(u.items(), z.items())
+
+
+def _kept_sizes(alg):
+    """The length of every dict, list and tuple kept on alg, its power tables and their powers."""
+    tables = alg._power_tables
+    holders = {"base": alg, "tables": tables, **tables.powers}
+    return {
+        (name, key): len(value)
+        for name, holder in holders.items()
+        for key, value in vars(holder).items()
+        if isinstance(value, (dict, list, tuple))
+    }
+
+
+def test_no_power_past_the_chunk_width_outlives_the_bounds_route(monkeypatch):
+    # past 256 dimensions a power is a view of (base, r) built for one extension step:
+    # once the result is dropped none is reachable, and nothing kept grows with r
+    views = []
+    init = TensorPowerAlgebra.__init__
+
+    def recording(self, base, r):
+        init(self, base, r)
+        if self.dim > 256:
+            views.append(weakref.ref(self))
+
+    monkeypatch.setattr(TensorPowerAlgebra, "__init__", recording)
+    alg = builtin_algebra("stanley-p3")
+    assert zcl_bounds(alg, 100).value == 100
+    kept = _kept_sizes(alg)
+    res = zcl_bounds(alg, 800)
+    assert res.value == 800 and res.witness.r == 800
+    del res
+    gc.collect()
+    # one view for each step to r = 5, ..., 100 and r = 5, ..., 800: d^4 = 256
+    assert len(views) == 96 + 796 and not [ref for ref in views if ref() is not None]
+    grown = {key: n for key, n in _kept_sizes(alg).items() if n > kept.get(key, 0)}
+    assert not grown, grown
 
 
 def test_bounds_route_walks_r2_whenever_its_square_fits_the_ceiling():
