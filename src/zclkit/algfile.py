@@ -55,12 +55,12 @@ def save_algebra(alg: "Algebra", path) -> None:
     """
     field = alg.field
     kind = f'"prime",\n    "p": {field.p}' if field.is_prime_field else '"rational"'
-    labels = [quote(alg.label_of(i), False) for i in range(alg.dim)]
+    labels = [quote(alg.label_of(i)) for i in range(alg.dim)]
     core = alg._core_table()
     fmt = field.format
     with open(path, "w", encoding="utf-8") as file:
         write = file.write
-        write(_HEAD % (quote(alg.name, False), kind))
+        write(_HEAD % (quote(alg.name), kind))
         write(",".join(_BASIS % (labels[i], alg.degree_of(i)) for i in range(alg.dim)))
         write('\n  ],\n  "products": [')
         sep = ""

@@ -313,7 +313,7 @@ def _warnings_for(alg) -> list:
 
 def _emit(report: dict, as_json: bool, out) -> None:
     if as_json:
-        out.write(dumps(report, indent=2, ensure_ascii=False) + "\n")
+        out.write(dumps(report, indent=2) + "\n")
     else:
         from .text import render_text
 

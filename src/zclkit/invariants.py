@@ -37,12 +37,14 @@ The cup-length walk stops at the top degree over the least letter degree.
 Every zero divisor here, generator or witness factor, is its letter (y, s),
 the pair :func:`zero_divisor` takes, and every product with one, in the walk
 and in the extension, is formed slot by slot by :func:`zero_divisor_product`.
-:func:`verify_witness` builds the factors once, multiplies them again through
-the pair table and collapses each by :func:`mu`, so each certificate checks
-that kernel against the Koszul product.  The slot rule and the collapse map
-live here because only this module runs them.  Every element here, a chain
+:func:`verify_witness` alone builds the factors as rows, once, multiplies them
+again through the pair table and collapses each by :func:`mu`, so each
+certificate checks that kernel against the Koszul product; its report
+carries the rows for printing.  The slot rule and the collapse map live
+here because only this module runs them.  Every element here, a chain
 entry, a factor or a product, is a sparse row ``{index: coeff}`` of the
-algebra or tensor power the caller names, printed by :func:`row_text`.
+algebra or tensor power the caller names, printed by :func:`row_text`;
+each row read from a witness or a chain must keep :func:`_is_row`.
 
 The route is decided here and nowhere else: :func:`zcl_route` yields zcl_r
 for r, r + 1, ... exactly while d^r fits the dimension ceiling, and past it
@@ -59,7 +61,8 @@ beside the tests, in ``tests/dense_reference.py``.
 from collections import namedtuple
 from functools import partial, reduce
 
-from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, WitnessInvariantError
+from .errors import (DEFAULT_MAX_DIM, FieldMismatchError, ResourceLimitError,
+                     ValidationError, WitnessInvariantError)
 from .linalg import reduce_into
 from .record import Record
 
@@ -106,7 +109,9 @@ class Witness(Record):
 # method is "exact" or "bounds"; value and witness may be None
 ZclResult = namedtuple("ZclResult", "r value method lower upper witness")
 
-WitnessReport = namedtuple("WitnessReport", "ok problems projection_checked", defaults=(False,))
+WitnessReport = namedtuple(
+    "WitnessReport", "ok problems projection_checked rows", defaults=(False, ())
+)
 
 
 # -- rows, the collapse map and the slot rule ----------------------------------------
@@ -116,6 +121,17 @@ def row_text(a: "Algebra", row: "Mapping") -> str:
     """A row of ``a`` as ``c·label`` terms in index order joined by `` + ``, or ``0``."""
     fmt, label = a.field.format, a.label_of
     return " + ".join(f"{fmt(c)}·{label(i)}" for i, c in sorted(row.items())) or "0"
+
+
+def _is_row(a: "Algebra", row, dim: "Optional[int]" = None) -> bool:
+    """The row rule: a dict of int (not bool) indices in range(dim or a.dim), each
+    with a nonzero coefficient that ``a.field.coerce`` takes and keeps as it is."""
+    dim, coerce = dim or a.dim, a.field.coerce
+    try:
+        return isinstance(row, dict) and all(
+            j.__class__ is int and 0 <= j < dim and c and c == coerce(c) for j, c in row.items())
+    except FieldMismatchError:  # no scalar of the field
+        return False
 
 
 def _degree(a: "Algebra", row: "Mapping") -> "Optional[int]":
@@ -406,7 +422,8 @@ def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:
     1 is multiplicative with no Koszul sign (the new slot holds the degree-0
     unit), so the new product is the stored product tensor 1 times the new
     factors, each multiplied in by :func:`zero_divisor_product`; it must be
-    nonzero for valid inputs.  :func:`verify_witness` recomputes it.
+    nonzero for valid inputs.  :func:`verify_witness` recomputes it.  The chain
+    rows and the stored product must keep the row rule; the kept letters are not read.
     """
     if not w.factors:
         raise ValidationError("witness extension needs at least one factor")
@@ -414,15 +431,14 @@ def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:
     if not chain:
         raise ValidationError("witness extension needs a nonempty chain")
     for y in chain:
-        if not all(0 <= j < a.dim for j in y):
+        if not _is_row(a, y):
             raise ValidationError("chain elements must be rows of the base algebra")
         if (_degree(a, y) or 0) <= 0:
             raise ValidationError("chain elements must be homogeneous of positive degree")
     if not _fold(a, chain):
         raise ValidationError("chain product must be nonzero")
     big = a.tensor_power(w.r + 1, max_dim=None)
-    dim = big.dim // a.dim  # of the power w.r names
-    if not all(0 <= idx < dim for idx in w.product):
+    if not _is_row(a, w.product, big.dim // a.dim):  # a row of the power w.r names
         raise ValidationError("witness product does not lie in the stated tensor power")
     product = {idx * a.dim + a.unit_index: c for idx, c in w.product.items()}
     for y in chain:
@@ -435,38 +451,38 @@ def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:
     return Witness(w.r + 1, factors, product, chain=chain)
 
 
-def witness_factors(a: "Algebra", w: Witness) -> tuple:
-    """The factors of w as rows of the r-th tensor power, y^(s) - y^(1) for each (y, s)."""
-    power = a.tensor_power(w.r, max_dim=None)
-    return tuple(zero_divisor(power, y, s) for y, s in w.factors)
-
-
 def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
     """Re-check a witness from scratch; reports every failing piece.
 
-    Every letter (y, s) must be a row over the base with 2 <= s <= r, every
-    factor must collapse to zero, the ordered product must match the stored
-    one and be nonzero, and for extended witnesses the projection that
-    evaluates a degree functional on the last slot must stay nonzero.
+    Every letter (y, s) must pair a row over the base with an int 2 <= s <= r,
+    every factor must collapse to zero, the ordered product must match the
+    stored row and be nonzero, and for extended witnesses the chain must hold
+    rows and the projection that evaluates a degree functional on the last
+    slot must stay nonzero.  ``rows`` are the factors y^(s) - y^(1), in order.
     """
     if not w.factors:
         return WitnessReport(False, ("witness has no factors",))
-    for n, (y, s) in enumerate(w.factors):
-        if not (2 <= s <= w.r and all(0 <= j < a.dim for j in y)):
+    for n, f in enumerate(w.factors):
+        if not (isinstance(f, tuple) and len(f) == 2 and f[1].__class__ is int
+                and 2 <= f[1] <= w.r and _is_row(a, f[0])):
             problem = f"factor {n} is not a letter (y, s) over the base with 2 <= s <= {w.r}"
             return WitnessReport(False, (problem,))
     power = a.tensor_power(w.r, max_dim=None)
-    factors = [zero_divisor(power, y, s) for y, s in w.factors]
-    images = [_collapse(power, f) for f in factors]
+    rows = tuple(zero_divisor(power, y, s) for y, s in w.factors)
+    images = [_collapse(power, f) for f in rows]
     problems = [f"factor {n} is not a zero divisor (collapses to {row_text(a, image)})"
                 for n, image in enumerate(images) if image]
-    product = _fold(power, factors)
+    product = _fold(power, rows)
+    if not _is_row(power, w.product):
+        problems.append("stored product is not a row of the tensor power")
     if product != w.product:
         problems.append("stored product differs from the recomputed one")
     if not product:
         problems.append("product of the factors is zero")
     projection_checked = False
-    if w.chain and product:
+    if w.chain and not all(_is_row(a, y) for y in w.chain):
+        problems.append("a chain element is not a row of the base")
+    elif w.chain and product:
         yprod = _fold(a, w.chain)
         if _degree(a, yprod) is None:
             problems.append("chain product is zero or inhomogeneous")
@@ -477,4 +493,4 @@ def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
             projection_checked = True
             if not any(idx % a.dim == cstar for idx in product):
                 problems.append("degree-functional projection of the product vanished")
-    return WitnessReport(not problems, tuple(problems), projection_checked)
+    return WitnessReport(not problems, tuple(problems), projection_checked, rows)

@@ -4,45 +4,29 @@
 encoder, and no command on a builtin algebra parses JSON: so reports, the
 builtin digest and tensor files are written here, and ``json`` loads only
 where an algebra file is read (``algfile.load_presentation``).
-:func:`dumps` gives the text of ``json.dumps`` with the same ``indent``,
-``sort_keys`` and ``ensure_ascii``, and its default separators, for str,
+:func:`dumps` gives the text of ``json.dumps`` with the same ``indent`` and
+``sort_keys``, ``ensure_ascii=False`` and its default separators, for str,
 int, bool, None, list, tuple and dict values with str keys: no report
-holds a float.
+holds a float.  That is the one dialect zclkit writes; the builtin digest
+hashes printable ASCII, for which ``ensure_ascii`` changes no byte.
 :func:`quote` is its string literal, which ``algfile`` writes labels with.
 """
 
 # \b \f \n \r \t and the other control characters, the quote and the backslash
 _ESCAPES = {n: f"\\u{n:04x}" for n in range(0x20)}
 _ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
-_ASCII_ESCAPES = {**_ESCAPES, 0x7F: "\\u007f"}
 
 
-def _ascii_escape(c: str) -> str:
-    """A non-ASCII character as \\uXXXX, or a UTF-16 surrogate pair past the BMP."""
-    n = ord(c)
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000
-    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-
-
-def quote(s: str, ensure_ascii: bool = True) -> str:
-    """The JSON string literal of ``s``, as ``json.dumps(s, ensure_ascii=...)`` gives it."""
+def quote(s: str) -> str:
+    """The JSON string literal of ``s``, as ``json.dumps(s, ensure_ascii=False)`` gives it."""
     # printable text holds no control character: only " and \ can need an escape
-    if s.isprintable() and (s.isascii() or not ensure_ascii):
-        if '"' in s or "\\" in s:
-            s = s.translate(_ESCAPES)
+    if s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    if not ensure_ascii:
-        return f'"{s.translate(_ESCAPES)}"'
-    s = s.translate(_ASCII_ESCAPES)
-    if not s.isascii():
-        s = "".join(c if c < "\x80" else _ascii_escape(c) for c in s)
-    return f'"{s}"'
+    return f'"{s.translate(_ESCAPES)}"'
 
 
-def dumps(obj, *, indent=None, sort_keys=False, ensure_ascii=True) -> str:
-    """``json.dumps(obj, indent=indent, sort_keys=sort_keys, ensure_ascii=ensure_ascii)``.
+def dumps(obj, *, indent=None, sort_keys=False) -> str:
+    """``json.dumps(obj, indent=indent, sort_keys=sort_keys, ensure_ascii=False)``.
 
     ``indent`` is None or a number of spaces.  A dict key that is not a
     str, or a value of another type than those above, raises TypeError.
@@ -53,7 +37,7 @@ def dumps(obj, *, indent=None, sort_keys=False, ensure_ascii=True) -> str:
 
     def write(value, margin: str) -> None:
         if isinstance(value, str):
-            out.append(quote(value, ensure_ascii))
+            out.append(quote(value))
         elif value is None:
             out.append("null")
         elif value is True:
@@ -85,7 +69,7 @@ def dumps(obj, *, indent=None, sort_keys=False, ensure_ascii=True) -> str:
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
                 if n:
                     out.append(sep + inner)
-                out.append(quote(key, ensure_ascii) + ": ")
+                out.append(quote(key) + ": ")
                 write(item, inner)
             out.append(margin + "}")
         else:

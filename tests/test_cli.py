@@ -121,6 +121,27 @@ def test_witness_on_the_torus_at_the_exact_size():
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize("argv, letters", [
+    (("witness", "builtin:surface:1", "--r", "7"), 12),
+    (("zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "9"), 9),
+])
+def test_a_report_builds_each_witness_factor_once(argv, letters, monkeypatch):
+    # the checker builds each letter's row, and the report prints the rows it built
+    calls = []
+    zero_divisor = invariants.zero_divisor
+
+    def counted(power, y, s):
+        calls.append(s)
+        return zero_divisor(power, y, s)
+
+    monkeypatch.setattr(invariants, "zero_divisor", counted)
+    code, report, _ = cli_json(*argv)
+    assert code == EXIT_OK
+    witness = report["result"]["witness"]
+    assert witness["verified"] is True
+    assert len(calls) == witness["length"] == len(witness["factors"]) == letters
+
+
 def test_builtins_listing():
     code, report, _ = cli_json("builtins")
     assert code == EXIT_OK
@@ -274,10 +295,18 @@ def test_text_reports_are_pinned(argv, status, text):
     assert cli(*argv) == (status, text, "")
 
 
+def _fail_every_witness(monkeypatch):
+    """A verifier that reports a problem, keeping the rows the real one built."""
+    verify = invariants.verify_witness
+    problems = ("stored product differs from the recomputed one",)
+    monkeypatch.setattr(invariants, "verify_witness",
+                        lambda alg, witness: verify(alg, witness)._replace(ok=False,
+                                                                           problems=problems))
+
+
 def test_text_report_lists_the_problems_of_a_witness(monkeypatch):
     # a valid witness never fails; a verifier that reports a problem shows the listing
-    failed = invariants.WitnessReport(False, ("stored product differs from the recomputed one",))
-    monkeypatch.setattr(invariants, "verify_witness", lambda alg, witness: failed)
+    _fail_every_witness(monkeypatch)
     assert cli("witness", "builtin:stanley-p3", "--r", "2") == (
         EXIT_INCONCLUSIVE,
         "witness for zcl_2(stanley-p3), length 2, verified=False\n"
@@ -291,8 +320,7 @@ def test_text_report_lists_the_problems_of_a_witness(monkeypatch):
 
 def test_a_value_whose_witness_fails_verification_is_uncertified(monkeypatch):
     # a zcl value stands on its witness: with a verifier that reports a problem it exits 2
-    failed = invariants.WitnessReport(False, ("stored product differs from the recomputed one",))
-    monkeypatch.setattr(invariants, "verify_witness", lambda alg, witness: failed)
+    _fail_every_witness(monkeypatch)
     code, report, err = cli_json("zcl", "builtin:stanley-p3", "--r", "2")
     assert (code, err) == (EXIT_INCONCLUSIVE, "")
     res = report["result"]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -66,7 +67,6 @@ from zclkit.invariants import (
     _zero_divisor_letters,
     mu,
     row_text,
-    witness_factors,
     zcl_route,
     zero_divisor,
     zero_divisor_product,
@@ -284,11 +284,12 @@ def test_witness_extend_even_truncated_cube():
     assert extended.factors == ((x, 2), (x, 2), (x, 3))
     cube = alg.tensor_power(3)
     assert cube.dim == 27
-    assert witness_factors(alg, extended) == (
+    report = verify_witness(alg, extended)
+    assert report.rows == (
         element_from_labels(cube, {"1⊗x⊗1": 1, "x⊗1⊗1": -1}),
     ) * 2 + (element_from_labels(cube, {"1⊗1⊗x": 1, "x⊗1⊗1": -1}),)
     assert extended.product
-    assert verify_witness(alg, extended).ok
+    assert report.ok
 
 
 # -- witness verification ----------------------------------------------------------------
@@ -358,16 +359,20 @@ def test_projection_of_extended_witness_matches_parent_up_to_sign(stanley):
 def test_verify_witness_checks_the_chain_of_an_extension(stanley):
     seed = zcl_exact(stanley, 2).witness
     extended = witness_extend(stanley, seed, cup_length(stanley).chain)
-    assert verify_witness(stanley, extended).projection_checked
+    good = verify_witness(stanley, extended)
+    assert good.projection_checked
+    assert len(good.rows) == len(extended.factors) == 3
     a2, a11 = (element_from_labels(stanley, {lbl: 1}) for lbl in ("a2", "a11"))
     # a11 is the top class: no product term has it in the last slot
     report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, (a11,)))
     assert report == WitnessReport(
-        False, ("degree-functional projection of the product vanished",), True
+        False, ("degree-functional projection of the product vanished",), True, good.rows
     )
     mixed = (add(stanley, a2, a11),)
     report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, mixed))
-    assert report == WitnessReport(False, ("chain product is zero or inhomogeneous",), False)
+    assert report == WitnessReport(
+        False, ("chain product is zero or inhomogeneous",), False, good.rows
+    )
 
 
 def test_every_returned_witness_verifies(corpus):
@@ -435,6 +440,64 @@ def test_extended_witness_built_on_a_forgery_is_rejected(stanley):
         assert problem in report.problems, letter
 
 
+# -- the row rule: int indices in range, each with a nonzero canonical coefficient -------
+
+
+@pytest.mark.parametrize("name, letter", [
+    ("surface:1", ({1: 0}, 2)),  # a zero factor
+    ("stanley-p3", ({1: 3}, 2)),  # 3 is 0 in F_3
+    ("stanley-p3", ({1: -1}, 2)),  # F_3 writes -1 as 2
+    ("stanley-p3", ({1: Fraction(1, 2)}, 2)),  # no scalar of F_3
+    ("surface:1", ({1: "1"}, 2)),  # no scalar at all
+    ("surface:1", ({True: 1}, 2)),  # a bool is no index
+    ("surface:1", ({99: 1}, 2)),  # off the base
+    ("surface:1", ("x", 2)),  # no row
+    ("surface:1", ({1: 1}, "2")),  # no slot
+    ("surface:1", ({1: 1}, 2, 3)),  # no pair
+])
+def test_a_letter_that_breaks_the_row_rule_is_not_a_letter(name, letter):
+    report = verify_witness(builtin_algebra(name), Witness(2, (letter,), {1: 0, 4: 0}))
+    assert report == WitnessReport(
+        False, ("factor 0 is not a letter (y, s) over the base with 2 <= s <= 2",)
+    )
+
+
+def test_a_stored_product_that_breaks_the_row_rule_is_refused():
+    torus = builtin_algebra("surface:1")
+    w = zcl_exact(torus, 2).witness
+    rows = verify_witness(torus, w).rows
+    free = next(i for i in range(16) if i not in w.product)
+    for product in ({**w.product, free: 0}, {**w.product, 16: 1}, {True: 1}, {free: "1"}):
+        report = verify_witness(torus, Witness(2, w.factors, product))
+        assert report == WitnessReport(False, (
+            "stored product is not a row of the tensor power",
+            "stored product differs from the recomputed one",
+        ), False, rows), product
+
+
+def test_a_chain_that_breaks_the_row_rule_is_refused():
+    torus = builtin_algebra("surface:1")
+    seed = zcl_exact(torus, 2).witness
+    chain = cup_length(torus).chain
+    extended = witness_extend(torus, seed, chain)
+    rows = verify_witness(torus, extended).rows
+    bad_rows = ({99: 1}, {1: 0}, {1: "1"}, {True: 1}, "x")
+    for y in bad_rows:
+        report = verify_witness(
+            torus, Witness(extended.r, extended.factors, extended.product, (chain[0], y))
+        )
+        assert report == WitnessReport(
+            False, ("a chain element is not a row of the base",), False, rows
+        ), y
+        # a zero row {1: 0} would add a zero factor, and a product holding only zeros
+        with pytest.raises(ValidationError, match="chain elements must be rows of the base"):
+            witness_extend(torus, seed, [y])
+    free = next(i for i in range(16) if i not in seed.product)
+    for product in ({**seed.product, free: 0}, {16: 1}, {True: 1}, {free: "1"}):
+        with pytest.raises(ValidationError, match="does not lie in the stated tensor power"):
+            witness_extend(torus, Witness(2, seed.factors, product), chain)
+
+
 def test_every_witness_factor_is_a_letter(corpus):
     # a factor is stored as its letter (y, s); its vector is y^(s) - y^(1) by the
     # closed form, and it collapses to zero
@@ -446,8 +509,9 @@ def test_every_witness_factor_is_a_letter(corpus):
         witnesses += [res.witness for res in itertools.islice(zcl_route(alg, 2, max_dim=256), 9)]
         for w in filter(None, witnesses):
             power = alg.tensor_power(w.r, max_dim=None)
-            assert len(witness_factors(alg, w)) == len(w.factors)
-            for (y, s), f in zip(w.factors, witness_factors(alg, w)):
+            rows = verify_witness(alg, w).rows
+            assert len(rows) == len(w.factors)
+            for (y, s), f in zip(w.factors, rows):
                 assert type(y) is dict and y and all(alg.degree_of(j) > 0 for j in y)
                 assert type(s) is int and 2 <= s <= w.r, (alg.name, w.r, s)
                 assert f == zero_divisor_reference(power, y, s), (alg.name, w.r, s)
@@ -792,7 +856,7 @@ def test_walk_matches_the_walk_over_every_word(corpus):
             if word:
                 assert res.witness.factors == tuple(gens[i] for i in word), (alg.name, r)
                 factors = tuple(zero_divisor(power, *gens[i]) for i in word)
-                built = witness_factors(alg, res.witness)
+                built = verify_witness(alg, res.witness).rows
                 assert built == factors, (alg.name, r)
                 assert res.witness.product == product, (alg.name, r)
             else:
@@ -879,7 +943,7 @@ def test_fields_and_algebras_survive_pickling():
         cl = cup_length(alg)
         res = zcl_exact(alg, 2)
         sq = alg.tensor_power(2)
-        witness = [row_text(sq, f) for f in witness_factors(alg, res.witness)]
+        witness = [row_text(sq, f) for f in verify_witness(alg, res.witness).rows]
         witness.append(row_text(sq, res.witness.product))
         return cl.value, [row_text(alg, e) for e in cl.chain], res.value, res.upper, witness
 

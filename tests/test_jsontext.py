@@ -1,8 +1,8 @@
 """The JSON writer against ``json.dumps``, in the three forms zclkit writes.
 
-Reports are ``indent=2, ensure_ascii=False``, the builtin digest hashes the
-``sort_keys=True`` ASCII form, and a tensor file is the report form of the
-algebra's ``to_dict`` plus a newline.
+Every form is ``ensure_ascii=False``: reports are ``indent=2``, the builtin
+digest hashes the ``sort_keys=True`` form, and a tensor file is the report
+form of the algebra's ``to_dict`` plus a newline.
 """
 
 import io
@@ -14,13 +14,20 @@ from hypothesis import strategies as st
 
 from dense_reference import to_presentation
 from zclkit import AlgebraPresentation, builtin_algebra, validate_algebra
+from zclkit.catalog import builtin_presentation
 from zclkit.algfile import save_algebra
 from zclkit.cli import run
 from zclkit.fields import Field
 from zclkit.jsontext import dumps, quote
 
-REPORT = {"indent": 2, "ensure_ascii": False}
+REPORT = {"indent": 2}
 DIGEST = {"sort_keys": True}
+
+
+def as_json(value, **form) -> str:
+    """``json.dumps`` in the one dialect zclkit writes."""
+    return json.dumps(value, ensure_ascii=False, **form)
+
 
 # what needs an escape in either form, surrogates too, and any other character
 SPECIAL = '"\\\x00\x08\t\n\x0c\r\x1f\x7f\x80é ⊗𐏿\U0001f600\U0010ffff'
@@ -43,22 +50,31 @@ VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(VALUES)
 def test_dumps_matches_json_in_the_report_and_digest_forms(value):
-    assert dumps(value, **REPORT) == json.dumps(value, **REPORT)
-    assert dumps(value, **DIGEST) == json.dumps(value, **DIGEST)
+    assert dumps(value, **REPORT) == as_json(value, **REPORT)
+    assert dumps(value, **DIGEST) == as_json(value, **DIGEST)
 
 
 @settings(max_examples=300, deadline=None)
 @given(TEXT)
 def test_quote_matches_json(text):
-    assert quote(text, False) == json.dumps(text, ensure_ascii=False)
-    assert quote(text) == json.dumps(text)
+    assert quote(text) == as_json(text)
 
 
 @pytest.mark.parametrize("value", [[], {}, [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]},
                                    ([(), {}],), {"": None}, [True, False, None, -(10**40)]])
 def test_empty_and_nested_containers(value):
-    assert dumps(value, **REPORT) == json.dumps(value, **REPORT)
-    assert dumps(value, **DIGEST) == json.dumps(value, **DIGEST)
+    assert dumps(value, **REPORT) == as_json(value, **REPORT)
+    assert dumps(value, **DIGEST) == as_json(value, **DIGEST)
+
+
+@pytest.mark.parametrize("name", ["point", "stanley-p3", "sphere-odd:99", "sphere-even:2",
+                                  "surface:1", "surface:100"])
+def test_the_builtin_digest_hashes_printable_ascii(name):
+    # so the digest form is also json.dumps's ASCII form, and pinned digests stay
+    doc = builtin_presentation(name).to_dict()
+    text = dumps(doc, **DIGEST)
+    assert text.isascii() and text.isprintable()
+    assert text == json.dumps(doc, **DIGEST)
 
 
 def test_refuses_what_json_refuses():
@@ -94,7 +110,7 @@ def test_a_saved_file_matches_json_in_the_tensor_file_form(tmp_path_factory, nam
     alg = validate_algebra(AlgebraPresentation.from_labels(name, field, basis, products))
     path = tmp_path_factory.mktemp("file") / "alg.json"
     save_algebra(alg, path)
-    text = json.dumps(to_presentation(alg).to_dict(), **REPORT) + "\n"
+    text = as_json(to_presentation(alg).to_dict(), **REPORT) + "\n"
     assert path.read_text(encoding="utf-8") == text
 
 
@@ -108,7 +124,7 @@ def test_every_tensor_file_of_a_builtin_matches_json(tmp_path, builtin_corpus):
             argv = ["tensor", f"builtin:{alg.name}", "--r", str(r), "--out", str(path), "--json"]
             assert run(argv, stdout=io.StringIO()) == 0
             power = builtin_algebra(alg.name).tensor_power(r)  # its pair cache is empty
-            text = json.dumps(to_presentation(power).to_dict(), **REPORT) + "\n"
+            text = as_json(to_presentation(power).to_dict(), **REPORT) + "\n"
             assert path.read_text(encoding="utf-8") == text, (alg.name, r)
             # the file is streamed from the core table, past the pair cache
             save_algebra(power, tmp_path / "again.json")
