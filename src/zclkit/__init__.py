@@ -20,8 +20,8 @@ _SUBMODULE = {
         ("errors", "DEFAULT_MAX_DIM FieldMismatchError ResourceLimitError ValidationError "
                    "WitnessInvariantError ZclkitError"),
         ("fields", "Field"),
-        ("invariants", "ClResult Witness WitnessReport ZclResult cup_length mu "
-                       "verify_witness witness_extend zcl_bounds zcl_exact"),
+        ("invariants", "ClResult Witness WitnessReport ZclResult cup_length verify_witness "
+                       "zcl_bounds zcl_exact"),
         ("pipeline", "SeriesOutcome series_pipeline"),
         ("series", "IntSequence RationalityReport analyze_sequence polynomial_from_series"),
         ("tensor", "TensorPowerAlgebra tensor_product"),

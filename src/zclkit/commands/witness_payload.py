@@ -1,4 +1,4 @@
-"""A witness as ``zcl`` and ``witness`` report it: checked again, printed from the check's rows."""
+"""A witness as ``zcl`` and ``witness`` report it: checked again, each factor printed as its letter."""
 
 from .. import invariants
 
@@ -7,13 +7,14 @@ def witness_payload(alg, witness) -> dict:
     if witness is None:
         return None
     report = invariants.verify_witness(alg, witness)
-    power = alg.tensor_power(witness.r, max_dim=None)
+    text = invariants.row_text
+    seed_power = alg.tensor_power(witness.seed_r, max_dim=None)
     return {
         "r": witness.r,
+        "seed_r": witness.seed_r,
         "length": len(witness.factors),
-        "factors": [invariants.row_text(power, f) for f in report.rows],
-        "product": invariants.row_text(power, witness.product),
+        "factors": [f"({text(alg, y)})^({s}) - ({text(alg, y)})^(1)" for y, s in witness.factors],
+        "product": text(seed_power, witness.product),
         "verified": report.ok,
-        "projection_checked": report.projection_checked,
         "problems": list(report.problems),
     }

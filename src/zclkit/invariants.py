@@ -30,32 +30,38 @@ and kept on it.
 
 Two inequalities frame every result: zcl_r <= r * cl (the product of more
 than r*cl zero divisors dies in the r-th power), and zcl_{r+1} >= zcl_r + cl,
-certified constructively by extending a witness with the zero divisors
-y^(r+1) - y^(1) built from a maximal cup-length chain.  The first is the
+the cohomological form of cat(X^(r-1)) <= TC_r(X).  The first is the
 walk's ceiling: it stops at the first nonzero product of length r * cl.
 The cup-length walk stops at the top degree over the least letter degree.
-Every zero divisor here, generator or witness factor, is its letter (y, s),
-the pair :func:`zero_divisor` takes, and every product with one, in the walk
-and in the extension, is formed slot by slot by :func:`zero_divisor_product`.
-:func:`verify_witness` alone builds the factors as rows, once, multiplies them
-again through the pair table and collapses each by :func:`mu`, so each
-certificate checks that kernel against the Koszul product; its report
-carries the rows for printing.  The slot rule and the collapse map live
-here because only this module runs them.  Every element here, a chain
-entry, a factor or a product, is a sparse row ``{index: coeff}`` of the
-algebra or tensor power the caller names, printed by :func:`row_text`;
-each row read from a witness or a chain must keep :func:`_is_row`.
+The second is a lemma, proved at :func:`verify_witness`: a nonzero word W
+at r and a chain y_1 ... y_c with a nonzero product in A give the nonzero
+product W (y_1^(r+1) - y_1^(1)) ... (y_c^(r+1) - y_c^(1)) at r + 1.  So a
+bounds certificate is a seed witness walked at seed_r, the cup-length
+chain, and r: its letters are the seed's, then (y, s) for s = seed_r +
+1..r and each y of the chain, and no product past the seed is formed.
+Every zero divisor here, generator or witness factor, is its letter
+(y, s), the pair :func:`zero_divisor` takes, and every product with one in
+the walk is formed slot by slot by :func:`zero_divisor_product`.
+:func:`verify_witness` builds the seed's factors as rows, multiplies them
+again through the pair table and collapses each by :func:`_collapse`, so
+each certificate checks that kernel against the Koszul product.  The slot
+rule and the collapse map live here because only this module runs them.
+Every element here, a chain entry, a factor or a product, is a sparse row
+``{index: coeff}`` of the algebra or tensor power the caller names,
+printed by :func:`row_text`; each row read from a witness or a chain must
+keep :func:`_is_row`.
 
 The route is decided here and nowhere else: :func:`zcl_route` yields zcl_r
 for r, r + 1, ... exactly while d^r fits the dimension ceiling, and past it
-as a sandwich whose witness extends the one of the r before.  It walks r = 2
+as a sandwich certified by one seed and the chain.  It walks r = 2
 whenever d^2 fits the ceiling and seeds there if zcl_2 = 2 * cl, since the
 two inequalities then close the sandwich at every r: by induction
 zcl_r >= zcl_2 + (r - 2) cl = r * cl.  Otherwise it seeds at the largest r0
 with d^r0 also within DEFAULT_SEED_DIM, or at 2, reusing a walk it already
-yielded.  The ceiling also bounds the number of terms of each extended
-witness product.  The brute-force oracles that check these results live
-beside the tests, in ``tests/dense_reference.py``.
+yielded.  The ceiling also bounds the number of letters of a bounds
+witness, the one quantity of the route that grows with r.  The brute-force
+oracles that check these results, and the product of all the letters
+of a bounds witness, live beside the tests, in ``tests/dense_reference.py``.
 """
 
 from collections import namedtuple
@@ -68,7 +74,7 @@ from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterator, Mapping, Optional, Sequence
+    from typing import Iterator, Mapping, Optional
 
     from .algebra import Algebra
     from .tensor import TensorPowerAlgebra
@@ -91,16 +97,18 @@ class Witness(Record):
     """Zero divisors whose nonzero ordered product certifies a lower bound.
 
     A factor is a letter (y, s) for y^(s) - y^(1), y a {base index: coeff}
-    row and 2 <= s <= r; ``product`` is the row in the r-th tensor power
-    they multiply to.  ``chain`` is the cup-length chain of the latest
-    extension, rows of the base (None from the walk), for the projection
-    check of :func:`verify_witness`.
+    row and 2 <= s <= r.  The factors are the seed's letters, walked at
+    ``seed_r``, then (y, s) for s = seed_r + 1..r and each y in ``chain``,
+    cup-length chain rows of the base; ``product`` is the row of the
+    seed_r-th tensor power the seed's letters multiply to.  An exact result
+    has seed_r = r and chain = ().
     """
 
-    _fields = ("r", "factors", "product", "chain")
+    _fields = ("r", "factors", "product", "seed_r", "chain")
 
-    def __init__(self, r: int, factors: tuple, product: dict, chain: "Optional[tuple]" = None):
-        self._set(r, factors, product, chain)
+    def __init__(self, r: int, factors: tuple, product: dict,
+                 seed_r: "Optional[int]" = None, chain: tuple = ()):
+        self._set(r, factors, product, r if seed_r is None else seed_r, chain)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -109,9 +117,7 @@ class Witness(Record):
 # method is "exact" or "bounds"; value and witness may be None
 ZclResult = namedtuple("ZclResult", "r value method lower upper witness")
 
-WitnessReport = namedtuple(
-    "WitnessReport", "ok problems projection_checked rows", defaults=(False, ())
-)
+WitnessReport = namedtuple("WitnessReport", "ok problems")
 
 
 # -- rows, the collapse map and the slot rule ----------------------------------------
@@ -145,20 +151,9 @@ def _fold(a: "Algebra", rows) -> dict:
     return reduce(lambda p, q: a.product_items(p.items(), q.items()), rows)
 
 
-def mu(a: "Algebra", r: int, u: "Mapping") -> dict:
-    """Linear extension of tuple -> product of slots; an algebra homomorphism.
-
-    ``u`` is a row of the r-th tensor power, and the image a row of ``a``."""
-    if r < 1:
-        raise ValidationError("mu requires r >= 1")
-    power = a.tensor_power(r, max_dim=None)
-    if not all(0 <= idx < power.dim for idx in u):
-        raise ValidationError("row does not lie in the r-th tensor power")
-    return u if r == 1 else _collapse(power, u)
-
-
 def _collapse(power: "TensorPowerAlgebra", u: "Mapping") -> dict:
-    """:func:`mu` on a row of ``power``, multiplying out only the non-unit slots of each term."""
+    """The collapse map, tuple -> product of slots, on a row of ``power``: a row
+    of the base, multiplying out only the non-unit slots of each term."""
     a = power.base
     unit, one, add = a.unit_index, a.field.one, a.field.add
     acc: dict = {}
@@ -392,16 +387,16 @@ def zcl_route(
         r0 += 1
     if r0 > 2:
         seed = walked.get(r0) or zcl_exact(a, r0, max_dim=seed_dim)
-    witness = seed.witness
+    seed, chain = seed.witness, clres.chain
     while True:
-        while witness.r < r:
-            witness = witness_extend(a, witness, clres.chain)
-            if max_dim is not None and len(witness.product) > max_dim:
-                raise ResourceLimitError(
-                    f"the witness product at r = {witness.r} has {len(witness.product)} "
-                    f"terms, over the ceiling {max_dim}; raise the ceiling to opt in"
-                )
-        lower = len(witness)
+        lower = len(seed) + (r - r0) * cl
+        if max_dim is not None and lower > max_dim:
+            raise ResourceLimitError(
+                f"the bounds witness at r = {r} has {lower} letters, over the ceiling "
+                f"{max_dim}; raise the ceiling to opt in"
+            )
+        factors = seed.factors + tuple((y, s) for s in range(r0 + 1, r + 1) for y in chain)
+        witness = Witness(r, factors, seed.product, r0, chain)
         yield ZclResult(r, lower if lower == r * cl else None, "bounds", lower, r * cl, witness)
         r += 1
 
@@ -409,66 +404,54 @@ def zcl_route(
 def zcl_bounds(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
     """Certified sandwich for zcl_r: the first result of :func:`zcl_route` with no exact walk.
 
-    ``max_dim`` (None for no ceiling) bounds the walk at r = 2 and the terms of
-    the product; a seed past r = 2 stays within DEFAULT_SEED_DIM too."""
+    ``max_dim`` (None for no ceiling) bounds the walk at r = 2 and the number of
+    letters of the witness; a seed past r = 2 stays within DEFAULT_SEED_DIM too."""
     return next(zcl_route(a, r, max_dim, exact=False))
-
-
-def witness_extend(a: "Algebra", w: Witness, chain: "Sequence") -> Witness:
-    """Extend a length-l witness at r to a length l + len(chain) witness at r + 1.
-
-    A letter's factor at r + 1 is its factor at r tensor 1, so the letters
-    stay; each chain element y adds the letter (y, r + 1).  Lifting by tensor
-    1 is multiplicative with no Koszul sign (the new slot holds the degree-0
-    unit), so the new product is the stored product tensor 1 times the new
-    factors, each multiplied in by :func:`zero_divisor_product`; it must be
-    nonzero for valid inputs.  :func:`verify_witness` recomputes it.  The chain
-    rows and the stored product must keep the row rule; the kept letters are not read.
-    """
-    if not w.factors:
-        raise ValidationError("witness extension needs at least one factor")
-    chain = tuple(chain)
-    if not chain:
-        raise ValidationError("witness extension needs a nonempty chain")
-    for y in chain:
-        if not _is_row(a, y):
-            raise ValidationError("chain elements must be rows of the base algebra")
-        if (_degree(a, y) or 0) <= 0:
-            raise ValidationError("chain elements must be homogeneous of positive degree")
-    if not _fold(a, chain):
-        raise ValidationError("chain product must be nonzero")
-    big = a.tensor_power(w.r + 1, max_dim=None)
-    if not _is_row(a, w.product, big.dim // a.dim):  # a row of the power w.r names
-        raise ValidationError("witness product does not lie in the stated tensor power")
-    product = {idx * a.dim + a.unit_index: c for idx, c in w.product.items()}
-    for y in chain:
-        product = zero_divisor_product(big, product, y, w.r + 1)
-    if not product:
-        raise WitnessInvariantError(
-            "extended witness product vanished; inputs violate the extension invariant"
-        )
-    factors = (*w.factors, *((y, w.r + 1) for y in chain))
-    return Witness(w.r + 1, factors, product, chain=chain)
 
 
 def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
     """Re-check a witness from scratch; reports every failing piece.
 
-    Every letter (y, s) must pair a row over the base with an int 2 <= s <= r,
-    every factor must collapse to zero, the ordered product must match the
-    stored row and be nonzero, and for extended witnesses the chain must hold
-    rows and the projection that evaluates a degree functional on the last
-    slot must stay nonzero.  ``rows`` are the factors y^(s) - y^(1), in order.
+    Every letter (y, s) must pair a row over the base with an int s, 2 <= s
+    <= seed_r for a letter of the seed and <= r past it, and seed_r must be
+    an int with 2 <= seed_r <= r.  The seed is checked at seed_r: each of
+    its factors must collapse to zero, and their ordered product must match
+    the stored row and be nonzero.  The factors past the seed must be the
+    chain's letters at s = seed_r + 1..r, in order, and the chain must hold
+    rows of the base, homogeneous of positive degree, with a nonzero product.
+
+    That is enough, by the extension lemma.  Let W != 0 at r, and let
+    y_1 ... y_c be homogeneous of positive degree with y_1 ... y_c != 0 in A.
+    Expand (W x 1) (y_1^(r+1) - y_1^(1)) ... (y_c^(r+1) - y_c^(1)) into the
+    terms that take y_i^(r+1) from some of the factors and -y_i^(1) from the
+    rest.  A^(x r+1) is A^(x r) x A, graded by the last slot, and the only
+    term whose last slot has degree |y_1| + ... + |y_c| is the one that takes
+    every y_i^(r+1): W x y_1 ... y_c, with no Koszul sign, since the slots it
+    passes hold the degree-0 unit.  That term is nonzero, so the product is.
+    Each step from seed_r to r is such an extension, and lifting by x 1 keeps
+    the letters before it, so the product of all the factors is nonzero at r.
     """
+    r, seed_r, chain = w.r, w.seed_r, w.chain
     if not w.factors:
         return WitnessReport(False, ("witness has no factors",))
+    if not (seed_r.__class__ is int and 2 <= seed_r <= r):
+        return WitnessReport(False, (f"seed_r is not an int with 2 <= seed_r <= {r}",))
+    if not (isinstance(chain, tuple) and all(_is_row(a, y) for y in chain)):
+        return WitnessReport(False, ("a chain element is not a row of the base",))
+    past = tuple((y, s) for s in range(seed_r + 1, r + 1) for y in chain)
+    n_seed = len(w.factors) - len(past)
     for n, f in enumerate(w.factors):
+        top = seed_r if n < n_seed else r
         if not (isinstance(f, tuple) and len(f) == 2 and f[1].__class__ is int
-                and 2 <= f[1] <= w.r and _is_row(a, f[0])):
-            problem = f"factor {n} is not a letter (y, s) over the base with 2 <= s <= {w.r}"
+                and 2 <= f[1] <= top and _is_row(a, f[0])):
+            problem = f"factor {n} is not a letter (y, s) over the base with 2 <= s <= {top}"
             return WitnessReport(False, (problem,))
-    power = a.tensor_power(w.r, max_dim=None)
-    rows = tuple(zero_divisor(power, y, s) for y, s in w.factors)
+    if n_seed < 1:
+        return WitnessReport(False, ("the seed has no factors",))
+    if w.factors[n_seed:] != past:
+        return WitnessReport(False, ("the factors past the seed are not the chain's letters",))
+    power = a.tensor_power(seed_r, max_dim=None)
+    rows = [zero_divisor(power, y, s) for y, s in w.factors[:n_seed]]
     images = [_collapse(power, f) for f in rows]
     problems = [f"factor {n} is not a zero divisor (collapses to {row_text(a, image)})"
                 for n, image in enumerate(images) if image]
@@ -479,18 +462,8 @@ def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
         problems.append("stored product differs from the recomputed one")
     if not product:
         problems.append("product of the factors is zero")
-    projection_checked = False
-    if w.chain and not all(_is_row(a, y) for y in w.chain):
-        problems.append("a chain element is not a row of the base")
-    elif w.chain and product:
-        yprod = _fold(a, w.chain)
-        if _degree(a, yprod) is None:
-            problems.append("chain product is zero or inhomogeneous")
-        else:
-            # Terms of the product with c* = min(supp yprod) in the last slot
-            # differ in the other slots, so the projection cancels nothing.
-            cstar = min(yprod)
-            projection_checked = True
-            if not any(idx % a.dim == cstar for idx in product):
-                problems.append("degree-functional projection of the product vanished")
-    return WitnessReport(not problems, tuple(problems), projection_checked, rows)
+    if any((_degree(a, y) or 0) <= 0 for y in chain):
+        problems.append("a chain element is not homogeneous of positive degree")
+    elif chain and not _fold(a, chain):
+        problems.append("chain product is zero")
+    return WitnessReport(not problems, tuple(problems))

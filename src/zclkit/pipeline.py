@@ -51,8 +51,8 @@ def series_pipeline(
     """Compute zcl_r for r = 2..rmax+1 and analyze t_r = zcl_{r+1}.
 
     The entries are the first rmax results of :func:`~zclkit.invariants.zcl_route`
-    for the ceiling ``max_dim`` (None for no ceiling), one extension step per r
-    past it; their method tags tell certified values from open sandwiches.
+    for the ceiling ``max_dim`` (None for no ceiling), past it one seed and the
+    chain's letters per r; their method tags tell certified values from open sandwiches.
     """
     if rmax < 3:
         raise ValidationError("series pipeline needs rmax >= 3")

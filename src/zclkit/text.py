@@ -46,7 +46,7 @@ def render_text(report: dict, out) -> None:
               f"length {wt['length']}, verified={wt['verified']}\n")
             for n, f in enumerate(wt["factors"], 1):
                 w(f"  factor {n}: {f}\n")
-            w(f"  product: {wt['product']}\n")
+            w(f"  product over {wt['seed_r']} slots: {wt['product']}\n")
             for problem in wt["problems"]:
                 w(f"  problem: {problem}\n")
         else:

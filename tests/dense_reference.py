@@ -20,7 +20,12 @@ indecomposable b, and :func:`full_walk` is the walk over every word, with
 no ceiling.  :func:`indecomposable_labels` scans for the letters with
 dense ranks, against :func:`decomposables_rank`.
 :func:`normalize_sparse` keys a row by the line it spans.
-:func:`zcl_bounds_largest_seed` is ``zcl_bounds`` without its r = 2 seed.
+:func:`zcl_bounds_largest_seed` is ``zcl_bounds`` without its r = 2 seed,
+and its witness is multiplied out over all r slots by :func:`witness_extend`,
+the incremental product the bounds route once ran: :func:`full_witness`
+gives any bounds witness that form, the oracle for the extension lemma
+``verify_witness`` relies on.  :func:`mu` is the collapse map on a row of
+a tensor power.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
@@ -46,12 +51,13 @@ from zclkit.errors import DEFAULT_MAX_DIM, FieldMismatchError, ResourceLimitErro
 from zclkit.fields import Field
 from zclkit.invariants import (
     DEFAULT_SEED_DIM,
+    Witness,
     ZclResult,
+    _collapse,
+    _is_row,
     _walk,
     _zero_divisor_letters,
     cup_length,
-    mu,
-    witness_extend,
     zcl_exact,
     zero_divisor,
     zero_divisor_product,
@@ -566,6 +572,16 @@ def kernel_basis(field, rows, ncols):
     return Subspace.from_sparse_rows(field, kernel, ncols)
 
 
+def mu(a, r, u):
+    """The collapse map, tuple -> product of slots, on a row ``u`` of the r-th
+    tensor power: a row of ``a``, and an algebra homomorphism."""
+    if r < 1:
+        raise ValidationError("mu requires r >= 1")
+    if not _is_row(a, u, a.dim ** r):
+        raise ValidationError("row does not lie in the r-th tensor power")
+    return u if r == 1 else _collapse(a.tensor_power(r, max_dim=None), u)
+
+
 def mu_matrix(power):
     """Sparse rows of the collapse map's matrix, base dim x power dim."""
     rows = [{} for _ in range(power.base.dim)]
@@ -738,3 +754,25 @@ def zcl_bounds_largest_seed(a, r, max_dim=DEFAULT_MAX_DIM):
         witness = witness_extend(a, witness, cl.chain)
     lower = len(witness.factors)
     return ZclResult(r, lower if lower == upper else None, "bounds", lower, upper, witness)
+
+
+def witness_extend(a, w, chain):
+    """The witness at w.r + 1 with its product multiplied out: w's letters, then
+    (y, w.r + 1) for each y in ``chain``.  Lifting by tensor 1 is multiplicative
+    with no Koszul sign, since the new slot holds the degree-0 unit, so the new
+    product is w's product tensor 1 times each new factor, slot by slot."""
+    big = a.tensor_power(w.r + 1, max_dim=None)
+    product = {idx * a.dim + a.unit_index: c for idx, c in w.product.items()}
+    for y in chain:
+        product = zero_divisor_product(big, product, y, w.r + 1)
+    return Witness(w.r + 1, (*w.factors, *((y, w.r + 1) for y in chain)), product)
+
+
+def full_witness(a, w):
+    """A witness with its product over all w.r slots: the seed extended by the chain
+    at each s = seed_r + 1..r, so seed_r = r and the chain is empty."""
+    full = Witness(w.seed_r, w.factors[:len(w.factors) - (w.r - w.seed_r) * len(w.chain)],
+                   w.product)
+    while full.r < w.r:
+        full = witness_extend(a, full, w.chain)
+    return full

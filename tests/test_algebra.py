@@ -23,6 +23,7 @@ from dense_reference import (
     index_of_tuple,
     index_slots,
     kernel_mu,
+    mu,
     multiply,
     neg,
     one_element,
@@ -37,11 +38,11 @@ from zclkit import (
     AlgebraPresentation,
     Field,
     TensorPowerAlgebra,
+    Witness,
     builtin_algebra,
-    mu,
     tensor_product,
     validate_algebra,
-    witness_extend,
+    verify_witness,
     zcl_exact,
 )
 from zclkit.errors import ResourceLimitError, ValidationError
@@ -303,13 +304,14 @@ def test_graded_commutativity_signs():
 
 
 def test_element_mismatch_rejected(stanley):
-    # a row names no algebra: the collapse map and the extension range-check its
-    # indices against the algebra the caller names
+    # a row names no algebra: the collapse map and the witness checker range-check
+    # its indices against the algebra the caller names
     cube, w = stanley.tensor_power(3), zcl_exact(stanley, 2).witness
     with pytest.raises(ValidationError, match="does not lie in the r-th tensor power"):
         mu(stanley, 2, basis_element(cube, cube.dim - 1))
-    with pytest.raises(ValidationError, match="must be rows of the base algebra"):
-        witness_extend(stanley, w, (basis_element(cube, cube.dim - 1),))
+    y = basis_element(cube, cube.dim - 1)
+    report = verify_witness(stanley, Witness(3, w.factors + ((y, 3),), w.product, 2, (y,)))
+    assert report.problems == ("a chain element is not a row of the base",)
 
 
 def test_scalar_action(stanley):

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 from dense_reference import labels
-from zclkit import builtin_algebra, cup_length, invariants, validate_algebra
+from zclkit import builtin_algebra, cup_length, invariants, tensor_product, validate_algebra
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
     EXIT_INCONCLUSIVE,
@@ -106,7 +106,7 @@ def test_series_default_min_run_is_inconclusive_on_short_window():
 def test_witness_listing():
     code, out, _ = cli("witness", "builtin:stanley-p3", "--r", "2")
     assert code == EXIT_OK
-    assert "factor 1:" in out and "product:" in out
+    assert "factor 1: (1·a2)^(2) - (1·a2)^(1)" in out and "product over 2 slots:" in out
 
 
 def test_witness_on_the_torus_at_the_exact_size():
@@ -126,7 +126,8 @@ def test_witness_on_the_torus_at_the_exact_size():
     (("zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "9"), 9),
 ])
 def test_a_report_builds_each_witness_factor_once(argv, letters, monkeypatch):
-    # the checker builds each letter's row, and the report prints the rows it built
+    # the checker builds the row of each letter of the seed, once, and no other;
+    # the report prints every factor as its letter
     calls = []
     zero_divisor = invariants.zero_divisor
 
@@ -139,7 +140,10 @@ def test_a_report_builds_each_witness_factor_once(argv, letters, monkeypatch):
     assert code == EXIT_OK
     witness = report["result"]["witness"]
     assert witness["verified"] is True
-    assert len(calls) == witness["length"] == len(witness["factors"]) == letters
+    assert witness["length"] == len(witness["factors"]) == letters
+    # the seed: r = 4 on the torus, where zcl_4 = 6, and r = 2 on stanley-p3
+    assert len(calls) == {4: 6, 2: 2}[witness["seed_r"]]
+    assert set(calls) <= set(range(2, witness["seed_r"] + 1))
 
 
 def test_builtins_listing():
@@ -296,7 +300,7 @@ def test_text_reports_are_pinned(argv, status, text):
 
 
 def _fail_every_witness(monkeypatch):
-    """A verifier that reports a problem, keeping the rows the real one built."""
+    """A verifier that reports a problem with every witness it checks."""
     verify = invariants.verify_witness
     problems = ("stored product differs from the recomputed one",)
     monkeypatch.setattr(invariants, "verify_witness",
@@ -310,9 +314,9 @@ def test_text_report_lists_the_problems_of_a_witness(monkeypatch):
     assert cli("witness", "builtin:stanley-p3", "--r", "2") == (
         EXIT_INCONCLUSIVE,
         "witness for zcl_2(stanley-p3), length 2, verified=False\n"
-        "  factor 1: 1·1⊗a2 + 2·a2⊗1\n"
-        "  factor 2: 1·1⊗a2 + 2·a2⊗1\n"
-        "  product: 1·a2⊗a2\n"
+        "  factor 1: (1·a2)^(2) - (1·a2)^(1)\n"
+        "  factor 2: (1·a2)^(2) - (1·a2)^(1)\n"
+        "  product over 2 slots: 1·a2⊗a2\n"
         "  problem: stored product differs from the recomputed one\n",
         "",
     )
@@ -521,11 +525,45 @@ def test_resource_ceiling_exit_code():
     assert "ceiling" in err
 
 
-def test_bounds_product_past_the_ceiling_exits_4():
-    # the torus witness product has r^2 terms: 64^2 fits the default ceiling 4096
-    code, _, err = cli("zcl", "builtin:surface:1", "--method", "bounds", "--r", "65")
-    assert code == EXIT_RESOURCE
-    assert "resource ceiling" in err and "4225 terms" in err
+def test_bounds_on_the_torus_at_r_65_is_a_verified_sandwich():
+    # the witness is the r = 4 seed and the chain's letters: no product of r^2
+    # terms is formed, so r = 65 runs at the default ceiling
+    code, report, _ = cli_json("zcl", "builtin:surface:1", "--method", "bounds", "--r", "65")
+    assert code == EXIT_INCONCLUSIVE
+    res = report["result"]
+    assert [res["lower"], res["upper"]] == [128, 130]
+    assert (res["witness"]["seed_r"], res["witness"]["verified"]) == (4, True)
+
+
+def test_a_bounds_witness_past_the_ceiling_exits_4():
+    # r is the one input the bounds route grows with: a witness of more letters
+    # than the ceiling is refused before it is built
+    start = time.monotonic()
+    code, out, err = cli("zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "5000")
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.startswith("zclkit: resource ceiling: ") and err.count("\n") == 1
+    assert err.endswith("raise the ceiling to opt in\n"), err
+    code, report, _ = cli_json(
+        "zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "5000", "--max-dim", "5000"
+    )
+    assert code == EXIT_OK
+    assert (report["result"]["value"], report["result"]["witness"]["verified"]) == (5000, True)
+
+
+def test_series_on_a_saved_tensor_product_reports_every_entry(tmp_path):
+    # surface:1 (x) sphere-even:2 (dim 8, cl 3) is exact to r = 4 (d^4 = 4096), and
+    # zcl_2 = 4 = cl + 1, so no later entry closes: each is the sandwich
+    # [3r - 2, 3r], whose witness is the r = 2 seed and the chain, not a product of
+    # (r - 1)^2 terms, so no entry runs into the ceiling
+    path = tmp_path / "t.json"
+    alg = tensor_product(builtin_algebra("surface:1"), builtin_algebra("sphere-even:2"))
+    save_algebra(alg, str(path))
+    code, report, _ = cli_json("series", str(path), "--rmax", "200")
+    assert code == EXIT_INCONCLUSIVE
+    entries = report["result"]["entries"]
+    assert [e["r"] for e in entries] == list(range(2, 202))
+    assert all((e["lower"], e["upper"]) == (3 * e["r"] - 2, 3 * e["r"]) for e in entries)
 
 
 def test_bounds_without_seed_is_inconclusive():
@@ -896,10 +934,11 @@ def test_an_algebra_file_without_read_permission_is_one_line(child_env, tmp_path
     _one_error_line(proc, f"cannot read {path}: ")
 
 
-# a report short enough that only main()'s flush writes it, and one that run() writes
+# a report short enough that only main()'s flush writes it, and one that run() writes:
+# past the 8 kB buffer of stdout (16 kB, with 400 letters of about 40 bytes each)
 REPORTS = [
     ("builtins", "--json"),
-    ("zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "40", "--json"),
+    ("zcl", "builtin:stanley-p3", "--method", "bounds", "--r", "400", "--json"),
 ]
 
 

@@ -11,6 +11,7 @@ import sys
 import time
 import weakref
 from fractions import Fraction
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
@@ -30,13 +31,15 @@ from dense_reference import (
     first_longest_word,
     full_space,
     full_walk,
+    full_witness,
     kernel_mu,
+    mu,
     multiply,
-    neg,
     null_space,
     one_element,
     scale,
     subspace_product,
+    witness_extend,
     zcl_bounds_largest_seed,
     zcl_oracle,
     zcl_over_all_generators,
@@ -51,11 +54,10 @@ from zclkit import (
     tensor_product,
     validate_algebra,
     verify_witness,
-    witness_extend,
     zcl_bounds,
     zcl_exact,
 )
-from zclkit.errors import ResourceLimitError, ValidationError, WitnessInvariantError
+from zclkit.errors import ResourceLimitError, ValidationError
 from zclkit.fields import Field
 from zclkit import invariants
 from zclkit.algebra import DEFAULT_MAX_DIM, Algebra
@@ -65,7 +67,6 @@ from zclkit.invariants import (
     WitnessReport,
     _walk,
     _zero_divisor_letters,
-    mu,
     row_text,
     zcl_route,
     zero_divisor,
@@ -223,10 +224,12 @@ def test_zcl_bounds_matches_exact_where_both_run(corpus):
         assert bounds.lower <= exact.value <= bounds.upper
 
 
-# -- witness extension -----------------------------------------------------------------
+# -- the extension lemma: a bounds witness is its seed and its chain --------------------
 
 
 def test_witness_extend_stanley(stanley):
+    # the reference extension of the r = 2 seed is the bounds witness at r = 3
+    # multiplied out
     seed = zcl_exact(stanley, 2)
     chain = cup_length(stanley).chain
     extended = witness_extend(stanley, seed.witness, chain)
@@ -234,44 +237,64 @@ def test_witness_extend_stanley(stanley):
     assert len(extended.factors) == 3
     assert extended.product
     assert verify_witness(stanley, extended).ok
+    w = zcl_bounds(stanley, 3).witness
+    assert (w.r, w.seed_r, w.chain, w.product) == (3, 2, chain, seed.witness.product)
+    assert full_witness(stanley, w) == extended
 
 
-def test_witness_extend_rejects_empty_chain(stanley):
-    seed = zcl_exact(stanley, 2)
-    with pytest.raises(ValidationError):
-        witness_extend(stanley, seed.witness, ())
-
-
-def test_witness_extend_rejects_empty_witness(stanley):
+def test_verify_witness_rejects_empty_witness(stanley):
     sq = stanley.tensor_power(2)
     empty = Witness(2, (), one_element(sq))
-    with pytest.raises(ValidationError):
-        witness_extend(stanley, empty, cup_length(stanley).chain)
     assert verify_witness(stanley, empty) == WitnessReport(False, ("witness has no factors",))
-
-
-def test_witness_extend_names_each_rejected_input(stanley):
-    # an empty witness or chain, and a chain row of another algebra, are the
-    # tests above and test_element_mismatch_rejected
-    seed = zcl_exact(stanley, 2).witness
+    # the chain's letters alone leave the seed empty
     chain = cup_length(stanley).chain
+    only_chain = Witness(3, tuple((y, 3) for y in chain), one_element(sq), 2, chain)
+    assert verify_witness(stanley, only_chain) == WitnessReport(False, ("the seed has no factors",))
+
+
+def test_verify_witness_names_each_forged_certificate(stanley):
+    # the rejections of the extension step, now forged bounds certificates at r = 3
+    # on the r = 2 seed; a chain row of another algebra is test_element_mismatch_rejected
+    seed = zcl_exact(stanley, 2).witness
+    good = zcl_bounds(stanley, 3).witness
+    assert verify_witness(stanley, good) == WitnessReport(True, ())
     a2, a3 = (element_from_labels(stanley, {lbl: 1}) for lbl in ("a2", "a3"))
-    for w, rows, message in (
-        (seed, (one_element(stanley),), "homogeneous of positive degree"),
-        (seed, (add(stanley, a2, a3),), "homogeneous of positive degree"),
-        (seed, (a2, a3), "chain product must be nonzero"),
-        (Witness(2, seed.factors, {16: 1}), chain, "does not lie in the stated tensor power"),
+    sq = stanley.tensor_power(2)
+
+    def on_chain(chain):
+        return Witness(3, seed.factors + tuple((y, 3) for y in chain), seed.product, 2, chain)
+
+    for w, problems in (
+        (on_chain((a2, a3)), ("chain product is zero",)),
+        (on_chain((one_element(stanley),)), (
+            "a chain element is not homogeneous of positive degree",)),
+        (on_chain((add(stanley, a2, a3),)), (
+            "a chain element is not homogeneous of positive degree",)),
+        (on_chain(({1: 3},)), ("a chain element is not a row of the base",)),
+        (Witness(3, good.factors, scale(sq, seed.product, 2), 2, good.chain), (
+            "stored product differs from the recomputed one",)),
+        (Witness(3, good.factors, {16: 1}, 2, good.chain), (
+            "stored product is not a row of the tensor power",
+            "stored product differs from the recomputed one",
+        )),
+        (Witness(3, good.factors, {}, 2, good.chain), (
+            "stored product differs from the recomputed one",)),
+        (Witness(3, good.factors[:-1] + ((a3, 3),), seed.product, 2, good.chain), (
+            "the factors past the seed are not the chain's letters",)),
+        # one letter too many: the seed would hold a letter at s = 3
+        (Witness(3, good.factors + ((a2, 3),), seed.product, 2, good.chain), (
+            "factor 2 is not a letter (y, s) over the base with 2 <= s <= 2",)),
     ):
-        with pytest.raises(ValidationError, match=message):
-            witness_extend(stanley, w, rows)
-    # a zero stored product is the only way the extension itself can vanish
-    with pytest.raises(WitnessInvariantError, match="extended witness product vanished"):
-        witness_extend(stanley, Witness(2, seed.factors, {}), chain)
+        assert verify_witness(stanley, w) == WitnessReport(False, problems), w
+    for seed_r in (1, 4, True, "2", 2.0):
+        w = Witness(3, good.factors, seed.product, seed_r, good.chain)
+        assert verify_witness(stanley, w) == WitnessReport(
+            False, ("seed_r is not an int with 2 <= seed_r <= 3",)), seed_r
 
 
 def test_witness_extend_even_truncated_cube():
     # base k[x]/(x^3): r=2 witness (xbar, xbar), xbar = x^(2) - x^(1), chain (x);
-    # lands in the dim-27 cube
+    # the reference extension lands in the dim-27 cube
     alg = truncated_height3()
     sq = alg.tensor_power(2)
     x = element_from_labels(alg, {"x": 1})
@@ -284,12 +307,45 @@ def test_witness_extend_even_truncated_cube():
     assert extended.factors == ((x, 2), (x, 2), (x, 3))
     cube = alg.tensor_power(3)
     assert cube.dim == 27
-    report = verify_witness(alg, extended)
-    assert report.rows == (
+    rows = tuple(zero_divisor(cube, y, s) for y, s in extended.factors)
+    assert rows == (
         element_from_labels(cube, {"1⊗x⊗1": 1, "x⊗1⊗1": -1}),
     ) * 2 + (element_from_labels(cube, {"1⊗1⊗x": 1, "x⊗1⊗1": -1}),)
-    assert extended.product
-    assert report.ok
+    assert extended.product == multiply(cube, multiply(cube, rows[0], rows[1]), rows[2])
+    assert verify_witness(alg, extended).ok
+    # and as a certificate, the seed and the chain
+    bounds = Witness(3, extended.factors, square, 2, (x,))
+    assert verify_witness(alg, bounds).ok
+    assert full_witness(alg, bounds) == extended
+
+
+def test_the_extension_lemma_against_the_full_product(corpus):
+    # each bounds witness past its seed, on every builtin and corpus algebra with
+    # cl > 0 and at each r with d^r <= 4096, multiplied out by the reference
+    # extension: its product is nonzero, the pair-table fold of its factors' rows
+    # agrees with it, and its length is at most zcl_r.  An algebra whose table
+    # repeats one already checked, up to labels, is checked once.
+    checked, seen = 0, set()
+    for alg in corpus:
+        table = tuple(tuple(alg.basis_product(i, j).items())
+                      for i in range(alg.dim) for j in range(alg.dim))
+        if cup_length(alg).value == 0 or (alg.field, alg.degrees, table) in seen:
+            continue
+        seen.add((alg.field, alg.degrees, table))
+        for r in range(3, 13):
+            if alg.dim ** r > DEFAULT_MAX_DIM:
+                break
+            w = zcl_bounds(alg, r).witness
+            if w.seed_r == r:
+                continue
+            full = full_witness(alg, w)
+            assert full.factors == w.factors and full.product, (alg.name, r)
+            power = alg.tensor_power(r, max_dim=None)
+            rows = [zero_divisor(power, y, s) for y, s in w.factors]
+            assert reduce(partial(multiply, power), rows) == full.product, (alg.name, r)
+            assert len(w) <= zcl_exact(alg, r).value, (alg.name, r)
+            checked += 1
+    assert checked > 200
 
 
 # -- witness verification ----------------------------------------------------------------
@@ -352,27 +408,26 @@ def test_projection_of_extended_witness_matches_parent_up_to_sign(stanley):
         if s == cstar:
             collapsed[q] = field.add(collapsed[q], field.mul(c, inv_lam))
     projected = element(sq, collapsed)
-    assert projected in (seed.witness.product, neg(sq, seed.witness.product))
+    # the lemma at verify_witness: the part of the product whose last slot has the
+    # chain's degree is the parent tensor the chain product, with no sign
+    assert projected == seed.witness.product
     assert projected
 
 
 def test_verify_witness_checks_the_chain_of_an_extension(stanley):
     seed = zcl_exact(stanley, 2).witness
-    extended = witness_extend(stanley, seed, cup_length(stanley).chain)
-    good = verify_witness(stanley, extended)
-    assert good.projection_checked
-    assert len(good.rows) == len(extended.factors) == 3
+    good = zcl_bounds(stanley, 4).witness
+    assert (good.seed_r, len(good.factors), verify_witness(stanley, good)) == (
+        2, 4, WitnessReport(True, ()))
     a2, a11 = (element_from_labels(stanley, {lbl: 1}) for lbl in ("a2", "a11"))
-    # a11 is the top class: no product term has it in the last slot
-    report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, (a11,)))
-    assert report == WitnessReport(
-        False, ("degree-functional projection of the product vanished",), True, good.rows
-    )
-    mixed = (add(stanley, a2, a11),)
-    report = verify_witness(stanley, Witness(extended.r, extended.factors, extended.product, mixed))
-    assert report == WitnessReport(
-        False, ("chain product is zero or inhomogeneous",), False, good.rows
-    )
+    # a2 a2 = 0 in A: the chain would claim 6 > 4 cl factors at r = 4
+    for chain, problem in (
+        ((a2, a2), "chain product is zero"),
+        ((add(stanley, a2, a11),), "a chain element is not homogeneous of positive degree"),
+    ):
+        letters = tuple((y, s) for s in (3, 4) for y in chain)
+        forged = Witness(4, seed.factors + letters, seed.product, 2, chain)
+        assert verify_witness(stanley, forged) == WitnessReport(False, (problem,)), chain
 
 
 def test_every_returned_witness_verifies(corpus):
@@ -421,20 +476,20 @@ def test_incremental_extension_matches_the_product_from_scratch(corpus):
 
 def test_extended_witness_built_on_a_forgery_is_rejected(stanley):
     seed = zcl_exact(stanley, 2).witness
-    chain = cup_length(stanley).chain
-    forged = Witness(2, seed.factors, scale(stanley.tensor_power(2), seed.product, 2))
-    report = verify_witness(stanley, witness_extend(stanley, forged, chain))
+    good = zcl_bounds(stanley, 3).witness
+    forged = Witness(3, good.factors, scale(stanley.tensor_power(2), seed.product, 2), 2,
+                     good.chain)
+    report = verify_witness(stanley, forged)
     assert not report.ok
     assert any("differs" in p for p in report.problems)
-    good = witness_extend(stanley, seed, chain)
     (y, _), unit = good.factors[-1], stanley.unit_index
     # the last letter moved to slot 2, to a slot past r, or made the unit
     for letter, problem in (
-        ((y, 2), "stored product differs from the recomputed one"),
+        ((y, 2), "the factors past the seed are not the chain's letters"),
         ((y, 4), "factor 2 is not a letter (y, s) over the base with 2 <= s <= 3"),
-        (({unit: 1}, 3), "product of the factors is zero"),
+        (({unit: 1}, 3), "the factors past the seed are not the chain's letters"),
     ):
-        tampered = Witness(3, good.factors[:-1] + (letter,), good.product, good.chain)
+        tampered = Witness(3, good.factors[:-1] + (letter,), good.product, 2, good.chain)
         report = verify_witness(stanley, tampered)
         assert not report.ok
         assert problem in report.problems, letter
@@ -465,37 +520,35 @@ def test_a_letter_that_breaks_the_row_rule_is_not_a_letter(name, letter):
 def test_a_stored_product_that_breaks_the_row_rule_is_refused():
     torus = builtin_algebra("surface:1")
     w = zcl_exact(torus, 2).witness
-    rows = verify_witness(torus, w).rows
     free = next(i for i in range(16) if i not in w.product)
     for product in ({**w.product, free: 0}, {**w.product, 16: 1}, {True: 1}, {free: "1"}):
         report = verify_witness(torus, Witness(2, w.factors, product))
         assert report == WitnessReport(False, (
             "stored product is not a row of the tensor power",
             "stored product differs from the recomputed one",
-        ), False, rows), product
+        )), product
 
 
 def test_a_chain_that_breaks_the_row_rule_is_refused():
+    # the torus at r = 5 seeds at r = 4 (dim 256): one step of two chain letters
     torus = builtin_algebra("surface:1")
-    seed = zcl_exact(torus, 2).witness
-    chain = cup_length(torus).chain
-    extended = witness_extend(torus, seed, chain)
-    rows = verify_witness(torus, extended).rows
-    bad_rows = ({99: 1}, {1: 0}, {1: "1"}, {True: 1}, "x")
-    for y in bad_rows:
-        report = verify_witness(
-            torus, Witness(extended.r, extended.factors, extended.product, (chain[0], y))
-        )
-        assert report == WitnessReport(
-            False, ("a chain element is not a row of the base",), False, rows
-        ), y
-        # a zero row {1: 0} would add a zero factor, and a product holding only zeros
-        with pytest.raises(ValidationError, match="chain elements must be rows of the base"):
-            witness_extend(torus, seed, [y])
-    free = next(i for i in range(16) if i not in seed.product)
-    for product in ({**seed.product, free: 0}, {16: 1}, {True: 1}, {free: "1"}):
-        with pytest.raises(ValidationError, match="does not lie in the stated tensor power"):
-            witness_extend(torus, Witness(2, seed.factors, product), chain)
+    w = zcl_bounds(torus, 5).witness
+    assert (w.seed_r, len(w.chain), verify_witness(torus, w).ok) == (4, 2, True)
+    head, y0 = w.factors[:-2], w.chain[0]
+    for y in ({99: 1}, {1: 0}, {1: "1"}, {True: 1}, "x"):
+        # a zero row {1: 0} would add a zero factor
+        forged = Witness(5, head + ((y0, 5), (y, 5)), w.product, 4, (y0, y))
+        assert verify_witness(torus, forged) == WitnessReport(
+            False, ("a chain element is not a row of the base",)), y
+    forged = Witness(5, w.factors, w.product, 4, list(w.chain))  # a chain is a tuple
+    assert not verify_witness(torus, forged).ok
+    free = next(i for i in range(256) if i not in w.product)
+    for product in ({**w.product, free: 0}, {256: 1}, {True: 1}, {free: "1"}):
+        assert verify_witness(torus, Witness(5, w.factors, product, 4, w.chain)) == WitnessReport(
+            False, (
+                "stored product is not a row of the tensor power",
+                "stored product differs from the recomputed one",
+            )), product
 
 
 def test_every_witness_factor_is_a_letter(corpus):
@@ -509,11 +562,11 @@ def test_every_witness_factor_is_a_letter(corpus):
         witnesses += [res.witness for res in itertools.islice(zcl_route(alg, 2, max_dim=256), 9)]
         for w in filter(None, witnesses):
             power = alg.tensor_power(w.r, max_dim=None)
-            rows = verify_witness(alg, w).rows
-            assert len(rows) == len(w.factors)
-            for (y, s), f in zip(w.factors, rows):
+            assert verify_witness(alg, w).ok, (alg.name, w.r)
+            for y, s in w.factors:
                 assert type(y) is dict and y and all(alg.degree_of(j) > 0 for j in y)
                 assert type(s) is int and 2 <= s <= w.r, (alg.name, w.r, s)
+                f = zero_divisor(power, y, s)
                 assert f == zero_divisor_reference(power, y, s), (alg.name, w.r, s)
                 assert not mu(alg, w.r, f), (alg.name, w.r, s)
                 checked += 1
@@ -524,7 +577,7 @@ def test_slot_one_factor_of_an_extension_reads_no_degree_per_term(monkeypatch):
     # the slot-1 sign of each term is the degree of u, read once, minus that of
     # slot 1, read from a table; no walk over the other slots per term
     alg = builtin_algebra("surface:1")
-    w = zcl_bounds(alg, 12).witness
+    w = full_witness(alg, zcl_bounds(alg, 12).witness)
     big = alg.tensor_power(13, max_dim=None)
     d, unit = alg.dim, alg.unit_index
     u = {idx * d + unit: c for idx, c in w.product.items()}
@@ -557,8 +610,8 @@ def _kept_sizes(alg):
 
 
 def test_no_power_past_the_chunk_width_outlives_the_bounds_route(monkeypatch):
-    # past 256 dimensions a power is a view of (base, r) built for one extension step:
-    # once the result is dropped none is reachable, and nothing kept grows with r
+    # past its seed the route multiplies nothing, so it builds no power past 256
+    # dimensions (a view of (base, r)) at any r, and nothing kept grows with r
     views = []
     init = TensorPowerAlgebra.__init__
 
@@ -569,14 +622,15 @@ def test_no_power_past_the_chunk_width_outlives_the_bounds_route(monkeypatch):
 
     monkeypatch.setattr(TensorPowerAlgebra, "__init__", recording)
     alg = builtin_algebra("stanley-p3")
-    assert zcl_bounds(alg, 100).value == 100
+    first = zcl_bounds(alg, 100)
+    assert first.value == 100 and verify_witness(alg, first.witness).ok
     kept = _kept_sizes(alg)
     res = zcl_bounds(alg, 800)
     assert res.value == 800 and res.witness.r == 800
+    assert verify_witness(alg, res.witness).ok
     del res
     gc.collect()
-    # one view for each step to r = 5, ..., 100 and r = 5, ..., 800: d^4 = 256
-    assert len(views) == 96 + 796 and not [ref for ref in views if ref() is not None]
+    assert views == []
     grown = {key: n for key, n in _kept_sizes(alg).items() if n > kept.get(key, 0)}
     assert not grown, grown
 
@@ -621,21 +675,21 @@ def test_bounds_route_at_r_100_in_under_a_second():
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     assert (res.value, res.lower, res.upper) == (100, 100, 100)
-    assert report.ok and report.projection_checked
+    assert report.ok
     assert elapsed < 1.0
 
 
 def test_torus_bounds_at_r_40_verified_in_under_three_seconds():
-    # the extensions multiply slot by slot; the check multiplies the 78 factors
-    # again through the pair table, on a product with 40^2 terms
+    # the route multiplies nothing past its seed at r = 4, and the check multiplies
+    # only the seed's 6 factors again, on a product with 4^2 terms
     alg = builtin_algebra("surface:1")
     start = time.perf_counter()
     res = zcl_bounds(alg, 40)
     report = verify_witness(alg, res.witness)
     elapsed = time.perf_counter() - start
     assert (res.value, res.lower, res.upper) == (None, 78, 80)
-    assert len(res.witness.product) == 40 ** 2
-    assert report.ok and report.projection_checked
+    assert (res.witness.seed_r, len(res.witness.product)) == (4, 4 ** 2)
+    assert report.ok
     assert elapsed < 3.0, f"took {elapsed:.1f}s"
 
 
@@ -855,9 +909,7 @@ def test_walk_matches_the_walk_over_every_word(corpus):
             assert res.value == len(word), (alg.name, r)
             if word:
                 assert res.witness.factors == tuple(gens[i] for i in word), (alg.name, r)
-                factors = tuple(zero_divisor(power, *gens[i]) for i in word)
-                built = verify_witness(alg, res.witness).rows
-                assert built == factors, (alg.name, r)
+                assert verify_witness(alg, res.witness).ok, (alg.name, r)
                 assert res.witness.product == product, (alg.name, r)
             else:
                 assert res.witness is None, (alg.name, r)
@@ -943,7 +995,7 @@ def test_fields_and_algebras_survive_pickling():
         cl = cup_length(alg)
         res = zcl_exact(alg, 2)
         sq = alg.tensor_power(2)
-        witness = [row_text(sq, f) for f in verify_witness(alg, res.witness).rows]
+        witness = [(row_text(alg, y), s) for y, s in res.witness.factors]
         witness.append(row_text(sq, res.witness.product))
         return cl.value, [row_text(alg, e) for e in cl.chain], res.value, res.upper, witness
 

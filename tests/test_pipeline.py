@@ -74,21 +74,26 @@ def test_series_builds_the_cup_length_ladder_once(monkeypatch):
 
 def test_series_past_the_ceiling_extends_the_entry_before_it(monkeypatch):
     # the torus: exact walks at r = 2..6 (d^6 = 4096), then r = 7..13 from the
-    # r = 4 seed already walked, one extension step per r
+    # r = 4 seed already walked, each the seed and the chain's letters: every
+    # product is formed inside a walk, and none after the last one
     alg = builtin_algebra("surface:1")
     calls = []
-    walk, extend = invariants._walk, invariants.witness_extend
+    walk, times = invariants._walk, invariants.zero_divisor_product
 
     def walking(a, n, times, ceiling):
         calls.append("walk")
-        return walk(a, n, times, ceiling)
+        result = walk(a, n, times, ceiling)
+        calls.append("walked")
+        return result
 
-    def extending(a, w, chain):
-        calls.append("extend")
-        return extend(a, w, chain)
+    def multiplying(power, u, y, s):
+        calls.append("product")
+        return times(power, u, y, s)
 
     monkeypatch.setattr(invariants, "_walk", walking)
-    monkeypatch.setattr(invariants, "witness_extend", extending)
+    monkeypatch.setattr(invariants, "zero_divisor_product", multiplying)
     out = series_pipeline(alg, 12)
     assert [e.method for e in out.entries] == ["exact"] * 5 + ["bounds"] * 7
-    assert (calls.count("walk"), calls.count("extend")) == (6, 9)
+    assert [e.lower for e in out.entries[5:]] == [12, 14, 16, 18, 20, 22, 24]
+    assert calls.count("walk") == 6 and calls.count("product") > 0
+    assert calls[-1] == "walked"

@@ -48,6 +48,6 @@ def test_cl_result_validates_its_chain():
 def test_equal_witnesses_compare_equal():
     alg = builtin_algebra("stanley-p3")
     w = zcl_exact(alg, 2).witness
-    assert Witness(w.r, w.factors, w.product) == w
-    assert Witness(w.r, w.factors, w.product, ()) != w
+    assert Witness(w.r, w.factors, w.product) == w == Witness(w.r, w.factors, w.product, 2, ())
+    assert Witness(w.r, w.factors, w.product, 2, ({1: 1},)) != w
     assert zcl_exact(alg, 2) == zcl_exact(alg, 2)

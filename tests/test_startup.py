@@ -37,7 +37,7 @@ print(json.dumps([code, added, out.getvalue()]))
 NO_BUILTIN_SHA256 = 'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
 
 HEAVY = {"zclkit.invariants", "zclkit.pipeline", "zclkit.series"}
-# what only a file is read with, and the witness code: elements, mu, verification
+# what only a file is read with, and the witness code: the collapse map, verification
 READER = {"zclkit.algfile", "zclkit.reader"}
 WITNESS = {"zclkit.invariants", "zclkit.commands.witness_payload"}
 # the handler modules each command runs, besides the package itself
