@@ -141,7 +141,7 @@ class Algebra:
     # -- derived algebras ----------------------------------------------------
 
     def tensor_power(self, r: int, max_dim: int | None = DEFAULT_MAX_DIM) -> "Algebra":
-        """The r-fold tensor power: past 256 dimensions a new view on each call, never kept."""
+        """The r-fold tensor power: a new view of (self, r) on each call, never kept."""
         if r < 1:
             raise ValidationError("tensor power requires r >= 1")
         if r == 1:
@@ -153,8 +153,7 @@ class Algebra:
             )
         from .tensor import TensorPowerAlgebra  # here, so `check` does not load it
 
-        power = TensorPowerAlgebra(self, r)  # a chunk is kept with the tables, a wider view is not
-        return power if r > power.tables.width else power.tables.powers.setdefault(r, power)
+        return TensorPowerAlgebra(self, r)
 
     def indecomposables(self) -> tuple:
         """The positive basis indices independent of (A+)^2 and of the ones before them.

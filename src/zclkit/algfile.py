@@ -1,10 +1,11 @@
 """JSON algebra files: the single interchange format.
 
 Coefficients travel as strings so exact rationals and large integers never
-touch a floating-point parser.  Unknown keys are rejected at every level;
-the machine-readable schema ships in ``schemas/algebra.schema.json``.  The
-file form is :meth:`~zclkit.algebra.AlgebraPresentation.to_dict`, written
-as ``json.dump(..., indent=2, ensure_ascii=False)`` writes it, plus a
+touch a floating-point parser.  Unknown and repeated keys are rejected at
+every level; the machine-readable schema ships in
+``schemas/algebra.schema.json``.  The file form is
+:meth:`~zclkit.algebra.AlgebraPresentation.to_dict`, written as
+``json.dump(..., indent=2, ensure_ascii=False)`` writes it, plus a
 newline.  Reading one back is checked in ``reader``, which
 :func:`load_presentation` imports with ``json``: so ``tensor``, which only
 writes, compiles neither, and ``json`` loads only with a command that
@@ -30,11 +31,20 @@ def load_presentation(path, data: "bytes | None" = None) -> "AlgebraPresentation
     """Parse the algebra file at ``path``, or ``data``, its bytes as already read and hashed."""
     import json
 
+    def unique(pairs: list) -> dict:
+        """An object's members as a dict; a repeated key is an error, not the last copy."""
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(key for key in keys if keys.count(key) > 1)
+            raise ValidationError(f"{path}: repeated key {key!r} in a JSON object")
+        return obj
+
     if data is None:
         with open(path, "rb") as file:
             data = file.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=unique)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:

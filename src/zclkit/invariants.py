@@ -412,13 +412,14 @@ def zcl_bounds(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM)
 def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
     """Re-check a witness from scratch; reports every failing piece.
 
-    Every letter (y, s) must pair a row over the base with an int s, 2 <= s
-    <= seed_r for a letter of the seed and <= r past it, and seed_r must be
-    an int with 2 <= seed_r <= r.  The seed is checked at seed_r: each of
-    its factors must collapse to zero, and their ordered product must match
-    the stored row and be nonzero.  The factors past the seed must be the
-    chain's letters at s = seed_r + 1..r, in order, and the chain must hold
-    rows of the base, homogeneous of positive degree, with a nonzero product.
+    The factors and the chain must be tuples.  Every letter (y, s) must pair
+    a row over the base with an int s, 2 <= s <= seed_r for a letter of the
+    seed and <= r past it, and seed_r must be an int with 2 <= seed_r <= r.
+    The seed is checked at seed_r: each of its factors must collapse to
+    zero, and their ordered product must match the stored row and be
+    nonzero.  The factors past the seed must be the chain's letters at
+    s = seed_r + 1..r, in order, and the chain must hold rows of the base,
+    homogeneous of positive degree, with a nonzero product.
 
     That is enough, by the extension lemma.  Let W != 0 at r, and let
     y_1 ... y_c be homogeneous of positive degree with y_1 ... y_c != 0 in A.
@@ -432,11 +433,15 @@ def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
     the letters before it, so the product of all the factors is nonzero at r.
     """
     r, seed_r, chain = w.r, w.seed_r, w.chain
+    if not isinstance(w.factors, tuple):
+        return WitnessReport(False, ("the factors are not a tuple",))
     if not w.factors:
         return WitnessReport(False, ("witness has no factors",))
     if not (seed_r.__class__ is int and 2 <= seed_r <= r):
         return WitnessReport(False, (f"seed_r is not an int with 2 <= seed_r <= {r}",))
-    if not (isinstance(chain, tuple) and all(_is_row(a, y) for y in chain)):
+    if not isinstance(chain, tuple):
+        return WitnessReport(False, ("the chain is not a tuple",))
+    if not all(_is_row(a, y) for y in chain):
         return WitnessReport(False, ("a chain element is not a row of the base",))
     past = tuple((y, s) for s in range(seed_r + 1, r + 1) for y in chain)
     n_seed = len(w.factors) - len(past)

@@ -2,9 +2,10 @@
 
 Only a command whose algebra is a file loads this module, through
 :func:`~zclkit.algfile.load_presentation`; a ``builtin:`` algebra never
-does.  Unknown keys are rejected at every level, and coefficients are
-strings, read by :func:`parse_scalar` so that exact rationals and large
-integers never touch a floating-point parser.
+does.  Unknown keys are rejected at every level, as ``load_presentation``
+rejects repeated ones, and coefficients are strings, read by
+:func:`parse_scalar` so that exact rationals and large integers never
+touch a floating-point parser.
 """
 
 from .algebra import AlgebraPresentation

@@ -10,17 +10,16 @@ products carry the induced product
 on the basis of r-tuples in lexicographic order.  Each rule is written
 once: the sign and the term expansion in :func:`_koszul_product`, and the
 table of nonzero positive pairs ``i <= j`` of a tensor product in
-:func:`_tensor_table`.  A tensor power past _CHUNK_DIM dimensions
-multiplies basis pairs as a tensor product of smaller powers, chunks of
-adjacent slots, so a pair costs a few chunk lookups instead of one lookup
-per slot.  A power is a view of (base, r) over the :class:`PowerTables` of
-its base, shared by every r.  The zero-divisor slot rule and the collapse
-map, which only the invariants use, are in ``invariants``; a swap-counting
-sign reference is a test reference in ``tests/dense_reference.py``.
+:func:`_tensor_table`.  A tensor power multiplies a basis pair slot by
+slot: it reads the r base digits of each index and looks each slot pair
+up in the base table.  A power is a view of (base, r), built on each
+call and never kept, over the :class:`PowerTables` of its base, which
+every r shares.  The zero-divisor slot rule and the collapse map, which
+only the invariants use, are in ``invariants``; a swap-counting sign
+reference is a test reference in ``tests/dense_reference.py``.
 """
 
 import itertools
-from functools import cached_property
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, TableAlgebra
 from .errors import ResourceLimitError, ValidationError
@@ -29,7 +28,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Sequence
 
-_CHUNK_DIM = 256
+_DEGREE_TABLE_DIM = 256
 
 
 def _koszul_product(slots: "Sequence[Algebra]", tu: "Sequence[int]", tv: "Sequence[int]") -> dict:
@@ -93,21 +92,18 @@ def _tensor_table(slots: "Sequence[Algebra]") -> dict:
 class PowerTables:
     """What every tensor power of one base reads, built once per base and never per r.
 
-    Pairs are multiplied ``width`` slots at a time, d^width <= _CHUNK_DIM at most;
-    ``powers`` keeps the powers of at most ``width`` slots, the chunks, with their
-    pair caches.  ``slots[n]``, ``degrees[n]`` and ``radices[n]`` = d^n describe the
-    indices of A^(x n), n <= width; ``moves`` holds the slot rule's moves by letter.
+    ``degrees[n]`` lists the degrees of the indices of A^(x n) for n <= ``width``,
+    the most slots whose power has at most _DEGREE_TABLE_DIM dimensions, and
+    ``moves`` holds the slot rule's moves by letter.
     """
 
     def __init__(self, base: Algebra):
         k = 1
-        while 1 < base.dim ** (k + 1) <= _CHUNK_DIM:
+        while 1 < base.dim ** (k + 1) <= _DEGREE_TABLE_DIM:
             k += 1
-        self.width, self.powers, self.moves = k, {}, {}
-        widths = range(k + 1)
-        self.slots = [tuple(itertools.product(range(base.dim), repeat=n)) for n in widths]
-        self.degrees = [tuple(map(sum, itertools.product(base.degrees, repeat=n))) for n in widths]
-        self.radices = [base.dim ** n for n in widths]
+        self.width, self.moves = k, {}
+        self.degrees = [tuple(map(sum, itertools.product(base.degrees, repeat=n)))
+                        for n in range(k + 1)]
 
     def low_degree(self, low: int, n: int) -> int:
         """Degree of the n lowest slots of an index, given low = index mod d^n."""
@@ -131,22 +127,13 @@ class TensorPowerAlgebra(Algebra):
             base._power_tables = PowerTables(base)
         self.tables = base._power_tables
 
-    @cached_property
-    def _layout(self) -> tuple:
-        """Slots per chunk, most significant first: width each, then the rest; 1 each in a chunk."""
-        k = self.tables.width if self.r > self.tables.width else 1
-        q, rem = divmod(self.r, k)
-        return (k,) * q + (rem,) * bool(rem)
-
-    @cached_property
-    def _chunks(self) -> tuple:
-        powers = {n: self.base.tensor_power(n, None) for n in set(self._layout)}
-        return tuple(map(powers.__getitem__, self._layout))
-
     def tuple_of_index(self, idx: int) -> tuple:
-        """The r slots of idx: its chunk digits, each read as slots from a table per chunk."""
-        slots = map(self.tables.slots.__getitem__, self._layout)
-        return tuple(itertools.chain.from_iterable(map(tuple.__getitem__, slots, self._split(idx))))
+        """The r slots of idx: its r base-d digits, slot 1 the most significant."""
+        d, slots = self.base.dim, []
+        for _ in range(self.r):
+            idx, slot = divmod(idx, d)
+            slots.append(slot)
+        return tuple(reversed(slots))
 
     def degree_of(self, i: int) -> int:
         return self.tables.low_degree(i, self.r)
@@ -158,15 +145,8 @@ class TensorPowerAlgebra(Algebra):
         return _tensor_table((self.base,) * self.r)
 
     def _compute_pair(self, i, j):
-        return _koszul_product(self._chunks, self._split(i), self._split(j))
-
-    def _split(self, idx: int) -> list:
-        """The digits of idx in the radices of the chunks, most significant first."""
-        radices, out = self.tables.radices, []
-        for n in reversed(self._layout):
-            idx, digit = divmod(idx, radices[n])
-            out.append(digit)
-        return out[::-1]
+        slots = (self.base,) * self.r
+        return _koszul_product(slots, self.tuple_of_index(i), self.tuple_of_index(j))
 
 
 def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM) -> TableAlgebra:

@@ -378,13 +378,11 @@ def test_tuple_index_round_trip(stanley):
 
 
 def test_slots_and_labels_of_chunked_powers_match_index_arithmetic():
-    # tuple_of_index reads each chunk digit's slots from a table; past 256 dimensions
-    # these powers have full chunks and a remainder of one slot (stanley-p3) or three
+    # past 256 dimensions, the slots and labels of a power still follow its r base digits
     rng = random.Random(31)
     for name, r in (("stanley-p3", 5), ("stanley-p3", 9), ("surface:1", 7)):
         alg = builtin_algebra(name)
         power = alg.tensor_power(r, max_dim=None)
-        assert len(power._chunks) > 1
         indices = [0, power.unit_index, power.dim - 1]
         indices += [rng.randrange(power.dim) for _ in range(300)]
         for idx in indices:
@@ -503,13 +501,12 @@ def test_zero_divisor_product_matches_two_references(corpus):
 
 
 def test_chunked_tensor_power_matches_swap_counting():
-    # past 256 dimensions a power multiplies chunks of slots; signs still follow the slots,
-    # and the slot rule agrees with the chunked product
+    # past 256 dimensions a pair's signs still follow the slots, and the slot rule
+    # agrees with the pair table
     rng = random.Random(7)
     ext, mixed = exterior(), tensor_product(exterior(deg=1), exterior(deg=2, name="b"))
     for alg, r in ((ext, 17), (mixed, 9), (builtin_algebra("surface:1"), 9)):
         power, slots = alg.tensor_power(r, max_dim=None), (alg,) * r
-        assert len(power._chunks) == 3  # two full chunks and a remainder
         unit = alg.unit_index
         nonzero = 0
         for _ in range(300):
@@ -520,8 +517,8 @@ def test_chunked_tensor_power_matches_swap_counting():
             assert terms == tensor_basis_product(slots, i, j), (alg.name, i, j)
             nonzero += bool(terms)
         assert nonzero > 30, alg.name
-        # the slot rule reads the degrees of more slots than one chunk holds; u is
-        # homogeneous, its terms the reorderings of one random tuple
+        # the slot rule reads the degrees of more slots than one degree table holds;
+        # u is homogeneous, its terms the reorderings of one random tuple
         t = list(power.tuple_of_index(rng.randrange(power.dim)))
         u = {}
         for _ in range(20):
@@ -535,12 +532,11 @@ def test_chunked_tensor_power_matches_swap_counting():
 
 
 def test_chunked_tensor_power_degrees_sum_the_slots():
-    # degree_of reads one chunk's degree table per chunk of the index
+    # degree_of reads the degree tables of the index's low slots, width slots at a time
     rng = random.Random(11)
     ext, mixed = exterior(), tensor_product(exterior(deg=1), exterior(deg=2, name="b"))
     for alg, r in ((ext, 17), (mixed, 9), (builtin_algebra("surface:1"), 9)):
         power = alg.tensor_power(r, max_dim=None)
-        assert len(power._chunks) == 3
         for i in [0, power.dim - 1] + [rng.randrange(power.dim) for _ in range(300)]:
             expected = sum(alg.degree_of(s) for s in power.tuple_of_index(i))
             assert power.degree_of(i) == expected, (alg.name, i)

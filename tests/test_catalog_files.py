@@ -152,6 +152,25 @@ def test_duplicate_product_entries_rejected():
         presentation_from_dict(doc)
 
 
+@pytest.mark.parametrize("entry_repeat, doc_repeat, key", [
+    (', "value": []', "", "value"),
+    (', "left": "x"', "", "left"),
+    ("", ', "name": "again"', "name"),
+])
+def test_repeated_keys_rejected(tmp_path, entry_repeat, doc_repeat, key):
+    # json keeps the last copy of a repeated key: the first case would read x·x = 0, not 5y
+    text = ('{"name": "dup", "field": {"kind": "rational"}, "basis": [{"label": "1", '
+            '"degree": 0}, {"label": "x", "degree": 2}, {"label": "y", "degree": 4}], '
+            '"products": [{"left": "x", "right": "x", '
+            '"value": [{"coeff": "5", "basis": "y"}]%s}]%s}')
+    path = tmp_path / "dup.json"
+    path.write_text(text % (entry_repeat, doc_repeat))
+    with pytest.raises(ValidationError, match=f"repeated key '{key}'"):
+        load_presentation(path)
+    path.write_text(text % ("", ""))
+    assert load_presentation(path).products == {(1, 1): {2: 5}}
+
+
 def test_unknown_labels_rejected():
     doc = _doc()
     doc["products"] = [{"left": "z", "right": "a", "value": []}]

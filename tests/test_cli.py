@@ -416,6 +416,20 @@ def test_zero_denominator_is_an_invalid_file(tmp_path, field, coeff):
     assert "products[0].value[0]" in err and coeff in err
 
 
+def test_a_repeated_key_is_an_invalid_file(tmp_path):
+    # read with the last copy kept, x·x = 0 and cl would be 1
+    path = tmp_path / "dup.json"
+    path.write_text(
+        '{"name": "dup", "field": {"kind": "rational"}, "basis": [{"label": "1", "degree": 0}, '
+        '{"label": "x", "degree": 2}, {"label": "y", "degree": 4}], "products": [{"left": "x", '
+        '"right": "x", "value": [{"coeff": "5", "basis": "y"}], "value": []}]}')
+    code, out, err = cli("cl", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("zclkit: error: ") and err.count("\n") == 1
+    assert "repeated key 'value'" in err
+
+
 @pytest.mark.parametrize(
     "entry, where",
     [

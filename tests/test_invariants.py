@@ -540,8 +540,14 @@ def test_a_chain_that_breaks_the_row_rule_is_refused():
         forged = Witness(5, head + ((y0, 5), (y, 5)), w.product, 4, (y0, y))
         assert verify_witness(torus, forged) == WitnessReport(
             False, ("a chain element is not a row of the base",)), y
-    forged = Witness(5, w.factors, w.product, 4, list(w.chain))  # a chain is a tuple
-    assert not verify_witness(torus, forged).ok
+    forged = Witness(5, w.factors, w.product, 4, list(w.chain))
+    assert verify_witness(torus, forged) == WitnessReport(False, ("the chain is not a tuple",))
+    # and so are the factors, of an exact witness too, which has no chain
+    exact = zcl_exact(torus, 3).witness
+    for forged in (Witness(5, list(w.factors), w.product, 4, w.chain),
+                   Witness(3, list(exact.factors), exact.product)):
+        assert verify_witness(torus, forged) == WitnessReport(
+            False, ("the factors are not a tuple",)), forged.r
     free = next(i for i in range(256) if i not in w.product)
     for product in ({**w.product, free: 0}, {256: 1}, {True: 1}, {free: "1"}):
         assert verify_witness(torus, Witness(5, w.factors, product, 4, w.chain)) == WitnessReport(
@@ -598,9 +604,8 @@ def test_slot_one_factor_of_an_extension_reads_no_degree_per_term(monkeypatch):
 
 
 def _kept_sizes(alg):
-    """The length of every dict, list and tuple kept on alg, its power tables and their powers."""
-    tables = alg._power_tables
-    holders = {"base": alg, "tables": tables, **tables.powers}
+    """The length of every dict, list and tuple kept on alg and on its power tables."""
+    holders = {"base": alg, "tables": alg._power_tables}
     return {
         (name, key): len(value)
         for name, holder in holders.items()
@@ -611,14 +616,14 @@ def _kept_sizes(alg):
 
 def test_no_power_past_the_chunk_width_outlives_the_bounds_route(monkeypatch):
     # past its seed the route multiplies nothing, so it builds no power past 256
-    # dimensions (a view of (base, r)) at any r, and nothing kept grows with r
+    # dimensions at any r; tensor_power keeps no view, so no power of any dimension
+    # outlives the route, and nothing kept grows with r
     views = []
     init = TensorPowerAlgebra.__init__
 
     def recording(self, base, r):
         init(self, base, r)
-        if self.dim > 256:
-            views.append(weakref.ref(self))
+        views.append((self.dim, weakref.ref(self)))
 
     monkeypatch.setattr(TensorPowerAlgebra, "__init__", recording)
     alg = builtin_algebra("stanley-p3")
@@ -630,7 +635,8 @@ def test_no_power_past_the_chunk_width_outlives_the_bounds_route(monkeypatch):
     assert verify_witness(alg, res.witness).ok
     del res
     gc.collect()
-    assert views == []
+    assert views and max(dim for dim, _ in views) <= 256
+    assert not [dim for dim, view in views if view() is not None]
     grown = {key: n for key, n in _kept_sizes(alg).items() if n > kept.get(key, 0)}
     assert not grown, grown
 
