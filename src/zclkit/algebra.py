@@ -19,7 +19,7 @@ zero-divisor slot rule in ``invariants``; reading a file in ``reader``.
 
 from collections import namedtuple
 
-from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError
+from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, power_fits
 from .linalg import reduce_into
 
 TYPE_CHECKING = False
@@ -53,7 +53,7 @@ class AlgebraPresentation(namedtuple("AlgebraPresentation", "name field basis pr
     def to_dict(self) -> dict:
         """The JSON object of an algebra file, as written and as the builtin digest hashes."""
         field = self.field
-        kind = {"kind": "prime", "p": field.p} if field.is_prime_field else {"kind": "rational"}
+        kind = {"kind": "prime", "p": field.p} if field.p is not None else {"kind": "rational"}
         labels = [lbl for lbl, _ in self.basis]
         products = []
         for (i, j) in sorted(self.products):
@@ -146,11 +146,11 @@ class Algebra:
             raise ValidationError("tensor power requires r >= 1")
         if r == 1:
             return self
-        if max_dim is not None and self.dim ** r > max_dim:
-            raise ResourceLimitError(
-                f"dim {self.dim}^{r} = {self.dim ** r} exceeds the ceiling {max_dim}; "
-                "raise the ceiling to opt in"
-            )
+        if not power_fits(self.dim, r, max_dim):
+            # d^r is shown where str() prints it by default: up to 4300 digits
+            value = f" = {self.dim ** r}" if power_fits(self.dim, r, 10 ** 4300 - 1) else ""
+            raise ResourceLimitError(f"dim {self.dim}^{r}{value} exceeds the ceiling {max_dim}; "
+                                     "raise the ceiling to opt in")
         from .tensor import TensorPowerAlgebra  # here, so `check` does not load it
 
         return TensorPowerAlgebra(self, r)

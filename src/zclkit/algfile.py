@@ -40,11 +40,20 @@ def load_presentation(path, data: "bytes | None" = None) -> "AlgebraPresentation
             raise ValidationError(f"{path}: repeated key {key!r} in a JSON object")
         return obj
 
+    def integer(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() reads; place it as a JSON error would
+            at = json.JSONDecodeError("", text, text.find(digits))
+            raise ValidationError(f"{path}: the integer at line {at.lineno} column {at.colno} "
+                                  f"has {len(digits)} characters, too long to read") from None
+
     if data is None:
         with open(path, "rb") as file:
             data = file.read()
     try:
-        doc = json.loads(data.decode("utf-8"), object_pairs_hook=unique)
+        text = data.decode("utf-8")
+        doc = json.loads(text, object_pairs_hook=unique, parse_int=integer)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
@@ -64,7 +73,7 @@ def save_algebra(alg: "Algebra", path) -> None:
     no escape.
     """
     field = alg.field
-    kind = f'"prime",\n    "p": {field.p}' if field.is_prime_field else '"rational"'
+    kind = f'"prime",\n    "p": {field.p}' if field.p is not None else '"rational"'
     labels = [quote(alg.label_of(i)) for i in range(alg.dim)]
     core = alg._core_table()
     fmt = field.format

@@ -12,7 +12,7 @@ def witness_payload(alg, witness) -> dict:
     return {
         "r": witness.r,
         "seed_r": witness.seed_r,
-        "length": len(witness.factors),
+        "length": len(witness),
         "factors": [f"({text(alg, y)})^({s}) - ({text(alg, y)})^(1)" for y, s in witness.factors],
         "product": text(seed_power, witness.product),
         "verified": report.ok,

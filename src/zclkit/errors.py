@@ -1,8 +1,8 @@
 """Shared exception types, the default dimension ceiling, and the integer rule.
 
 Every command loads this module, the command line included, so it also
-holds the two things every command reads: the ceiling a command on an
-algebra defaults to, and how an integer is read from text.
+holds what every command reads: the ceiling a command on an algebra
+defaults to, how a power is held to it, and how an integer is read.
 """
 
 DEFAULT_MAX_DIM = 4096
@@ -26,6 +26,13 @@ class ResourceLimitError(ZclkitError, RuntimeError):
 
 class WitnessInvariantError(ZclkitError, RuntimeError):
     """A certificate that must hold for valid inputs failed to check out."""
+
+
+def power_fits(d: int, r: int, ceiling: "int | None") -> bool:
+    """d^r <= ``ceiling`` (None for none), for d, r >= 1; d^r is formed only once its
+    lower bound 2^(r (bits(d) - 1)) is under the ceiling, so never when it is huge."""
+    return ceiling is None or (
+        r * (d.bit_length() - 1) < ceiling.bit_length() and d ** r <= ceiling)
 
 
 def parse_int(text: str) -> int:

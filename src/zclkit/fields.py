@@ -122,10 +122,6 @@ class Field(Record):
         return cls(None)
 
     @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
-    @property
     def characteristic(self) -> int:
         return self.p if self.p is not None else 0
 

@@ -36,9 +36,8 @@ The cup-length walk stops at the top degree over the least letter degree.
 The second is a lemma, proved at :func:`verify_witness`: a nonzero word W
 at r and a chain y_1 ... y_c with a nonzero product in A give the nonzero
 product W (y_1^(r+1) - y_1^(1)) ... (y_c^(r+1) - y_c^(1)) at r + 1.  So a
-bounds certificate is a seed witness walked at seed_r, the cup-length
-chain, and r: its letters are the seed's, then (y, s) for s = seed_r +
-1..r and each y of the chain, and no product past the seed is formed.
+bounds certificate, a :class:`Witness`, is a seed walked at seed_r, the
+cup-length chain and r, and no product past the seed is formed.
 Every zero divisor here, generator or witness factor, is its letter
 (y, s), the pair :func:`zero_divisor` takes, and every product with one in
 the walk is formed slot by slot by :func:`zero_divisor_product`.
@@ -68,7 +67,7 @@ from collections import namedtuple
 from functools import partial, reduce
 
 from .errors import (DEFAULT_MAX_DIM, FieldMismatchError, ResourceLimitError,
-                     ValidationError, WitnessInvariantError)
+                     ValidationError, WitnessInvariantError, power_fits)
 from .linalg import reduce_into
 from .record import Record
 
@@ -96,22 +95,27 @@ class ClResult(Record):
 class Witness(Record):
     """Zero divisors whose nonzero ordered product certifies a lower bound.
 
-    A factor is a letter (y, s) for y^(s) - y^(1), y a {base index: coeff}
-    row and 2 <= s <= r.  The factors are the seed's letters, walked at
-    ``seed_r``, then (y, s) for s = seed_r + 1..r and each y in ``chain``,
-    cup-length chain rows of the base; ``product`` is the row of the
-    seed_r-th tensor power the seed's letters multiply to.  An exact result
-    has seed_r = r and chain = ().
+    Only the certificate is stored: ``seed``, letters (y, s) walked at
+    ``seed_r``, each for y^(s) - y^(1) with y a {base index: coeff} row;
+    ``product``, the row of the seed_r-th power they multiply to; and
+    ``chain``, cup-length chain rows of the base.  The factors are derived:
+    the seed's letters, then (y, s) for s = seed_r + 1..r and each y in the
+    chain; ``len`` counts them.  An exact result has seed_r = r, chain = ().
     """
 
-    _fields = ("r", "factors", "product", "seed_r", "chain")
+    _fields = ("r", "seed", "product", "seed_r", "chain")
 
-    def __init__(self, r: int, factors: tuple, product: dict,
+    def __init__(self, r: int, seed: tuple, product: dict,
                  seed_r: "Optional[int]" = None, chain: tuple = ()):
-        self._set(r, factors, product, r if seed_r is None else seed_r, chain)
+        self._set(r, seed, product, r if seed_r is None else seed_r, chain)
+
+    @property
+    def factors(self) -> tuple:
+        return self.seed + tuple((y, s) for s in range(self.seed_r + 1, self.r + 1)
+                                 for y in self.chain)
 
     def __len__(self) -> int:
-        return len(self.factors)
+        return len(self.seed) + (self.r - self.seed_r) * len(self.chain)
 
 
 # method is "exact" or "bounds"; value and witness may be None
@@ -370,7 +374,7 @@ def zcl_route(
         raise ValidationError("zero-divisor cup-length needs r >= 2")
     d = a.dim
     walked = {}
-    while exact and (max_dim is None or d ** r <= max_dim):
+    while exact and power_fits(d, r, max_dim):
         walked[r] = res = zcl_exact(a, r, max_dim)
         yield res
         r += 1
@@ -391,12 +395,9 @@ def zcl_route(
     while True:
         lower = len(seed) + (r - r0) * cl
         if max_dim is not None and lower > max_dim:
-            raise ResourceLimitError(
-                f"the bounds witness at r = {r} has {lower} letters, over the ceiling "
-                f"{max_dim}; raise the ceiling to opt in"
-            )
-        factors = seed.factors + tuple((y, s) for s in range(r0 + 1, r + 1) for y in chain)
-        witness = Witness(r, factors, seed.product, r0, chain)
+            raise ResourceLimitError(f"the bounds witness at r = {r} has {lower} letters, over "
+                                     f"the ceiling {max_dim}; raise the ceiling to opt in")
+        witness = Witness(r, seed.seed, seed.product, r0, chain)
         yield ZclResult(r, lower if lower == r * cl else None, "bounds", lower, r * cl, witness)
         r += 1
 
@@ -412,14 +413,11 @@ def zcl_bounds(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM)
 def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
     """Re-check a witness from scratch; reports every failing piece.
 
-    The factors and the chain must be tuples.  Every letter (y, s) must pair
-    a row over the base with an int s, 2 <= s <= seed_r for a letter of the
-    seed and <= r past it, and seed_r must be an int with 2 <= seed_r <= r.
-    The seed is checked at seed_r: each of its factors must collapse to
-    zero, and their ordered product must match the stored row and be
-    nonzero.  The factors past the seed must be the chain's letters at
-    s = seed_r + 1..r, in order, and the chain must hold rows of the base,
-    homogeneous of positive degree, with a nonzero product.
+    The seed and the chain must be tuples and seed_r an int, 2 <= seed_r <= r.
+    Each letter (y, s) of the seed must pair a row over the base with an int
+    s, 2 <= s <= seed_r, and collapse to zero at seed_r, and their ordered
+    product must match the stored row and be nonzero.  The chain must hold
+    rows of the base, homogeneous of positive degree, with a nonzero product.
 
     That is enough, by the extension lemma.  Let W != 0 at r, and let
     y_1 ... y_c be homogeneous of positive degree with y_1 ... y_c != 0 in A.
@@ -432,31 +430,24 @@ def verify_witness(a: "Algebra", w: Witness) -> WitnessReport:
     Each step from seed_r to r is such an extension, and lifting by x 1 keeps
     the letters before it, so the product of all the factors is nonzero at r.
     """
-    r, seed_r, chain = w.r, w.seed_r, w.chain
-    if not isinstance(w.factors, tuple):
-        return WitnessReport(False, ("the factors are not a tuple",))
-    if not w.factors:
-        return WitnessReport(False, ("witness has no factors",))
+    r, seed, seed_r, chain = w.r, w.seed, w.seed_r, w.chain
+    if not isinstance(seed, tuple):
+        return WitnessReport(False, ("the seed is not a tuple",))
+    if not seed:
+        return WitnessReport(False, ("the seed has no factors",))
     if not (seed_r.__class__ is int and 2 <= seed_r <= r):
         return WitnessReport(False, (f"seed_r is not an int with 2 <= seed_r <= {r}",))
     if not isinstance(chain, tuple):
         return WitnessReport(False, ("the chain is not a tuple",))
     if not all(_is_row(a, y) for y in chain):
         return WitnessReport(False, ("a chain element is not a row of the base",))
-    past = tuple((y, s) for s in range(seed_r + 1, r + 1) for y in chain)
-    n_seed = len(w.factors) - len(past)
-    for n, f in enumerate(w.factors):
-        top = seed_r if n < n_seed else r
+    for n, f in enumerate(seed):
         if not (isinstance(f, tuple) and len(f) == 2 and f[1].__class__ is int
-                and 2 <= f[1] <= top and _is_row(a, f[0])):
-            problem = f"factor {n} is not a letter (y, s) over the base with 2 <= s <= {top}"
+                and 2 <= f[1] <= seed_r and _is_row(a, f[0])):
+            problem = f"factor {n} is not a letter (y, s) over the base with 2 <= s <= {seed_r}"
             return WitnessReport(False, (problem,))
-    if n_seed < 1:
-        return WitnessReport(False, ("the seed has no factors",))
-    if w.factors[n_seed:] != past:
-        return WitnessReport(False, ("the factors past the seed are not the chain's letters",))
     power = a.tensor_power(seed_r, max_dim=None)
-    rows = [zero_divisor(power, y, s) for y, s in w.factors[:n_seed]]
+    rows = [zero_divisor(power, y, s) for y, s in seed]
     images = [_collapse(power, f) for f in rows]
     problems = [f"factor {n} is not a zero divisor (collapses to {row_text(a, image)})"
                 for n, image in enumerate(images) if image]

@@ -37,9 +37,7 @@ class SeriesOutcome(namedtuple("SeriesOutcome", "rmax cl_value entries sequence 
 
     @property
     def p_at_one(self) -> "Optional[int]":
-        if self.analysis is not None and self.analysis.a is not None:
-            return self.analysis.a
-        return None
+        return self.analysis.a if self.analysis is not None else None
 
 
 def series_pipeline(
@@ -52,7 +50,7 @@ def series_pipeline(
 
     The entries are the first rmax results of :func:`~zclkit.invariants.zcl_route`
     for the ceiling ``max_dim`` (None for no ceiling), past it one seed and the
-    chain's letters per r; their method tags tell certified values from open sandwiches.
+    chain shared by every r; their method tags tell certified values from open sandwiches.
     """
     if rmax < 3:
         raise ValidationError("series pipeline needs rmax >= 3")

@@ -27,11 +27,11 @@ def parse_scalar(field: Field, text: str) -> "Scalar":
     num, slash, den = s.partition("/")
     if not (s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
         raise ValidationError(f"malformed scalar literal {text!r}")
-    n = int(num)
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError:  # more digits than int() reads
+        raise ValidationError(f"scalar literal of {len(s)} characters, too long to read") from None
     p = field.p
-    if not slash:
-        return n % p if p is not None else n
-    d = int(den)
     if d == 0:
         raise ZeroDivisionError(f"zero denominator in scalar literal {text!r}")
     if p is not None:

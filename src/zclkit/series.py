@@ -44,9 +44,6 @@ class IntSequence(Record):
                 raise ValidationError("sequence values must be integers")
         self._set(offset, values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 # a: the stabilized difference, which equals P(1) on detection; d: the offset
 # constant in t_r = r*a + d on the tail; stabilization_index: the first r with

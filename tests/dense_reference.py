@@ -29,7 +29,7 @@ a tensor power.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
-:func:`index_slots` splits a tensor-power index by plain index arithmetic.
+:func:`index_of_tuple` is the index of a slot tuple in a tensor power.
 :func:`div` divides two scalars, which zclkit's own code never does;
 :func:`check` admits only a canonical scalar of a field, :func:`labels`
 lists an algebra's basis labels, and :func:`to_presentation` gives the
@@ -104,15 +104,6 @@ def to_presentation(alg):
     """
     basis = tuple((alg.label_of(i), alg.degree_of(i)) for i in range(alg.dim))
     return AlgebraPresentation(alg.name, alg.field, basis, dict(alg._core_table()))
-
-
-def index_slots(power, idx):
-    """The r base indices of ``idx`` in a tensor power, by r divmods; slot 1 leads."""
-    slots = []
-    for _ in range(power.r):
-        idx, slot = divmod(idx, power.base.dim)
-        slots.append(slot)
-    return tuple(reversed(slots))
 
 
 def index_of_tuple(power, slots):
@@ -771,8 +762,7 @@ def witness_extend(a, w, chain):
 def full_witness(a, w):
     """A witness with its product over all w.r slots: the seed extended by the chain
     at each s = seed_r + 1..r, so seed_r = r and the chain is empty."""
-    full = Witness(w.seed_r, w.factors[:len(w.factors) - (w.r - w.seed_r) * len(w.chain)],
-                   w.product)
+    full = Witness(w.seed_r, w.seed, w.product)
     while full.r < w.r:
         full = witness_extend(a, full, w.chain)
     return full

@@ -416,6 +416,43 @@ def test_zero_denominator_is_an_invalid_file(tmp_path, field, coeff):
     assert "products[0].value[0]" in err and coeff in err
 
 
+LONG = "7" * 5000  # past the 4300 digits int() reads
+
+
+@pytest.mark.parametrize(
+    "field, coeff, where",
+    [
+        ('{"kind": "rational"}', LONG, "products[0].value[0]: scalar literal of 5000 characters"),
+        ('{"kind": "rational"}', "1/" + LONG, "products[0].value[0]: scalar literal of 5002"),
+        ('{"kind": "prime", "p": 3}', LONG, "products[0].value[0]: scalar literal of 5000"),
+        ('{"kind": "prime", "p": 3}', "-1/" + LONG, "products[0].value[0]: scalar literal of 5003"),
+        ('{"kind": "prime", "p": %s}' % LONG, "1", "line 1 column 50 has 5000 characters"),
+    ],
+    ids=["Q-numerator", "Q-denominator", "F3-numerator", "F3-denominator", "p"],
+)
+def test_an_over_long_integer_is_an_invalid_file(tmp_path, field, coeff, where, child_env):
+    doc = ('{"name": "long", "field": %s, "basis": [{"label": "1", "degree": 0}, '
+           '{"label": "x", "degree": 2}], "products": [{"left": "x", "right": "x", '
+           '"value": [{"coeff": "%s", "basis": "1"}]}]}' % (field, coeff))
+    path = tmp_path / "long.json"
+    path.write_text(doc)
+    proc = _main(child_env, ["check", str(path)])
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert proc.stderr.startswith("zclkit: error: ") and proc.stderr.count("\n") == 1
+    assert where in proc.stderr and "too long to read" in proc.stderr, proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == cli("check", str(path))
+
+
+def test_an_over_long_degree_is_an_invalid_file(tmp_path):
+    path = tmp_path / "long-degree.json"
+    path.write_text(json.dumps(_document(basis=_basis("x", 2)), indent=2)
+                    .replace('"degree": 2', f'"degree": {LONG}'))
+    code, out, err = cli("check", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == (f"zclkit: error: {path}: the integer at line 13 column 17 has 5000 "
+                   "characters, too long to read\n")
+
+
 def test_a_repeated_key_is_an_invalid_file(tmp_path):
     # read with the last copy kept, x·x = 0 and cl would be 1
     path = tmp_path / "dup.json"
@@ -799,6 +836,61 @@ def test_a_command_out_of_memory_exits_4(child_env, tmp_path):
         path.unlink()
     assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, ""), proc.stderr
     assert proc.stderr == "zclkit: resource ceiling: out of memory\n"
+
+
+def test_a_long_series_runs_in_bounded_memory(child_env):
+    # each bounds entry stores the seed's letters and the chain, not its r * cl
+    # letters: 4000 entries fit a 256 MB address-space cap and a second
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 256 << 20 if hard == resource.RLIM_INFINITY else min(256 << 20, hard)
+    argv = ["series", "builtin:stanley-p3", "--rmax", "4000", "--json"]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "zclkit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), proc.stderr
+    assert elapsed < 1.0, f"took {elapsed:.1f}s"
+    entries = json.loads(proc.stdout)["result"]["entries"]
+    assert [(e["r"], e["value"]) for e in entries] == [(r, r) for r in range(2, 4002)]
+
+
+# a typed r past the ceiling: d^r is never formed, whatever the number of its digits
+HUGE_R = str(10 ** 41)
+CEILINGS = [
+    (("zcl", "builtin:surface:1", "--r", "8000"), "dim 4^8000 exceeds the ceiling 4096"),
+    (("zcl", "builtin:surface:1", "--r", "3000000"), "dim 4^3000000 exceeds the ceiling 4096"),
+    (("zcl", "builtin:surface:1", "--r", HUGE_R), f"dim 4^{HUGE_R} exceeds the ceiling 4096"),
+    (("tensor", "builtin:surface:1", "--r", "8000", "--out", "x.json"),
+     "dim 4^8000 exceeds the ceiling 4096"),
+    (("tensor", "builtin:surface:1", "--r", HUGE_R, "--out", "x.json"),
+     f"dim 4^{HUGE_R} exceeds the ceiling 4096"),
+    (("witness", "builtin:surface:1", "--r", HUGE_R),
+     f"the bounds witness at r = {HUGE_R} has {2 * 10 ** 41 - 2} letters, over the ceiling 4096"),
+    # where d^r prints, the message shows it
+    (("zcl", "builtin:surface:1", "--r", "7"), "dim 4^7 = 16384 exceeds the ceiling 4096"),
+    (("zcl", "builtin:surface:1", "--r", "7000"), f"dim 4^7000 = {4 ** 7000} exceeds the ceiling"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CEILINGS, ids=[" ".join(a)[:40] for a, _ in CEILINGS])
+def test_a_power_past_the_ceiling_is_refused_without_forming_it(argv, message, child_env, tmp_path):
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "zclkit.cli", *argv],
+        capture_output=True, text=True, env=child_env, cwd=tmp_path, timeout=30,
+    )
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, ""), proc.stderr[-300:]
+    assert proc.stderr.startswith(f"zclkit: resource ceiling: {message}"), proc.stderr[-300:]
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("raise the ceiling to opt in\n")
+    assert elapsed < 1.0, f"took {elapsed:.1f}s"
+    assert not list(tmp_path.iterdir())
 
 
 def test_file_above_the_ceiling_is_refused_before_validation(tmp_path, monkeypatch):

@@ -243,13 +243,11 @@ def test_witness_extend_stanley(stanley):
 
 
 def test_verify_witness_rejects_empty_witness(stanley):
-    sq = stanley.tensor_power(2)
-    empty = Witness(2, (), one_element(sq))
-    assert verify_witness(stanley, empty) == WitnessReport(False, ("witness has no factors",))
-    # the chain's letters alone leave the seed empty
-    chain = cup_length(stanley).chain
-    only_chain = Witness(3, tuple((y, 3) for y in chain), one_element(sq), 2, chain)
-    assert verify_witness(stanley, only_chain) == WitnessReport(False, ("the seed has no factors",))
+    # an exact witness of no letters, and a chain on an empty seed
+    sq, chain = stanley.tensor_power(2), cup_length(stanley).chain
+    for empty in (Witness(2, (), one_element(sq)), Witness(3, (), one_element(sq), 2, chain)):
+        assert verify_witness(stanley, empty) == WitnessReport(
+            False, ("the seed has no factors",)), empty.r
 
 
 def test_verify_witness_names_each_forged_certificate(stanley):
@@ -262,7 +260,7 @@ def test_verify_witness_names_each_forged_certificate(stanley):
     sq = stanley.tensor_power(2)
 
     def on_chain(chain):
-        return Witness(3, seed.factors + tuple((y, 3) for y in chain), seed.product, 2, chain)
+        return Witness(3, seed.seed, seed.product, 2, chain)
 
     for w, problems in (
         (on_chain((a2, a3)), ("chain product is zero",)),
@@ -271,23 +269,21 @@ def test_verify_witness_names_each_forged_certificate(stanley):
         (on_chain((add(stanley, a2, a3),)), (
             "a chain element is not homogeneous of positive degree",)),
         (on_chain(({1: 3},)), ("a chain element is not a row of the base",)),
-        (Witness(3, good.factors, scale(sq, seed.product, 2), 2, good.chain), (
+        (Witness(3, good.seed, scale(sq, seed.product, 2), 2, good.chain), (
             "stored product differs from the recomputed one",)),
-        (Witness(3, good.factors, {16: 1}, 2, good.chain), (
+        (Witness(3, good.seed, {16: 1}, 2, good.chain), (
             "stored product is not a row of the tensor power",
             "stored product differs from the recomputed one",
         )),
-        (Witness(3, good.factors, {}, 2, good.chain), (
+        (Witness(3, good.seed, {}, 2, good.chain), (
             "stored product differs from the recomputed one",)),
-        (Witness(3, good.factors[:-1] + ((a3, 3),), seed.product, 2, good.chain), (
-            "the factors past the seed are not the chain's letters",)),
-        # one letter too many: the seed would hold a letter at s = 3
-        (Witness(3, good.factors + ((a2, 3),), seed.product, 2, good.chain), (
+        # a seed letter past seed_r
+        (Witness(3, good.seed + ((a2, 3),), seed.product, 2, good.chain), (
             "factor 2 is not a letter (y, s) over the base with 2 <= s <= 2",)),
     ):
         assert verify_witness(stanley, w) == WitnessReport(False, problems), w
     for seed_r in (1, 4, True, "2", 2.0):
-        w = Witness(3, good.factors, seed.product, seed_r, good.chain)
+        w = Witness(3, good.seed, seed.product, seed_r, good.chain)
         assert verify_witness(stanley, w) == WitnessReport(
             False, ("seed_r is not an int with 2 <= seed_r <= 3",)), seed_r
 
@@ -314,8 +310,9 @@ def test_witness_extend_even_truncated_cube():
     assert extended.product == multiply(cube, multiply(cube, rows[0], rows[1]), rows[2])
     assert verify_witness(alg, extended).ok
     # and as a certificate, the seed and the chain
-    bounds = Witness(3, extended.factors, square, 2, (x,))
-    assert verify_witness(alg, bounds).ok
+    bounds = Witness(3, seed.seed, square, 2, (x,))
+    assert (bounds.factors, len(bounds), verify_witness(alg, bounds).ok) == (
+        extended.factors, 3, True)
     assert full_witness(alg, bounds) == extended
 
 
@@ -360,16 +357,16 @@ def test_verify_witness_accepts_exact_output(stanley):
 
 def test_verify_witness_rejects_tampered_factor(monkeypatch, stanley):
     w = zcl_exact(stanley, 2).witness
-    (y, _), unit = w.factors[0], stanley.unit_index
+    (y, _), unit = w.seed[0], stanley.unit_index
     # a slot outside 2..r, or a row off the base basis, is not a letter
     for letter in ((y, 1), (y, 3), ({stanley.dim: 1}, 2)):
-        report = verify_witness(stanley, Witness(2, (w.factors[0], letter), w.product))
+        report = verify_witness(stanley, Witness(2, (w.seed[0], letter), w.product))
         assert not report.ok
         assert report.problems == (
             "factor 1 is not a letter (y, s) over the base with 2 <= s <= 2",
         )
     # the unit as y is the zero factor 1 - 1
-    report = verify_witness(stanley, Witness(2, (w.factors[0], ({unit: 1}, 2)), w.product))
+    report = verify_witness(stanley, Witness(2, (w.seed[0], ({unit: 1}, 2)), w.product))
     assert not report.ok
     assert "product of the factors is zero" in report.problems
     assert "stored product differs from the recomputed one" in report.problems
@@ -383,7 +380,7 @@ def test_verify_witness_rejects_tampered_factor(monkeypatch, stanley):
 def test_verify_witness_rejects_wrong_product(stanley):
     res = zcl_exact(stanley, 2)
     sq = stanley.tensor_power(2)
-    forged = Witness(2, res.witness.factors, one_element(sq))
+    forged = Witness(2, res.witness.seed, one_element(sq))
     report = verify_witness(stanley, forged)
     assert not report.ok
     assert any("differs" in p for p in report.problems)
@@ -425,8 +422,7 @@ def test_verify_witness_checks_the_chain_of_an_extension(stanley):
         ((a2, a2), "chain product is zero"),
         ((add(stanley, a2, a11),), "a chain element is not homogeneous of positive degree"),
     ):
-        letters = tuple((y, s) for s in (3, 4) for y in chain)
-        forged = Witness(4, seed.factors + letters, seed.product, 2, chain)
+        forged = Witness(4, seed.seed, seed.product, 2, chain)
         assert verify_witness(stanley, forged) == WitnessReport(False, (problem,)), chain
 
 
@@ -477,19 +473,18 @@ def test_incremental_extension_matches_the_product_from_scratch(corpus):
 def test_extended_witness_built_on_a_forgery_is_rejected(stanley):
     seed = zcl_exact(stanley, 2).witness
     good = zcl_bounds(stanley, 3).witness
-    forged = Witness(3, good.factors, scale(stanley.tensor_power(2), seed.product, 2), 2,
+    forged = Witness(3, good.seed, scale(stanley.tensor_power(2), seed.product, 2), 2,
                      good.chain)
     report = verify_witness(stanley, forged)
     assert not report.ok
     assert any("differs" in p for p in report.problems)
-    (y, _), unit = good.factors[-1], stanley.unit_index
-    # the last letter moved to slot 2, to a slot past r, or made the unit
+    (y, _), unit = good.seed[-1], stanley.unit_index
+    # the seed's last letter moved to a slot past seed_r, or made the unit
     for letter, problem in (
-        ((y, 2), "the factors past the seed are not the chain's letters"),
-        ((y, 4), "factor 2 is not a letter (y, s) over the base with 2 <= s <= 3"),
-        (({unit: 1}, 3), "the factors past the seed are not the chain's letters"),
+        ((y, 3), "factor 1 is not a letter (y, s) over the base with 2 <= s <= 2"),
+        (({unit: 1}, 2), "product of the factors is zero"),
     ):
-        tampered = Witness(3, good.factors[:-1] + (letter,), good.product, 2, good.chain)
+        tampered = Witness(3, good.seed[:-1] + (letter,), good.product, 2, good.chain)
         report = verify_witness(stanley, tampered)
         assert not report.ok
         assert problem in report.problems, letter
@@ -522,7 +517,7 @@ def test_a_stored_product_that_breaks_the_row_rule_is_refused():
     w = zcl_exact(torus, 2).witness
     free = next(i for i in range(16) if i not in w.product)
     for product in ({**w.product, free: 0}, {**w.product, 16: 1}, {True: 1}, {free: "1"}):
-        report = verify_witness(torus, Witness(2, w.factors, product))
+        report = verify_witness(torus, Witness(2, w.seed, product))
         assert report == WitnessReport(False, (
             "stored product is not a row of the tensor power",
             "stored product differs from the recomputed one",
@@ -534,23 +529,23 @@ def test_a_chain_that_breaks_the_row_rule_is_refused():
     torus = builtin_algebra("surface:1")
     w = zcl_bounds(torus, 5).witness
     assert (w.seed_r, len(w.chain), verify_witness(torus, w).ok) == (4, 2, True)
-    head, y0 = w.factors[:-2], w.chain[0]
+    y0 = w.chain[0]
     for y in ({99: 1}, {1: 0}, {1: "1"}, {True: 1}, "x"):
         # a zero row {1: 0} would add a zero factor
-        forged = Witness(5, head + ((y0, 5), (y, 5)), w.product, 4, (y0, y))
+        forged = Witness(5, w.seed, w.product, 4, (y0, y))
         assert verify_witness(torus, forged) == WitnessReport(
             False, ("a chain element is not a row of the base",)), y
-    forged = Witness(5, w.factors, w.product, 4, list(w.chain))
+    forged = Witness(5, w.seed, w.product, 4, list(w.chain))
     assert verify_witness(torus, forged) == WitnessReport(False, ("the chain is not a tuple",))
-    # and so are the factors, of an exact witness too, which has no chain
+    # and so is the seed, of an exact witness too, which has no chain
     exact = zcl_exact(torus, 3).witness
-    for forged in (Witness(5, list(w.factors), w.product, 4, w.chain),
-                   Witness(3, list(exact.factors), exact.product)):
+    for forged in (Witness(5, list(w.seed), w.product, 4, w.chain),
+                   Witness(3, list(exact.seed), exact.product)):
         assert verify_witness(torus, forged) == WitnessReport(
-            False, ("the factors are not a tuple",)), forged.r
+            False, ("the seed is not a tuple",)), forged.r
     free = next(i for i in range(256) if i not in w.product)
     for product in ({**w.product, free: 0}, {256: 1}, {True: 1}, {free: "1"}):
-        assert verify_witness(torus, Witness(5, w.factors, product, 4, w.chain)) == WitnessReport(
+        assert verify_witness(torus, Witness(5, w.seed, product, 4, w.chain)) == WitnessReport(
             False, (
                 "stored product is not a row of the tensor power",
                 "stored product differs from the recomputed one",
@@ -577,6 +572,26 @@ def test_every_witness_factor_is_a_letter(corpus):
                 assert not mu(alg, w.r, f), (alg.name, w.r, s)
                 checked += 1
     assert checked > 19_000
+
+
+def test_a_route_witness_stores_only_its_seed(corpus):
+    # past its seed the route keeps one tuple of the seed's letters, shared by every r;
+    # the letters past it are derived, and len counts them without building them
+    bounds = 0
+    for alg in corpus:
+        seeds = set()
+        for res in itertools.islice(zcl_route(alg, 2, max_dim=256), 12):
+            w = res.witness
+            if w is None:
+                continue
+            assert len(w) == len(w.factors) == res.lower, (alg.name, w.r)
+            assert w.factors[:len(w.seed)] == w.seed, (alg.name, w.r)
+            assert all(s <= w.seed_r for _, s in w.seed), (alg.name, w.r)
+            if w.seed_r < w.r:
+                seeds.add(id(w.seed))
+                bounds += 1
+        assert len(seeds) <= 1, alg.name
+    assert bounds > 500
 
 
 def test_slot_one_factor_of_an_extension_reads_no_degree_per_term(monkeypatch):
@@ -614,7 +629,7 @@ def _kept_sizes(alg):
     }
 
 
-def test_no_power_past_the_chunk_width_outlives_the_bounds_route(monkeypatch):
+def test_no_power_past_the_seed_outlives_the_bounds_route(monkeypatch):
     # past its seed the route multiplies nothing, so it builds no power past 256
     # dimensions at any r; tensor_power keeps no view, so no power of any dimension
     # outlives the route, and nothing kept grows with r
