@@ -19,7 +19,7 @@ zero-divisor slot rule in ``invariants``; reading a file in ``reader``.
 
 from collections import namedtuple
 
-from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, power_fits
+from .errors import DEFAULT_MAX_DIM, ValidationError, power_fits, refuse
 from .linalg import reduce_into
 
 TYPE_CHECKING = False
@@ -149,8 +149,7 @@ class Algebra:
         if not power_fits(self.dim, r, max_dim):
             # d^r is shown where str() prints it by default: up to 4300 digits
             value = f" = {self.dim ** r}" if power_fits(self.dim, r, 10 ** 4300 - 1) else ""
-            raise ResourceLimitError(f"dim {self.dim}^{r}{value} exceeds the ceiling {max_dim}; "
-                                     "raise the ceiling to opt in")
+            refuse(f"dim {self.dim}^{r}{value} exceeds", max_dim)
         from .tensor import TensorPowerAlgebra  # here, so `check` does not load it
 
         return TensorPowerAlgebra(self, r)

@@ -8,7 +8,7 @@ entry is plain data until :func:`builtin_presentation` builds it, so listing
 the names loads neither ``algebra`` nor ``fields``.
 """
 
-from .errors import ResourceLimitError, ValidationError, parse_int
+from .errors import ValidationError, parse_int, power_fits, refuse
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -37,11 +37,8 @@ def _sphere(n: int, even: bool) -> tuple:
 def _surface(genus: int, max_dim: int | None) -> tuple:
     if genus < 1:
         raise ValidationError("surface genus must be at least 1")
-    if max_dim is not None and 2 * genus + 2 > max_dim:
-        raise ResourceLimitError(
-            f"algebra dim {2 * genus + 2} exceeds the ceiling {max_dim}; "
-            "raise the ceiling to opt in"
-        )
+    if not power_fits(2 * genus + 2, 1, max_dim):
+        refuse(f"algebra dim {2 * genus + 2} exceeds", max_dim)
     basis = [("1", 0)]
     for i in range(1, genus + 1):
         basis.append((f"a{i}", 1))

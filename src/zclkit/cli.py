@@ -47,7 +47,8 @@ except ImportError:
     except ImportError:  # a CPython built without its builtin hashes
         from hashlib import sha256
 
-from .errors import DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, ZclkitError, parse_int
+from .errors import (DEFAULT_MAX_DIM, ResourceLimitError, ValidationError, ZclkitError, parse_int,
+                     power_fits, refuse)
 from .jsontext import dumps
 
 ENV_MAX_DIM = "ZCLKIT_MAX_DIM"
@@ -286,11 +287,8 @@ def _resolve_algebra(spec: str, max_dim: int):
         path = _path_text(spec)
         pres = algfile.load_presentation(path, data)
         source = {"source": path, "sha256": sha256(data).hexdigest()}
-    if len(pres.basis) > max_dim:
-        raise ResourceLimitError(
-            f"algebra dim {len(pres.basis)} exceeds the ceiling {max_dim}; "
-            "raise the ceiling to opt in"
-        )
+    if not power_fits(len(pres.basis), 1, max_dim):
+        refuse(f"algebra dim {len(pres.basis)} exceeds", max_dim)
     return validate_algebra(pres), source
 
 

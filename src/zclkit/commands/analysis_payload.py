@@ -1,6 +1,6 @@
 """A sequence analysis as ``series`` and ``analyze`` report it."""
 
-from ..series import polynomial_at_one, polynomial_to_text
+from ..series import polynomial_to_text
 
 
 def analysis_payload(report) -> dict:
@@ -12,6 +12,6 @@ def analysis_payload(report) -> dict:
         "stabilization_index": report.stabilization_index,
         "p_coeffs": list(coeffs) if coeffs is not None else None,
         "p_text": polynomial_to_text(coeffs) if coeffs is not None else None,
-        "p_at_one": polynomial_at_one(coeffs) if coeffs is not None else None,
+        "p_at_one": sum(coeffs) if coeffs is not None else None,
         "window_used": report.window_used,
     }

@@ -12,7 +12,7 @@ def run(alg, args):
         "name": alg.name,
         "r": args.r,
         "method": res.method,
-        "length": len(res.witness) if res.witness else 0,
+        "length": res.witness.length if res.witness else 0,
         "witness": witness,
     }
     return payload, witness is not None and witness["verified"]

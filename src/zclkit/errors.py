@@ -2,7 +2,8 @@
 
 Every command loads this module, the command line included, so it also
 holds what every command reads: the ceiling a command on an algebra
-defaults to, how a power is held to it, and how an integer is read.
+defaults to, how a size is held to it and refused past it, and how an
+integer is read.
 """
 
 DEFAULT_MAX_DIM = 4096
@@ -33,6 +34,11 @@ def power_fits(d: int, r: int, ceiling: "int | None") -> bool:
     lower bound 2^(r (bits(d) - 1)) is under the ceiling, so never when it is huge."""
     return ceiling is None or (
         r * (d.bit_length() - 1) < ceiling.bit_length() and d ** r <= ceiling)
+
+
+def refuse(what: str, ceiling: int):
+    """Raise the one ResourceLimitError: ``what`` names the size, up to "over" or "exceeds"."""
+    raise ResourceLimitError(f"{what} the ceiling {ceiling}; raise the ceiling to opt in")
 
 
 def parse_int(text: str) -> int:

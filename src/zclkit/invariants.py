@@ -66,8 +66,8 @@ of a bounds witness, live beside the tests, in ``tests/dense_reference.py``.
 from collections import namedtuple
 from functools import partial, reduce
 
-from .errors import (DEFAULT_MAX_DIM, FieldMismatchError, ResourceLimitError,
-                     ValidationError, WitnessInvariantError, power_fits)
+from .errors import (DEFAULT_MAX_DIM, FieldMismatchError, ValidationError,
+                     WitnessInvariantError, power_fits, refuse)
 from .linalg import reduce_into
 from .record import Record
 
@@ -100,7 +100,8 @@ class Witness(Record):
     ``product``, the row of the seed_r-th power they multiply to; and
     ``chain``, cup-length chain rows of the base.  The factors are derived:
     the seed's letters, then (y, s) for s = seed_r + 1..r and each y in the
-    chain; ``len`` counts them.  An exact result has seed_r = r, chain = ().
+    chain; ``length`` counts them, an int of any size (``len`` would need it to
+    fit an index).  An exact result has seed_r = r, chain = ().
     """
 
     _fields = ("r", "seed", "product", "seed_r", "chain")
@@ -114,7 +115,8 @@ class Witness(Record):
         return self.seed + tuple((y, s) for s in range(self.seed_r + 1, self.r + 1)
                                  for y in self.chain)
 
-    def __len__(self) -> int:
+    @property
+    def length(self) -> int:
         return len(self.seed) + (self.r - self.seed_r) * len(self.chain)
 
 
@@ -380,23 +382,22 @@ def zcl_route(
         r += 1
     clres = cup_length(a)
     cl = clres.value
-    if cl == 0 or (max_dim is not None and d * d > max_dim):
+    if cl == 0 or not power_fits(d, 2, max_dim):
         while True:
             yield ZclResult(r, None if cl else 0, "bounds", 0, r * cl, None)
             r += 1
     r0 = 2
     seed = walked.get(r0) or zcl_exact(a, r0, max_dim)
     seed_dim = DEFAULT_SEED_DIM if max_dim is None else min(DEFAULT_SEED_DIM, max_dim)
-    while seed.value != 2 * cl and r0 < r and d ** (r0 + 1) <= seed_dim:
+    while seed.value != 2 * cl and r0 < r and power_fits(d, r0 + 1, seed_dim):
         r0 += 1
     if r0 > 2:
         seed = walked.get(r0) or zcl_exact(a, r0, max_dim=seed_dim)
     seed, chain = seed.witness, clres.chain
     while True:
-        lower = len(seed) + (r - r0) * cl
-        if max_dim is not None and lower > max_dim:
-            raise ResourceLimitError(f"the bounds witness at r = {r} has {lower} letters, over "
-                                     f"the ceiling {max_dim}; raise the ceiling to opt in")
+        lower = len(seed.seed) + (r - r0) * cl
+        if not power_fits(lower, 1, max_dim):
+            refuse(f"the bounds witness at r = {r} has {lower} letters, over", max_dim)
         witness = Witness(r, seed.seed, seed.product, r0, chain)
         yield ZclResult(r, lower if lower == r * cl else None, "bounds", lower, r * cl, witness)
         r += 1

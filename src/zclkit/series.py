@@ -3,9 +3,11 @@
 An integer sequence with t_r = r*a + d from some index onward is exactly
 the coefficient sequence of P(x)/(1-x)^2 for an integer polynomial P with
 P(1) = a.  Given a finite window this module detects the arithmetic tail,
-assembles P exactly as
+and assembles P exactly as
 
-    P(x) = (1-x)^2 * sum_{r<stab} (t_r - r*a - d) x^r + a*x + d*(1-x).
+    P(x) = (1-x)^2 * sum_r t_r x^r,
+
+whose coefficients are the second differences of t_r, zero from stab + 2 on.
 
 Verdicts only ever speak about the supplied window; nothing is
 extrapolated.  The convolution that rebuilds a window from P, and the
@@ -96,15 +98,9 @@ def polynomial_from_series(t: IntSequence, a: int, d: int, stab: int) -> list:
             raise ValidationError(
                 f"value at r={r} deviates from the arithmetic tail r*a + d"
             )
-    correction = [term(r) - r * a - d for r in range(stab)]
-    # multiply correction by (1 - x)^2 = 1 - 2x + x^2
-    coeffs = [0] * (len(correction) + 2)
-    for r, c in enumerate(correction):
-        coeffs[r] += c
-        coeffs[r + 1] -= 2 * c
-        coeffs[r + 2] += c
-    coeffs[0] += d
-    coeffs[1] += a - d
+    # t_r for r <= stab + 1 after two zeros; its second differences are P
+    u = [0, 0] + [term(r) if r < stab else r * a + d for r in range(stab + 2)]
+    coeffs = [u[k + 2] - 2 * u[k + 1] + u[k] for k in range(stab + 2)]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -128,7 +124,3 @@ def polynomial_to_text(p_coeffs: "Sequence[int]", var: str = "x") -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def polynomial_at_one(p_coeffs: "Sequence[int]") -> int:
-    return sum(p_coeffs)

@@ -22,7 +22,7 @@ reference is a test reference in ``tests/dense_reference.py``.
 import itertools
 
 from .algebra import DEFAULT_MAX_DIM, Algebra, TableAlgebra
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError, power_fits, refuse
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -154,8 +154,8 @@ def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM
     if a.field != b.field:
         raise ValidationError("tensor product requires a common ground field")
     dim = a.dim * b.dim
-    if max_dim is not None and dim > max_dim:
-        raise ResourceLimitError(f"tensor product dimension {dim} exceeds ceiling {max_dim}")
+    if not power_fits(dim, 1, max_dim):
+        refuse(f"tensor product dim {dim} exceeds", max_dim)
     labels = [f"{a.label_of(i)}⊗{b.label_of(j)}" for i in range(a.dim) for j in range(b.dim)]
     if len(set(labels)) != len(labels):
         labels = [

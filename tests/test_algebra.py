@@ -743,3 +743,11 @@ def test_tensor_product_of_odd_lines_is_torus_like():
 def test_tensor_product_needs_common_field():
     with pytest.raises(ValidationError):
         tensor_product(exterior(QQ), exterior(GF3, name="ext3"))
+
+
+def test_tensor_product_refuses_past_the_ceiling_in_the_common_words(stanley):
+    message = "tensor product dim 16 exceeds the ceiling 8; raise the ceiling to opt in"
+    with pytest.raises(ResourceLimitError) as exc:
+        tensor_product(stanley, stanley, max_dim=8)
+    assert str(exc.value) == message
+    assert tensor_product(stanley, stanley, max_dim=16).dim == 16

@@ -146,6 +146,31 @@ def test_a_report_builds_each_witness_factor_once(argv, letters, monkeypatch):
     assert set(calls) <= set(range(2, witness["seed_r"] + 1))
 
 
+def test_a_deep_report_puts_each_row_into_text_once(monkeypatch):
+    # the letters past the seed repeat the rows of the chain: each row of the seed and
+    # of the chain is put into text once, the product once more, and the factors read
+    # as each letter put into text on its own
+    alg = builtin_algebra("surface:2")
+    w = invariants.zcl_bounds(alg, 2000, max_dim=10 ** 6).witness
+    text = invariants.row_text
+    expected = [f"({text(alg, y)})^({s}) - ({text(alg, y)})^(1)" for y, s in w.factors]
+    calls = []
+
+    def counted(a, row):
+        calls.append(row)
+        return text(a, row)
+
+    monkeypatch.setattr(invariants, "row_text", counted)
+    code, report, _ = cli_json("zcl", "builtin:surface:2", "--method", "bounds", "--r", "2000",
+                               "--max-dim", "1000000")
+    assert code == EXIT_OK
+    witness = report["result"]["witness"]
+    assert witness["verified"] is True
+    assert witness["length"] == w.length == 4 + 1998 * 2
+    assert witness["factors"] == expected
+    assert len(calls) <= 2 * (len(w.seed) + len(w.chain)) + 1
+
+
 def test_builtins_listing():
     code, report, _ = cli_json("builtins")
     assert code == EXIT_OK

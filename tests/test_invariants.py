@@ -194,6 +194,13 @@ def test_zcl_bounds_stanley_r7(stanley):
     assert verify_witness(stanley, res.witness).ok
 
 
+def test_a_witness_length_past_an_index_is_a_plain_int():
+    # 2 * 10^19 - 2 letters: len() would raise OverflowError, the length does not
+    res = zcl_bounds(builtin_algebra("surface:1"), 10 ** 19, max_dim=None)
+    assert res.witness.length == res.lower == 2 * 10 ** 19 - 2
+    assert res.witness
+
+
 def test_zcl_bounds_point():
     res = zcl_bounds(point(), 5)
     assert (res.lower, res.upper, res.value) == (0, 0, 0)
@@ -311,7 +318,7 @@ def test_witness_extend_even_truncated_cube():
     assert verify_witness(alg, extended).ok
     # and as a certificate, the seed and the chain
     bounds = Witness(3, seed.seed, square, 2, (x,))
-    assert (bounds.factors, len(bounds), verify_witness(alg, bounds).ok) == (
+    assert (bounds.factors, bounds.length, verify_witness(alg, bounds).ok) == (
         extended.factors, 3, True)
     assert full_witness(alg, bounds) == extended
 
@@ -340,7 +347,7 @@ def test_the_extension_lemma_against_the_full_product(corpus):
             power = alg.tensor_power(r, max_dim=None)
             rows = [zero_divisor(power, y, s) for y, s in w.factors]
             assert reduce(partial(multiply, power), rows) == full.product, (alg.name, r)
-            assert len(w) <= zcl_exact(alg, r).value, (alg.name, r)
+            assert w.length <= zcl_exact(alg, r).value, (alg.name, r)
             checked += 1
     assert checked > 200
 
@@ -465,7 +472,7 @@ def test_incremental_extension_matches_the_product_from_scratch(corpus):
             w = witness_extend(alg, w, clres.chain)
             assert w.product == _product_from_scratch(alg, w), (alg.name, w.r)
             assert verify_witness(alg, w).ok, (alg.name, w.r)
-        assert len(w) == len(seed) + 6 * clres.value
+        assert w.length == seed.length + 6 * clres.value
         checked += 1
     assert checked > 50
 
@@ -584,7 +591,7 @@ def test_a_route_witness_stores_only_its_seed(corpus):
             w = res.witness
             if w is None:
                 continue
-            assert len(w) == len(w.factors) == res.lower, (alg.name, w.r)
+            assert w.length == len(w.factors) == res.lower, (alg.name, w.r)
             assert w.factors[:len(w.seed)] == w.seed, (alg.name, w.r)
             assert all(s <= w.seed_r for _, s in w.seed), (alg.name, w.r)
             if w.seed_r < w.r:
@@ -667,7 +674,7 @@ def test_bounds_route_walks_r2_whenever_its_square_fits_the_ceiling():
     assert [e.method for e in outcome.entries] == ["exact"] + ["bounds"] * 3
     res = next(zcl_route(alg, 3))
     assert (res.method, res.value, res.lower, res.upper) == ("bounds", 6, 6, 6)
-    assert len(res.witness) == 6 and verify_witness(alg, res.witness).ok
+    assert res.witness.length == 6 and verify_witness(alg, res.witness).ok
     assert zcl_bounds(alg, 5, max_dim=None).value == 10
     # a ceiling under d^2 still leaves only r * cl
     assert zcl_bounds(alg, 5, max_dim=300)[2:6] == ("bounds", 0, 10, None)

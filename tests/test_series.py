@@ -14,7 +14,6 @@ from zclkit.series import (
     RATIONAL_FORM_DETECTED,
     IntSequence,
     analyze_sequence,
-    polynomial_at_one,
     polynomial_from_series,
     polynomial_to_text,
 )
@@ -33,14 +32,14 @@ def test_analyze_the_counterexample_sequence():
     assert (report.a, report.d) == (1, 1)
     assert report.stabilization_index == 1
     assert report.p_coeffs == (0, 2, -1)
-    assert polynomial_at_one(report.p_coeffs) == 1
+    assert sum(report.p_coeffs) == 1
 
 
 def test_analyze_constant_sequence():
     report = analyze_sequence(seq(0, [5, 5, 5, 5]))
     assert report.verdict == RATIONAL_FORM_DETECTED
     assert report.a == 0
-    assert polynomial_at_one(report.p_coeffs) == 0
+    assert sum(report.p_coeffs) == 0
 
 
 def test_analyze_alternating_sequence():
@@ -84,7 +83,7 @@ def test_numerator_of_shifted_linear_sequence():
 def test_numerator_of_identity_sequence():
     coeffs = polynomial_from_series(seq(1, [1, 2, 3, 4]), 1, 0, 1)
     assert coeffs == [0, 1]
-    assert polynomial_at_one(coeffs) == 1
+    assert sum(coeffs) == 1
 
 
 def test_numerator_of_zero_sequence():
@@ -94,6 +93,23 @@ def test_numerator_of_zero_sequence():
 def test_numerator_rejects_inconsistent_tail():
     with pytest.raises(ValidationError):
         polynomial_from_series(seq(0, [0, 1, 5]), 1, 0, 0)
+
+
+@given(offset=st.integers(0, 4), head=st.lists(st.integers(-9, 9), max_size=5),
+       a=st.integers(-5, 5), d=st.integers(-5, 5), tail=st.integers(0, 3))
+def test_numerator_is_one_minus_x_squared_times_the_series(offset, head, a, d, tail):
+    # P(x) = (1-x)^2 sum_r t_r x^r, with t_r = 0 before the offset and r*a + d
+    # from stab on, multiplied out over a truncation longer than P
+    stab = offset + len(head)
+    values = head + [r * a + d for r in range(stab, stab + tail)]
+    if not values:
+        return
+    n = stab + 6
+    t = [0] * offset + head + [r * a + d for r in range(stab, n)]
+    product = [t[k] - 2 * (t[k - 1] if k else 0) + (t[k - 2] if k > 1 else 0) for k in range(n)]
+    while product and product[-1] == 0:
+        product.pop()
+    assert polynomial_from_series(seq(offset, values), a, d, stab) == product
 
 
 # -- reconstruct_series --------------------------------------------------------------
@@ -154,7 +170,7 @@ def test_sum_of_coeffs_is_the_difference(p):
     window = reconstruct_series(p, n)
     report = analyze_sequence(window)
     assert report.verdict == RATIONAL_FORM_DETECTED
-    assert polynomial_at_one(report.p_coeffs) == report.a
+    assert sum(report.p_coeffs) == report.a
 
 
 @given(p=coeff_lists)
