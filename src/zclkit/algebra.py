@@ -38,8 +38,6 @@ class AlgebraPresentation(namedtuple("AlgebraPresentation", "name field basis pr
         """Build a presentation keyed by labels: products map (label, label) to {label: coeff}."""
         basis = tuple((str(lbl), int(deg)) for lbl, deg in basis)
         index = {lbl: i for i, (lbl, _) in enumerate(basis)}
-        if len(index) != len(basis):
-            raise ValidationError(f"algebra {name!r}: duplicate basis labels")
         table = {}
         for (left, right), row in (products or {}).items():
             try:
@@ -65,7 +63,7 @@ class AlgebraPresentation(namedtuple("AlgebraPresentation", "name field basis pr
                     "left": labels[i],
                     "right": labels[j],
                     "value": [
-                        {"coeff": field.format(field.coerce(c)), "basis": labels[k]}
+                        {"coeff": str(field.coerce(c)), "basis": labels[k]}
                         for k, c in terms.items()
                     ],
                 }
@@ -213,6 +211,14 @@ class TableAlgebra(Algebra):
 # -- validation ---------------------------------------------------------------
 
 
+def refuse_repeated_labels(name: str, labels: list) -> None:
+    """Raise a ValidationError naming the first label that ``labels`` repeats, if any."""
+    if len(set(labels)) < len(labels):
+        seen: set = set()
+        label = next(lbl for lbl in labels if lbl in seen or seen.add(lbl))
+        raise ValidationError(f"algebra {name!r}: duplicate basis label {label!r}")
+
+
 def _check_structure(pres: AlgebraPresentation):
     name = pres.name
     if not pres.basis:
@@ -227,8 +233,7 @@ def _check_structure(pres: AlgebraPresentation):
             raise ValidationError(f"algebra {name!r}: degree of {lbl!r} must be a nonnegative integer")
         labels.append(lbl)
         degrees.append(deg)
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"algebra {name!r}: duplicate basis labels")
+    refuse_repeated_labels(name, labels)
     units = [i for i, d in enumerate(degrees) if d == 0]
     if len(units) != 1:
         found = ", ".join(labels[i] for i in units) or "none"

@@ -12,6 +12,7 @@ writes, compiles neither, and ``json`` loads only with a command that
 reads an algebra file.
 """
 
+from .algebra import refuse_repeated_labels
 from .errors import ValidationError
 from .jsontext import quote
 
@@ -68,15 +69,16 @@ def load_presentation(path, data: "bytes | None" = None) -> "AlgebraPresentation
 def save_algebra(alg: "Algebra", path) -> None:
     """Write ``alg`` to ``path`` as an algebra file, streamed entry by entry from its core table.
 
-    Each label is quoted once.  A coefficient is written by
-    :meth:`~zclkit.fields.Field.format`, whose digits, sign and slash need
-    no escape.
+    Each label is quoted once, and a basis whose labels repeat is refused
+    before the file is opened.  A coefficient is written by ``str``, whose
+    digits, sign and slash need no escape.
     """
     field = alg.field
     kind = f'"prime",\n    "p": {field.p}' if field.p is not None else '"rational"'
-    labels = [quote(alg.label_of(i)) for i in range(alg.dim)]
+    labels = [alg.label_of(i) for i in range(alg.dim)]
+    refuse_repeated_labels(alg.name, labels)
+    labels = list(map(quote, labels))
     core = alg._core_table()
-    fmt = field.format
     with open(path, "w", encoding="utf-8") as file:
         write = file.write
         write(_HEAD % (quote(alg.name), kind))
@@ -86,7 +88,7 @@ def save_algebra(alg: "Algebra", path) -> None:
         for key in sorted(core):
             row = core[key]
             if row:
-                terms = ",".join(_TERM % (fmt(c), labels[k]) for k, c in row.items())
+                terms = ",".join(_TERM % (c, labels[k]) for k, c in row.items())
                 write(sep + _PRODUCT % (labels[key[0]], labels[key[1]], terms))
                 sep = ","
         write("\n  ]\n}\n" if sep else "]\n}\n")

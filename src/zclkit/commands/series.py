@@ -1,10 +1,13 @@
 """``zclkit series``: zcl_r for r = 2..rmax+1 and the rationality data of the sequence."""
 
 from .. import pipeline
+from ..errors import power_fits, refuse
 from .analysis_payload import analysis_payload
 
 
 def run(alg, args):
+    if not power_fits(args.rmax, 1, args.max_dim):
+        refuse(f"rmax {args.rmax} exceeds", args.max_dim)
     outcome = pipeline.series_pipeline(alg, args.rmax, min_run=args.min_run, max_dim=args.max_dim)
     entries = [
         {

@@ -14,8 +14,8 @@ scalar arithmetic every other module uses: ``add``, ``sub``, ``mul`` and
 ``fractions`` (which loads ``decimal``) is imported on demand, only where a
 non-integral rational is made or tested: ints take the fast path first, so
 a run whose scalars are all integral never loads it.  Scalar literals are
-read by :func:`~zclkit.reader.parse_scalar`, which only a file needs, and
-written by :meth:`Field.format`.
+read by :func:`~zclkit.reader.parse_scalar`, which only a file needs and
+which builds each value with these operations, and written by ``str``.
 """
 
 import operator
@@ -113,14 +113,6 @@ class Field(Record):
         # the bound operations are closures; rebuild them from the modulus
         return (Field, (self.p,))
 
-    @classmethod
-    def prime(cls, p: int) -> "Field":
-        return cls(p)
-
-    @classmethod
-    def rationals(cls) -> "Field":
-        return cls(None)
-
     @property
     def characteristic(self) -> int:
         return self.p if self.p is not None else 0
@@ -156,9 +148,4 @@ class Field(Record):
             return x
         from fractions import Fraction
 
-        return _rational(1 / Fraction(x))
-
-    # -- text form ----------------------------------------------------------
-
-    def format(self, x: "Scalar") -> str:
-        return str(x)
+        return _rational(Fraction(1, x))

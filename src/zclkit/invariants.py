@@ -111,11 +111,6 @@ class Witness(Record):
         self._set(r, seed, product, r if seed_r is None else seed_r, chain)
 
     @property
-    def factors(self) -> tuple:
-        return self.seed + tuple((y, s) for s in range(self.seed_r + 1, self.r + 1)
-                                 for y in self.chain)
-
-    @property
     def length(self) -> int:
         return len(self.seed) + (self.r - self.seed_r) * len(self.chain)
 
@@ -131,8 +126,7 @@ WitnessReport = namedtuple("WitnessReport", "ok problems")
 
 def row_text(a: "Algebra", row: "Mapping") -> str:
     """A row of ``a`` as ``c·label`` terms in index order joined by `` + ``, or ``0``."""
-    fmt, label = a.field.format, a.label_of
-    return " + ".join(f"{fmt(c)}·{label(i)}" for i, c in sorted(row.items())) or "0"
+    return " + ".join(f"{c}·{a.label_of(i)}" for i, c in sorted(row.items())) or "0"
 
 
 def _is_row(a: "Algebra", row, dim: "Optional[int]" = None) -> bool:

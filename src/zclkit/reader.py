@@ -31,18 +31,14 @@ def parse_scalar(field: Field, text: str) -> "Scalar":
         n, d = int(num), int(den or 1)
     except ValueError:  # more digits than int() reads
         raise ValidationError(f"scalar literal of {len(s)} characters, too long to read") from None
-    p = field.p
     if d == 0:
         raise ZeroDivisionError(f"zero denominator in scalar literal {text!r}")
-    if p is not None:
-        if d % p == 0:
-            raise ZeroDivisionError(f"denominator of {text!r} is zero in {field}")
-        return n * pow(d, -1, p) % p
-    if n % d == 0:
-        return n // d
-    from fractions import Fraction
-
-    return Fraction(n, d)
+    if not slash:
+        return field.coerce(n)
+    d = field.coerce(d)
+    if not d:
+        raise ZeroDivisionError(f"denominator of {text!r} is zero in {field}")
+    return field.mul(field.coerce(n), field.inv(d))
 
 
 def _require_keys(doc: dict, required, where: str, optional=()):
@@ -62,14 +58,14 @@ def field_from_dict(doc, where: str = "field") -> Field:
     if kind == "rational":
         if "p" in doc:
             raise ValidationError(f"{where}: 'p' is only valid for prime fields")
-        return Field.rationals()
+        return Field()
     if kind == "prime":
         if "p" not in doc:
             raise ValidationError(f"{where}: prime field needs 'p'")
         p = doc["p"]
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValidationError(f"{where}: 'p' must be an integer")
-        return Field.prime(p)
+        return Field(p)
     raise ValidationError(f"{where}: unknown field kind {kind!r}")
 
 

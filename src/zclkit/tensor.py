@@ -7,7 +7,8 @@ products carry the induced product
     (u_1 x ... x u_r) (v_1 x ... x v_r)
         = (-1)^{sum_{s<t} |v_s||u_t|} (u_1 v_1) x ... x (u_r v_r)
 
-on the basis of r-tuples in lexicographic order.  Each rule is written
+on the basis of r-tuples in lexicographic order, labelled by their slot labels
+joined with ⊗ (a product whose labels repeat is refused).  Each rule is written
 once: the sign and the term expansion in :func:`_koszul_product`, and the
 table of nonzero positive pairs ``i <= j`` of a tensor product in
 :func:`_tensor_table`.  A tensor power multiplies a basis pair slot by
@@ -21,7 +22,7 @@ reference is a test reference in ``tests/dense_reference.py``.
 
 import itertools
 
-from .algebra import DEFAULT_MAX_DIM, Algebra, TableAlgebra
+from .algebra import DEFAULT_MAX_DIM, Algebra, TableAlgebra, refuse_repeated_labels
 from .errors import ValidationError, power_fits, refuse
 
 TYPE_CHECKING = False
@@ -68,7 +69,7 @@ def _tensor_table(slots: "Sequence[Algebra]") -> dict:
     A pair is nonzero exactly when it is nonzero in every slot, so only the
     tuples of nonzero slot pairs are visited, never the zero pairs.  The one
     degree-0 basis element of each slot makes the tuple of units the only
-    degree-0 index of the product.
+    degree-0 index of the product.  The keys are unsorted; ``save_algebra`` sorts them.
     """
     nonzero = [
         [(i, j) for i in range(alg.dim) for j in range(alg.dim) if alg.basis_product(i, j)]
@@ -86,7 +87,7 @@ def _tensor_table(slots: "Sequence[Algebra]") -> dict:
         if unit != i <= j != unit:
             tu, tv = zip(*choice)
             table[(i, j)] = _koszul_product(slots, tu, tv)
-    return dict(sorted(table.items()))
+    return table
 
 
 class PowerTables:
@@ -156,12 +157,8 @@ def tensor_product(a: Algebra, b: Algebra, max_dim: int | None = DEFAULT_MAX_DIM
     dim = a.dim * b.dim
     if not power_fits(dim, 1, max_dim):
         refuse(f"tensor product dim {dim} exceeds", max_dim)
-    labels = [f"{a.label_of(i)}⊗{b.label_of(j)}" for i in range(a.dim) for j in range(b.dim)]
-    if len(set(labels)) != len(labels):
-        labels = [
-            f"({a.label_of(i)})⊗({b.label_of(j)})" for i in range(a.dim) for j in range(b.dim)
-        ]
-    degrees = [a.degree_of(i) + b.degree_of(j) for i in range(a.dim) for j in range(b.dim)]
-    core = _tensor_table((a, b))
     name = f"{a.name}⊗{b.name}"
-    return TableAlgebra(name, a.field, labels, degrees, core)
+    labels = [f"{a.label_of(i)}⊗{b.label_of(j)}" for i in range(a.dim) for j in range(b.dim)]
+    refuse_repeated_labels(name, labels)
+    degrees = [a.degree_of(i) + b.degree_of(j) for i in range(a.dim) for j in range(b.dim)]
+    return TableAlgebra(name, a.field, labels, degrees, _tensor_table((a, b)))

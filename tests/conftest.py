@@ -31,7 +31,7 @@ CORPUS_SIZE = 110
 MAX_CORPUS_DIM = 5
 MAX_CORPUS_DEG = 6
 
-FIELDS = [Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()]
+FIELDS = [Field(2), Field(3), Field(5), Field()]
 
 BUILTIN_INSTANCES = (
     "point",

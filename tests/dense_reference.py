@@ -24,8 +24,9 @@ dense ranks, against :func:`decomposables_rank`.
 and its witness is multiplied out over all r slots by :func:`witness_extend`,
 the incremental product the bounds route once ran: :func:`full_witness`
 gives any bounds witness that form, the oracle for the extension lemma
-``verify_witness`` relies on.  :func:`mu` is the collapse map on a row of
-a tensor power.
+``verify_witness`` relies on.  :func:`witness_letters` lists every letter
+of a witness, which zclkit itself expands only to print a report.
+:func:`mu` is the collapse map on a row of a tensor power.
 :func:`associativity_failures` completes a presentation's table itself,
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
@@ -68,10 +69,10 @@ from zclkit.series import IntSequence
 DEFAULT_ORACLE_DIM = 64
 DEFAULT_ORACLE_AMBIENT = 81
 
-QQ = Field.rationals()
-GF2 = Field.prime(2)
-GF3 = Field.prime(3)
-GF5 = Field.prime(5)
+QQ = Field()
+GF2 = Field(2)
+GF3 = Field(3)
+GF5 = Field(5)
 
 
 def check(field: Field, x):
@@ -743,7 +744,7 @@ def zcl_bounds_largest_seed(a, r, max_dim=DEFAULT_MAX_DIM):
     witness = zcl_exact(a, r0, max_dim=seed_dim).witness
     for _ in range(r - r0):
         witness = witness_extend(a, witness, cl.chain)
-    lower = len(witness.factors)
+    lower = len(witness_letters(witness))
     return ZclResult(r, lower if lower == upper else None, "bounds", lower, upper, witness)
 
 
@@ -756,7 +757,13 @@ def witness_extend(a, w, chain):
     product = {idx * a.dim + a.unit_index: c for idx, c in w.product.items()}
     for y in chain:
         product = zero_divisor_product(big, product, y, w.r + 1)
-    return Witness(w.r + 1, (*w.factors, *((y, w.r + 1) for y in chain)), product)
+    return Witness(w.r + 1, (*witness_letters(w), *((y, w.r + 1) for y in chain)), product)
+
+
+def witness_letters(w):
+    """Every letter (y, s) of ``w`` in order: the seed's, then (y, s) for each
+    s = seed_r + 1..r and each y in the chain."""
+    return w.seed + tuple((y, s) for s in range(w.seed_r + 1, w.r + 1) for y in w.chain)
 
 
 def full_witness(a, w):

@@ -75,7 +75,7 @@ def truncated(field=QQ, deg=2, height=3, name="trunc"):
 def test_stanley_presentation_is_valid(stanley):
     assert stanley.dim == 4
     assert stanley.degrees == (0, 2, 3, 11)
-    assert stanley.field == Field.prime(3)
+    assert stanley.field == Field(3)
 
 
 def test_one_element_algebra_is_valid():
@@ -106,6 +106,11 @@ def test_unit_must_be_unique():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValidationError, match="duplicate"):
         validate_algebra(AlgebraPresentation("dup", QQ, (("1", 0), ("1", 2)), {}))
+    # from_labels builds the presentation; validation refuses it, naming the label
+    pres = AlgebraPresentation.from_labels("dup", QQ, [("1", 0), ("x", 2), ("x", 4)])
+    with pytest.raises(ValidationError) as exc:
+        validate_algebra(pres)
+    assert str(exc.value) == "algebra 'dup': duplicate basis label 'x'"
 
 
 @pytest.mark.parametrize(
@@ -672,7 +677,7 @@ def test_sparse_elements_match_a_dense_reference(small_powers, data):
         assert sorted(got.items()) == [(i, a) for i, a in enumerate(want) if a], op
         assert all(got.values()), f"{op} kept a zero term"
     assert row_text(power, x) == (
-        " + ".join(f"{f.format(a)}·{power.label_of(i)}" for i, a in enumerate(u) if a) or "0"
+        " + ".join(f"{a}·{power.label_of(i)}" for i, a in enumerate(u) if a) or "0"
     )
     if r > 1:
         image = mu(alg, r, x)
@@ -751,3 +756,11 @@ def test_tensor_product_refuses_past_the_ceiling_in_the_common_words(stanley):
         tensor_product(stanley, stanley, max_dim=8)
     assert str(exc.value) == message
     assert tensor_product(stanley, stanley, max_dim=16).dim == 16
+
+
+def test_tensor_product_refuses_labels_that_collide():
+    # slot labels are joined with ⊗, so "1" then "1⊗1" and "1⊗1" then "1" are one label
+    clash = validate_algebra(AlgebraPresentation("clash", QQ, (("1", 0), ("1⊗1", 2)), {}))
+    with pytest.raises(ValidationError) as exc:
+        tensor_product(clash, clash)
+    assert str(exc.value) == "algebra 'clash⊗clash': duplicate basis label '1⊗1⊗1'"

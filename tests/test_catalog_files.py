@@ -24,7 +24,7 @@ def test_catalog_minimum_contents():
 def test_stanley_builtin_shape():
     alg = builtin_algebra("stanley-p3")
     assert alg.dim == 4
-    assert alg.field == Field.prime(3)
+    assert alg.field == Field(3)
     assert sorted(alg.degrees) == [0, 2, 3, 11]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dense_reference import labels
+from dense_reference import labels, witness_letters
 from zclkit import builtin_algebra, cup_length, invariants, tensor_product, validate_algebra
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
@@ -25,6 +25,7 @@ from zclkit.cli import (
     SYNOPSIS,
     run,
 )
+from zclkit.errors import ValidationError
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "zclkit" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -153,7 +154,7 @@ def test_a_deep_report_puts_each_row_into_text_once(monkeypatch):
     alg = builtin_algebra("surface:2")
     w = invariants.zcl_bounds(alg, 2000, max_dim=10 ** 6).witness
     text = invariants.row_text
-    expected = [f"({text(alg, y)})^({s}) - ({text(alg, y)})^(1)" for y, s in w.factors]
+    expected = [f"({text(alg, y)})^({s}) - ({text(alg, y)})^(1)" for y, s in witness_letters(w)]
     calls = []
 
     def counted(a, row):
@@ -242,6 +243,21 @@ def test_tensor_r1_round_trip(tmp_path):
     for i in range(original.dim):
         for j in range(original.dim):
             assert reloaded.basis_product(i, j) == original.basis_product(i, j)
+
+
+def test_a_power_whose_labels_collide_is_not_written(tmp_path):
+    # every file tensor writes reads back: a basis whose ⊗-joined labels repeat is
+    # refused before the file is opened, by the command and by save_algebra alike
+    doc = _document(name="clash", basis=_basis("1⊗1", 2))
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    out_path = tmp_path / "square.json"
+    code, out, err = cli("tensor", str(path), "--r", "2", "--out", str(out_path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "zclkit: error: algebra 'clash^tensor2': duplicate basis label '1⊗1⊗1'\n"
+    with pytest.raises(ValidationError, match="duplicate basis label '1⊗1⊗1'"):
+        save_algebra(validate_algebra(load_presentation(path)).tensor_power(2), out_path)
+    assert not out_path.exists()
 
 
 def test_tensor_r2_file_validates(tmp_path):
@@ -900,15 +916,21 @@ CEILINGS = [
     # where d^r prints, the message shows it
     (("zcl", "builtin:surface:1", "--r", "7"), "dim 4^7 = 16384 exceeds the ceiling 4096"),
     (("zcl", "builtin:surface:1", "--r", "7000"), f"dim 4^7000 = {4 ** 7000} exceeds the ceiling"),
+    # past the ceiling the route yields for ever: the number of series entries is held to it
+    (("series", "builtin:point", "--rmax", "3000000"), "rmax 3000000 exceeds the ceiling 4096"),
+    (("series", "builtin:point", "--rmax", "4097"), "rmax 4097 exceeds the ceiling 4096"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", CEILINGS, ids=[" ".join(a)[:40] for a, _ in CEILINGS])
 def test_a_power_past_the_ceiling_is_refused_without_forming_it(argv, message, child_env, tmp_path):
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 256 << 20 if hard == resource.RLIM_INFINITY else min(256 << 20, hard)
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "zclkit.cli", *argv],
         capture_output=True, text=True, env=child_env, cwd=tmp_path, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
     elapsed = time.monotonic() - start
     assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, ""), proc.stderr[-300:]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dense_reference import GF2, GF3, GF5, QQ, check, div
@@ -20,13 +20,13 @@ rationals = st.fractions(
 
 
 def test_field_construction_checks_primality():
-    assert Field.prime(7919).p == 7919
+    assert Field(7919).p == 7919
     with pytest.raises(ValidationError):
-        Field.prime(6)
+        Field(6)
     with pytest.raises(ValidationError):
-        Field.prime(1)
+        Field(1)
     with pytest.raises(ValidationError):
-        Field.prime(-3)
+        Field(-3)
 
 
 PSI_12 = 399165290221 * 798330580441  # least strong pseudoprime to bases 2..37
@@ -36,10 +36,10 @@ def test_modulus_beyond_the_certified_range_is_refused():
     # a composite that passes Miller-Rabin to every base 2..37
     assert PSI_12 == 318665857834031151167461
     with pytest.raises(ValidationError, match="certifies primality only below"):
-        Field.prime(PSI_12)
+        Field(PSI_12)
     with pytest.raises(ValidationError, match="too large"):
-        Field.prime(2**89 - 1)  # a Mersenne prime, but above the bound
-    assert Field.prime(PSI_12 - 20).p == PSI_12 - 20  # the largest prime below it
+        Field(2**89 - 1)  # a Mersenne prime, but above the bound
+    assert Field(PSI_12 - 20).p == PSI_12 - 20  # the largest prime below it
 
 
 def test_is_prime_spot_values():
@@ -159,6 +159,44 @@ def test_parse_examples():
     assert parse_scalar(GF5, "2/3") == 4
 
 
+PARSE_FIELDS = [GF2, GF3, GF5, Field(7919), QQ]
+# a multiple of every modulus above: a denominator that is zero in each prime field
+MODULI = 2 * 3 * 5 * 7919
+
+
+@pytest.mark.parametrize("field", PARSE_FIELDS, ids=str)
+@given(
+    minus=st.booleans(),
+    n=st.integers(0, 10 ** 30),
+    d=st.one_of(st.none(), st.integers(0, 10 ** 30), st.integers(0, 10 ** 4).map(MODULI.__mul__)),
+)
+@example(minus=False, n=1, d=0)
+@example(minus=True, n=3, d=MODULI)
+@example(minus=True, n=0, d=None)
+@example(minus=False, n=6, d=3)
+def test_parse_scalar_matches_the_fraction_reference(field, minus, n, d):
+    # the reference is Fraction(n, d) reduced into the field, independent of Field
+    text = ("-" if minus else "") + str(n) + ("" if d is None else f"/{d}")
+    p = field.p
+    if d == 0:
+        with pytest.raises(ZeroDivisionError) as exc:
+            parse_scalar(field, text)
+        assert str(exc.value) == f"zero denominator in scalar literal {text!r}"
+        return
+    if p is not None and d is not None and d % p == 0:
+        with pytest.raises(ZeroDivisionError) as exc:
+            parse_scalar(field, text)
+        assert str(exc.value) == f"denominator of {text!r} is zero in {field}"
+        return
+    value = Fraction(-n if minus else n, d or 1)
+    if p is not None:
+        value = value.numerator * pow(value.denominator, -1, p) % p
+    got = parse_scalar(field, text)
+    assert got == value and check(field, got) is got
+    if value.denominator == 1:
+        assert type(got) is int
+
+
 def test_parse_rejects_malformed_text():
     for bad in ("", "x", "1/", "/2", "1/2/3", "1.5", "2/-3"):
         with pytest.raises(ValidationError):
@@ -181,12 +219,12 @@ def test_parse_zero_denominator():
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
 def test_parse_format_round_trip_prime(field):
     for x in range(field.p):
-        assert parse_scalar(field, field.format(x)) == x
+        assert parse_scalar(field, str(x)) == x
 
 
 @given(x=rationals)
 def test_parse_format_round_trip_rationals(x):
-    assert parse_scalar(QQ, QQ.format(x)) == x
+    assert parse_scalar(QQ, str(x)) == x
 
 
 def test_rationals_always_reduced():
