@@ -17,10 +17,9 @@ products with the Koszul sign in ``tensor``, which
 zero-divisor slot rule in ``invariants``; reading a file in ``reader``.
 """
 
-from collections import namedtuple
-
 from .errors import DEFAULT_MAX_DIM, ValidationError, power_fits, refuse
 from .linalg import reduce_into
+from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -28,10 +27,10 @@ if TYPE_CHECKING:
 
 
 # basis: ((label, degree), ...); products: (i, j) -> {basis index: coeff}, i <= j
-class AlgebraPresentation(namedtuple("AlgebraPresentation", "name field basis products")):
+class AlgebraPresentation(Record):
     """Raw input data for :func:`validate_algebra`."""
 
-    __slots__ = ()
+    _fields = ("name", "field", "basis", "products")
 
     @classmethod
     def from_labels(cls, name, field, basis, products=None):

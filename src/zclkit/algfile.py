@@ -28,13 +28,22 @@ _PRODUCT = '\n    {\n      "left": %s,\n      "right": %s,\n      "value": [%s\n
 _TERM = '\n        {\n          "coeff": "%s",\n          "basis": %s\n        }'
 
 
-def load_presentation(path, data: "bytes | None" = None) -> "AlgebraPresentation":
-    """Parse the algebra file at ``path``, or ``data``, its bytes as already read and hashed."""
+def load_presentation(path, data: "bytes | None" = None, digest=None) -> "AlgebraPresentation":
+    """Parse the algebra file at ``path``, or ``data``, its bytes as already read.
+
+    ``digest``, a hash object, is fed the bytes once they parse.  Neither the
+    bytes nor their text, each about the size of the file, outlive the parse,
+    and a string value that recurs, as each label does, is kept once; a
+    caller that passes ``data`` keeps its own copy.
+    """
     import json
+
+    strings: dict = {}
 
     def unique(pairs: list) -> dict:
         """An object's members as a dict; a repeated key is an error, not the last copy."""
-        obj = dict(pairs)
+        obj = {key: strings.setdefault(value, value) if value.__class__ is str else value
+               for key, value in pairs}
         if len(obj) < len(pairs):
             keys = [key for key, _ in pairs]
             key = next(key for key in keys if keys.count(key) > 1)
@@ -50,8 +59,11 @@ def load_presentation(path, data: "bytes | None" = None) -> "AlgebraPresentation
                                   f"has {len(digits)} characters, too long to read") from None
 
     if data is None:
-        with open(path, "rb") as file:
-            data = file.read()
+        try:
+            with open(path, "rb") as file:
+                data = file.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         text = data.decode("utf-8")
         doc = json.loads(text, object_pairs_hook=unique, parse_int=integer)
@@ -61,6 +73,9 @@ def load_presentation(path, data: "bytes | None" = None) -> "AlgebraPresentation
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise ValidationError(f"{path}: JSON nested too deeply to parse") from None
+    if digest is not None:
+        digest.update(data)
+    del data, text  # the integer hook's closure would keep the text through presentation_from_dict
     from .reader import presentation_from_dict
 
     return presentation_from_dict(doc)

@@ -277,16 +277,12 @@ def _resolve_algebra(spec: str, max_dim: int):
     else:
         if not os.path.isfile(spec):
             raise ValidationError(f"no such algebra file: {spec}")
-        try:
-            with open(spec, "rb") as file:
-                data = file.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {spec}: {exc.strerror or exc}") from None
         from . import algfile
 
-        path = _path_text(spec)
-        pres = algfile.load_presentation(path, data)
-        source = {"source": path, "sha256": sha256(data).hexdigest()}
+        path, digest = _path_text(spec), sha256()
+        # the loader reads the file, so its bytes go once they are hashed and decoded
+        pres = algfile.load_presentation(path, digest=digest)
+        source = {"source": path, "sha256": digest.hexdigest()}
     if not power_fits(len(pres.basis), 1, max_dim):
         refuse(f"algebra dim {len(pres.basis)} exceeds", max_dim)
     return validate_algebra(pres), source

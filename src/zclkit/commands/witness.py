@@ -6,7 +6,7 @@ from .witness_payload import witness_payload
 
 def run(alg, args):
     res = next(invariants.zcl_route(alg, args.r, args.max_dim))
-    witness = witness_payload(alg, res.witness)
+    witness = witness_payload(alg, res.witness, args.max_dim)
     payload = {
         "kind": "witness",
         "name": alg.name,

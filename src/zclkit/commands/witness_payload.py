@@ -1,11 +1,15 @@
 """A witness as ``zcl`` and ``witness`` report it: checked again, each factor printed as its letter."""
 
 from .. import invariants
+from ..errors import power_fits, refuse
 
 
-def witness_payload(alg, witness) -> dict:
+def witness_payload(alg, witness, max_dim) -> dict:
+    """The report of ``witness``, whose letters, one line each, number at most ``max_dim``."""
     if witness is None:
         return None
+    if not power_fits(witness.length, 1, max_dim):
+        refuse(f"the bounds witness at r = {witness.r} has {witness.length} letters, over", max_dim)
     report = invariants.verify_witness(alg, witness)
     text = invariants.row_text
     seed_power = alg.tensor_power(witness.seed_r, max_dim=None)

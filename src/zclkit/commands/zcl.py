@@ -9,7 +9,7 @@ def run(alg, args):
         res = invariants.zcl_exact(alg, args.r, max_dim=args.max_dim)
     else:
         res = invariants.zcl_bounds(alg, args.r, max_dim=args.max_dim)
-    witness = witness_payload(alg, res.witness)
+    witness = witness_payload(alg, res.witness, args.max_dim)
     payload = {
         "kind": "zcl",
         "name": alg.name,

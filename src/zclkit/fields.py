@@ -106,7 +106,7 @@ class Field(Record):
                 lambda x, y: x * y % p,
                 lambda x: -x % p,
             )
-        self._set(p)
+        super().__init__(p)
         self.__dict__.update(zip(("add", "sub", "mul", "neg"), ops))
 
     def __reduce__(self):

@@ -57,17 +57,17 @@ whenever d^2 fits the ceiling and seeds there if zcl_2 = 2 * cl, since the
 two inequalities then close the sandwich at every r: by induction
 zcl_r >= zcl_2 + (r - 2) cl = r * cl.  Otherwise it seeds at the largest r0
 with d^r0 also within DEFAULT_SEED_DIM, or at 2, reusing a walk it already
-yielded.  The ceiling also bounds the number of letters of a bounds
-witness, the one quantity of the route that grows with r.  The brute-force
+yielded.  Each r past that costs the same: the route builds no letter, so
+it refuses none; a report that prints a witness's letters holds their
+number to the ceiling (``commands/witness_payload``).  The brute-force
 oracles that check these results, and the product of all the letters
 of a bounds witness, live beside the tests, in ``tests/dense_reference.py``.
 """
 
-from collections import namedtuple
 from functools import partial, reduce
 
 from .errors import (DEFAULT_MAX_DIM, FieldMismatchError, ValidationError,
-                     WitnessInvariantError, power_fits, refuse)
+                     WitnessInvariantError, power_fits)
 from .linalg import reduce_into
 from .record import Record
 
@@ -89,7 +89,7 @@ class ClResult(Record):
     def __init__(self, value: int, chain: tuple):
         if len(chain) != value:
             raise ValidationError("chain length must equal the cup-length value")
-        self._set(value, chain)
+        super().__init__(value, chain)
 
 
 class Witness(Record):
@@ -108,7 +108,7 @@ class Witness(Record):
 
     def __init__(self, r: int, seed: tuple, product: dict,
                  seed_r: "Optional[int]" = None, chain: tuple = ()):
-        self._set(r, seed, product, r if seed_r is None else seed_r, chain)
+        super().__init__(r, seed, product, r if seed_r is None else seed_r, chain)
 
     @property
     def length(self) -> int:
@@ -116,9 +116,12 @@ class Witness(Record):
 
 
 # method is "exact" or "bounds"; value and witness may be None
-ZclResult = namedtuple("ZclResult", "r value method lower upper witness")
+class ZclResult(Record):
+    _fields = ("r", "value", "method", "lower", "upper", "witness")
 
-WitnessReport = namedtuple("WitnessReport", "ok problems")
+
+class WitnessReport(Record):
+    _fields = ("ok", "problems")
 
 
 # -- rows, the collapse map and the slot rule ----------------------------------------
@@ -365,6 +368,8 @@ def zcl_route(
     Results are exact while ``exact`` holds and d^r fits ``max_dim`` (None
     for no ceiling).  A sandwich has a value only when its lower bound
     meets r * cl, and its seed is at no r past the first one it yields.
+    Past the exact walks the route yields for ever, at any r, and refuses
+    nothing: a witness's letters are not formed here, whatever their number.
     """
     if r < 2:
         raise ValidationError("zero-divisor cup-length needs r >= 2")
@@ -390,8 +395,6 @@ def zcl_route(
     seed, chain = seed.witness, clres.chain
     while True:
         lower = len(seed.seed) + (r - r0) * cl
-        if not power_fits(lower, 1, max_dim):
-            refuse(f"the bounds witness at r = {r} has {lower} letters, over", max_dim)
         witness = Witness(r, seed.seed, seed.product, r0, chain)
         yield ZclResult(r, lower if lower == r * cl else None, "bounds", lower, r * cl, witness)
         r += 1
@@ -400,8 +403,9 @@ def zcl_route(
 def zcl_bounds(a: "Algebra", r: int, max_dim: "Optional[int]" = DEFAULT_MAX_DIM) -> ZclResult:
     """Certified sandwich for zcl_r: the first result of :func:`zcl_route` with no exact walk.
 
-    ``max_dim`` (None for no ceiling) bounds the walk at r = 2 and the number of
-    letters of the witness; a seed past r = 2 stays within DEFAULT_SEED_DIM too."""
+    ``max_dim`` (None for no ceiling) bounds the walk at r = 2; a seed past r = 2
+    stays within DEFAULT_SEED_DIM too.  The number of the witness's letters is not
+    bounded here: the report that prints them holds it to the ceiling."""
     return next(zcl_route(a, r, max_dim, exact=False))
 
 

@@ -1,11 +1,11 @@
 """End-to-end run: zero-divisor cup-lengths -> sequence -> rationality data."""
 
-from collections import namedtuple
 from itertools import islice
 
 from .algebra import DEFAULT_MAX_DIM, Algebra
 from .errors import ValidationError
 from .invariants import cup_length, zcl_route
+from .record import Record
 from .series import (
     DEFAULT_MIN_RUN,
     RATIONAL_FORM_DETECTED,
@@ -21,10 +21,10 @@ if TYPE_CHECKING:
 # entries: a ZclResult for each r = 2 .. rmax+1; sequence: t_r = zcl_{r+1},
 # offset 1, and analysis: its RationalityReport, both None unless every entry
 # has a value
-class SeriesOutcome(namedtuple("SeriesOutcome", "rmax cl_value entries sequence analysis")):
+class SeriesOutcome(Record):
     """SeriesOutcome(rmax, cl_value, entries, sequence, analysis)"""
 
-    __slots__ = ()
+    _fields = ("rmax", "cl_value", "entries", "sequence", "analysis")
 
     @property
     def certified(self) -> bool:

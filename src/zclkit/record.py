@@ -9,14 +9,16 @@ than most commands' own work.
 class Record:
     """A value compared, hashed and shown by the attributes named in ``_fields``.
 
-    A subclass's ``__init__`` validates its arguments and stores them with
-    ``_set``; after that assignment and deletion raise.  Pickling restores
+    ``Record(*values)`` stores one value per field, after a subclass's own
+    checks; then assignment and deletion raise.  Pickling restores
     ``__dict__`` directly, so it needs no ``__setattr__``.
     """
 
     _fields: tuple = ()
 
-    def _set(self, *values) -> None:
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}: {len(values)} values for {self._fields}")
         self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:

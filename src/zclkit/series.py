@@ -15,8 +15,6 @@ sandwich check on a window, are test references in
 ``tests/dense_reference.py``.
 """
 
-from collections import namedtuple
-
 from .errors import ValidationError
 from .record import Record
 
@@ -44,16 +42,15 @@ class IntSequence(Record):
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError("sequence values must be integers")
-        self._set(offset, values)
+        super().__init__(offset, values)
 
 
 # a: the stabilized difference, which equals P(1) on detection; d: the offset
 # constant in t_r = r*a + d on the tail; stabilization_index: the first r with
 # t_r = r*a + d in the window; p_coeffs: the numerator's coefficients, constant
 # term first.  All four are None unless the form is detected.
-RationalityReport = namedtuple(
-    "RationalityReport", "verdict a d stabilization_index p_coeffs window_used"
-)
+class RationalityReport(Record):
+    _fields = ("verdict", "a", "d", "stabilization_index", "p_coeffs", "window_used")
 
 
 def analyze_sequence(t: IntSequence, min_run: int = DEFAULT_MIN_RUN) -> RationalityReport:

@@ -4,7 +4,9 @@ Corpus entries are built from constructions that are associative by design
 (zero-product tables, truncated polynomial or exterior generators, dual
 pairs, degree-truncated tensor products) and every one is still pushed
 through full validation; the invariants under test never feed back into
-the generator.
+the generator.  Their bases are monomial: each table entry is one basis
+element or zero.  A second corpus, seeded on its own, gives each corpus
+algebra and a few tensor products in a random basis that is not.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from zclkit import (
 )
 
 CORPUS_SEED = 20250810
+CHANGE_OF_BASIS_SEED = 20261022
 CORPUS_SIZE = 110
 MAX_CORPUS_DIM = 5
 MAX_CORPUS_DEG = 6
@@ -166,10 +169,28 @@ def corpus(builtin_corpus, random_corpus):
 @pytest.fixture(scope="session")
 def corpus_zcl_table(corpus):
     """Exact zcl values for every corpus algebra at each r with dim**r <= 81."""
-    table = []
-    for alg in corpus:
-        cl_value = cup_length(alg).value
-        rs = [r for r in range(2, 7) if alg.dim ** r <= 81]
-        values = {r: zcl_exact(alg, r, max_dim=81).value for r in rs}
-        table.append((alg, cl_value, values))
-    return table
+    return [_zcl_row(alg) for alg in corpus]
+
+
+def _zcl_row(alg):
+    """(alg, cl, {r: zcl_r}) at each r with dim**r <= 81."""
+    rs = [r for r in range(2, 7) if alg.dim ** r <= 81]
+    return alg, cup_length(alg).value, {r: zcl_exact(alg, r, max_dim=81).value for r in rs}
+
+
+# tensor products of builtins over Q, of dims 8, 6 and 4
+CHANGED_BASIS_PRODUCTS = (("surface:1", "sphere-odd:1"), ("sphere-odd:1", "sphere-even:2"),
+                          ("sphere-odd:3", "sphere-odd:1"))
+
+
+@pytest.fixture(scope="session")
+def changed_bases(corpus_zcl_table):
+    """(alg, cl, {r: zcl_r}, the presentation of alg in a random basis) for every corpus
+    algebra and the tensor products above: the second, non-monomial corpus."""
+    from dense_reference import change_of_basis, to_presentation
+
+    rng = random.Random(CHANGE_OF_BASIS_SEED)
+    products = [_zcl_row(tensor_product(builtin_algebra(a), builtin_algebra(b)))
+                for a, b in CHANGED_BASIS_PRODUCTS]
+    return [(alg, cl_value, values, change_of_basis(to_presentation(alg), rng))
+            for alg, cl_value, values in corpus_zcl_table + products]

@@ -31,6 +31,8 @@ of a witness, which zclkit itself expands only to print a report.
 with no call into zclkit's algebra code, and :func:`tensor_basis_product`
 derives the Koszul sign of a tensor product by counting swaps.
 :func:`index_of_tuple` is the index of a slot tuple in a tensor power.
+:func:`change_of_basis` rewrites a presentation in a random basis, not
+monomial, by a change within each degree and a reorder.
 :func:`div` divides two scalars, which zclkit's own code never does;
 :func:`check` admits only a canonical scalar of a field, :func:`labels`
 lists an algebra's basis labels, and :func:`to_presentation` gives the
@@ -512,6 +514,80 @@ def indecomposable_labels(pres):
             rank += 1
             out.append(lbl)
     return out
+
+
+def _inverse(field, m):
+    """The inverse of a square matrix over ``field`` by Gauss-Jordan, or None if singular."""
+    k = len(m)
+    rows = [list(row) + [field.one if n == i else field.zero for n in range(k)]
+            for i, row in enumerate(m)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = field.inv(rows[col][col])
+        rows[col] = [field.mul(inv, x) for x in rows[col]]
+        for i in range(k):
+            f = rows[i][col]
+            if i != col and f:
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[col])]
+    return [row[k:] for row in rows]
+
+
+def change_of_basis(pres, rng, name=None):
+    """``pres`` in a random basis: each degree's elements are replaced by random
+    invertible combinations of them, the unit is kept, and the new basis is put in
+    random order.  The table is multiplied out from the raw presentation, with the
+    unit laws and the sign rule, so a presentation that validation refuses may be
+    given too."""
+    field = pres.field
+    degrees = [deg for _, deg in pres.basis]
+    new, old_in_new = [], {}  # new elements as (degree, row over the old basis); e_i over the new
+    for deg in sorted(set(degrees)):
+        olds = [i for i, d in enumerate(degrees) if d == deg]
+        k = len(olds)
+        while True:
+            m = [[field.coerce(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
+            if deg == 0:  # the unit stays as it is
+                m = [[field.one if a == b else field.zero for b in range(k)] for a in range(k)]
+            inv = _inverse(field, m)
+            if inv is not None:
+                break
+        for j, i in enumerate(olds):
+            old_in_new[i] = {len(new) + a: c for a, c in enumerate(inv[j]) if c}
+        new += [(deg, {i: c for i, c in zip(olds, row) if c}) for row in m]
+    order = list(range(len(new)))
+    rng.shuffle(order)
+    place = {n: p for p, n in enumerate(order)}
+
+    def table(i, j):
+        if not degrees[i] or not degrees[j]:
+            return {j if not degrees[i] else i: field.one}
+        row = pres.products.get((min(i, j), max(i, j)), {})
+        flip = i > j and degrees[i] & 1 and degrees[j] & 1
+        return {k: field.neg(field.coerce(c)) if flip else field.coerce(c) for k, c in row.items()}
+
+    def accumulate(acc, row, scale):
+        for k, c in row.items():
+            acc[k] = field.add(acc.get(k, field.zero), field.mul(scale, c))
+
+    products = {}
+    for p, q in itertools.combinations_with_replacement(range(len(order)), 2):
+        (dp, u), (dq, v) = new[order[p]], new[order[q]]
+        if dp and dq:
+            old = {}
+            for i, a in u.items():
+                for j, b in v.items():
+                    accumulate(old, table(i, j), field.mul(a, b))
+            row = {}
+            for i, c in old.items():
+                accumulate(row, {place[n]: x for n, x in old_in_new[i].items()}, c)
+            row = {k: c for k, c in sorted(row.items()) if c}
+            if row:
+                products[(p, q)] = row
+    basis = tuple(("1" if not new[n][0] else f"f{p}", new[n][0]) for p, n in enumerate(order))
+    return AlgebraPresentation(name or pres.name, field, basis, products)
 
 
 def tensor_basis_product(slots, i, j):

@@ -342,11 +342,8 @@ def test_text_reports_are_pinned(argv, status, text):
 
 def _fail_every_witness(monkeypatch):
     """A verifier that reports a problem with every witness it checks."""
-    verify = invariants.verify_witness
-    problems = ("stored product differs from the recomputed one",)
-    monkeypatch.setattr(invariants, "verify_witness",
-                        lambda alg, witness: verify(alg, witness)._replace(ok=False,
-                                                                           problems=problems))
+    report = invariants.WitnessReport(False, ("stored product differs from the recomputed one",))
+    monkeypatch.setattr(invariants, "verify_witness", lambda alg, witness: report)
 
 
 def test_text_report_lists_the_problems_of_a_witness(monkeypatch):
@@ -833,6 +830,33 @@ def test_cup_length_of_a_large_tensor_file_is_quick(stanley_r5_file):
     assert elapsed < 1.0, f"took {elapsed:.1f}s"
 
 
+# a child's peak resident size over its size once zclkit.cli is imported, in kB
+_CHECK_PEAK = """
+import io, sys
+from zclkit import cli
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key))
+base = status("VmRSS")
+code = cli.run(["check", sys.argv[1], "--json"], stdout=io.StringIO(), stderr=sys.stderr)
+print(code, status("VmHWM") - base)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")
+def test_check_keeps_neither_the_bytes_nor_the_text_of_a_file_past_its_parse(
+        stanley_r5_file, child_env):
+    # each is about the size of the file, and each label recurs in many products:
+    # kept while the document became a presentation, with a copy of every label
+    # per product, the peak grew by more than 8 times the file's size; now by under 6
+    proc = subprocess.run([sys.executable, "-c", _CHECK_PEAK, str(stanley_r5_file)],
+                          capture_output=True, text=True, env=child_env, timeout=60)
+    code, growth_kb = map(int, proc.stdout.split())
+    assert code == EXIT_OK, proc.stderr
+    size = stanley_r5_file.stat().st_size
+    assert growth_kb * 1024 < 7 * size, f"grew by {growth_kb * 1024 / size:.2f} times the file"
+
+
 def test_builtin_above_the_ceiling_is_refused_before_it_is_built(child_env):
     # surface:100000000 has 2 * 10^8 + 2 basis elements; building or hashing its
     # presentation would run into the address-space cap of the child
@@ -938,6 +962,18 @@ def test_a_power_past_the_ceiling_is_refused_without_forming_it(argv, message, c
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("raise the ceiling to opt in\n")
     assert elapsed < 1.0, f"took {elapsed:.1f}s"
     assert not list(tmp_path.iterdir())
+
+
+def test_series_builds_no_letter_so_no_letter_count_refuses_it():
+    # from r = 2050 a surface:1 bounds witness has more letters than the ceiling, but
+    # only a report that prints them, of zcl or witness, holds their number to it
+    code, report, err = cli_json("series", "builtin:surface:1", "--rmax", "3000")
+    assert (code, err) == (EXIT_INCONCLUSIVE, "")
+    entries = report["result"]["entries"]
+    assert len(entries) == 3000
+    assert entries[-1] == {"r": 3001, "method": "bounds", "value": None, "lower": 6000, "upper": 6002}
+    res = invariants.zcl_bounds(builtin_algebra("surface:1"), 3001)
+    assert (res.lower, res.witness.length) == (6000, 6000)
 
 
 def test_file_above_the_ceiling_is_refused_before_validation(tmp_path, monkeypatch):

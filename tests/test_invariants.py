@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pickle
+import random
 import resource
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from dense_reference import (
     Subspace,
     add,
     basis_element,
+    change_of_basis,
     collapse_matrix,
     cup_length_oracle,
     dense_rows,
@@ -678,7 +680,8 @@ def test_bounds_route_walks_r2_whenever_its_square_fits_the_ceiling():
     assert res.witness.length == 6 and verify_witness(alg, res.witness).ok
     assert zcl_bounds(alg, 5, max_dim=None).value == 10
     # a ceiling under d^2 still leaves only r * cl
-    assert zcl_bounds(alg, 5, max_dim=300)[2:6] == ("bounds", 0, 10, None)
+    res = zcl_bounds(alg, 5, max_dim=300)
+    assert (res.method, res.lower, res.upper, res.witness) == ("bounds", 0, 10, None)
 
 
 # -- the bounds route at large r ----------------------------------------------------------
@@ -884,6 +887,29 @@ def test_indecomposable_generators_give_the_zcl_of_all_generators(corpus_zcl_tab
             assert zcl_over_all_generators(alg, r) == value, (alg.name, r)
             checked += 1
     assert checked > 300
+
+
+def test_a_random_change_of_basis_keeps_cl_zcl_and_acceptance(changed_bases):
+    # a basis that is not monomial: an indecomposable element may lie in the support
+    # of a product, so a letter rule read off the supports would walk too few letters
+    checked = 0
+    for alg, cl_value, values, pres in changed_bases:
+        changed = validate_algebra(pres)
+        assert sorted(changed.degrees) == sorted(alg.degrees), alg.name
+        assert len(changed.indecomposables()) == len(alg.indecomposables()), alg.name
+        assert cup_length(changed).value == cl_value, alg.name
+        for r, value in values.items():
+            res = zcl_exact(changed, r, max_dim=81)
+            assert res.value == value, (alg.name, r)
+            assert res.witness is None or verify_witness(changed, res.witness).ok, (alg.name, r)
+            checked += 1
+    assert checked > 300
+    # a table that is not associative stays refused in any basis: (xy)y = w, x(yy) = 0
+    bad = AlgebraPresentation("bad", QQ, (("1", 0), ("x", 2), ("y", 2), ("z", 4), ("w", 6)),
+                              {(1, 2): {3: 1}, (2, 3): {4: 1}})
+    for pres in (bad, change_of_basis(bad, random.Random(1))):
+        with pytest.raises(ValidationError, match="associativ"):
+            validate_algebra(pres)
 
 
 def _table_times(a, letters):
