@@ -34,8 +34,11 @@ class AlgebraPresentation(Record):
 
     @classmethod
     def from_labels(cls, name, field, basis, products=None):
-        """Build a presentation keyed by labels: products map (label, label) to {label: coeff}."""
-        basis = tuple((str(lbl), int(deg)) for lbl, deg in basis)
+        """Build a presentation keyed by labels: products map (label, label) to {label: coeff}.
+
+        Labels and degrees are taken as given; only an unknown label is refused here.
+        """
+        basis = tuple((lbl, deg) for lbl, deg in basis)
         index = {lbl: i for i, (lbl, _) in enumerate(basis)}
         table = {}
         for (left, right), row in (products or {}).items():

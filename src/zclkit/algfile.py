@@ -28,13 +28,12 @@ _PRODUCT = '\n    {\n      "left": %s,\n      "right": %s,\n      "value": [%s\n
 _TERM = '\n        {\n          "coeff": "%s",\n          "basis": %s\n        }'
 
 
-def load_presentation(path, data: "bytes | None" = None, digest=None) -> "AlgebraPresentation":
-    """Parse the algebra file at ``path``, or ``data``, its bytes as already read.
+def load_presentation(path, digest=None) -> "AlgebraPresentation":
+    """Parse the algebra file at ``path``.
 
     ``digest``, a hash object, is fed the bytes once they parse.  Neither the
     bytes nor their text, each about the size of the file, outlive the parse,
-    and a string value that recurs, as each label does, is kept once; a
-    caller that passes ``data`` keeps its own copy.
+    and a string value that recurs, as each label does, is kept once.
     """
     import json
 
@@ -58,12 +57,11 @@ def load_presentation(path, data: "bytes | None" = None, digest=None) -> "Algebr
             raise ValidationError(f"{path}: the integer at line {at.lineno} column {at.colno} "
                                   f"has {len(digits)} characters, too long to read") from None
 
-    if data is None:
-        try:
-            with open(path, "rb") as file:
-                data = file.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        with open(path, "rb") as file:
+            data = file.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         text = data.decode("utf-8")
         doc = json.loads(text, object_pairs_hook=unique, parse_int=integer)

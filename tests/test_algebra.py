@@ -114,6 +114,24 @@ def test_duplicate_labels_rejected():
 
 
 @pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([("1", 0), ("a", 2.9)], "algebra 'x': degree of 'a' must be a nonnegative integer"),
+        ([("1", 0), ("a", True)], "algebra 'x': degree of 'a' must be a nonnegative integer"),
+        ([("1", 0), (5, 1)], "algebra 'x': basis labels must be nonempty strings"),
+    ],
+    ids=["float-degree", "bool-degree", "int-label"],
+)
+def test_from_labels_takes_labels_and_degrees_as_given(basis, message):
+    # nothing is converted: a degree of 2.9 is not read as 2, nor a label 5 as "5"
+    pres = _pres("x", QQ, basis)
+    assert pres.basis == tuple(basis)
+    with pytest.raises(ValidationError) as exc:
+        validate_algebra(pres)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "products",
     [{("a", "zz"): {"a": 1}}, {("a", "a"): {"zz": 1}}],
     ids=["factor", "term"],

@@ -115,6 +115,14 @@ def test_rational_field_must_not_carry_p():
         presentation_from_dict(doc)
 
 
+def test_a_prime_field_with_a_null_p_is_not_the_rationals():
+    # Field(None) is Q: the reader refuses a null p before it reaches Field
+    doc = _doc()
+    doc["field"] = {"kind": "prime", "p": None}
+    with pytest.raises(ValidationError, match="^field: prime field needs 'p'$"):
+        presentation_from_dict(doc)
+
+
 def test_nonprime_modulus_rejected():
     doc = _doc()
     doc["field"] = {"kind": "prime", "p": 6}
@@ -139,8 +147,8 @@ def test_products_must_follow_basis_order():
     doc["products"] = [
         {"left": "b", "right": "a", "value": [{"coeff": "1", "basis": "c"}]}
     ]
-    with pytest.raises(ValidationError, match="left"):
-        presentation_from_dict(doc)
+    with pytest.raises(ValidationError, match=r"product \(b, a\) must be listed with the lower"):
+        validate_algebra(presentation_from_dict(doc))
 
 
 def test_duplicate_product_entries_rejected():
@@ -174,8 +182,8 @@ def test_repeated_keys_rejected(tmp_path, entry_repeat, doc_repeat, key):
 def test_unknown_labels_rejected():
     doc = _doc()
     doc["products"] = [{"left": "z", "right": "a", "value": []}]
-    with pytest.raises(ValidationError, match="unknown basis label"):
-        presentation_from_dict(doc)
+    with pytest.raises(ValidationError, match="product references unknown label 'z'"):
+        validate_algebra(presentation_from_dict(doc))
 
 
 def test_coefficient_strings_parse_in_the_field(tmp_path):

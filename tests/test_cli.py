@@ -14,7 +14,14 @@ import jsonschema
 import pytest
 
 from dense_reference import labels, witness_letters
-from zclkit import builtin_algebra, cup_length, invariants, tensor_product, validate_algebra
+from zclkit import (
+    AlgebraPresentation,
+    builtin_algebra,
+    cup_length,
+    invariants,
+    tensor_product,
+    validate_algebra,
+)
 from zclkit.algfile import load_presentation, save_algebra
 from zclkit.cli import (
     EXIT_INCONCLUSIVE,
@@ -26,6 +33,7 @@ from zclkit.cli import (
     run,
 )
 from zclkit.errors import ValidationError
+from zclkit.fields import Field
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "zclkit" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -221,10 +229,6 @@ def test_file_digest_is_of_the_bytes_parsed(tmp_path):
     code, report, _ = cli_json("check", str(path))
     assert code == EXIT_OK
     assert report["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-    # the loader parses the bytes it is handed, not a second read of the file
-    other = tmp_path / "cube.json"
-    assert cli("tensor", "builtin:stanley-p3", "--r", "3", "--out", str(other))[0] == EXIT_OK
-    assert len(load_presentation(path, other.read_bytes()).basis) == 64
 
 
 # -- tensor files ----------------------------------------------------------------------
@@ -557,7 +561,7 @@ MALFORMED_DOCUMENTS = [
     ({}, "algebra file: missing keys ['name', 'field', 'basis', 'products']"),
     (_document(field={"kind": "complex"}), "field: unknown field kind 'complex'"),
     (_document(field={"kind": "prime"}), "field: prime field needs 'p'"),
-    (_document(field={"kind": "prime", "p": "3"}), "field: 'p' must be an integer"),
+    (_document(field={"kind": "prime", "p": "3"}), "field modulus must be an integer"),
     (_document(name=7), "algebra file: 'name' must be a string"),
     (_document(basis={}), "algebra file: 'basis' must be an array"),
     (_document(products={}), "algebra file: 'products' must be an array"),
@@ -566,8 +570,11 @@ MALFORMED_DOCUMENTS = [
         "products[0]: 'value' must be an array",
     ),
     (_document(basis=_basis(2, 2)), "basis[1]: label must be a string"),
-    (_document(basis=_basis("x", 2.0)), "basis[1]: degree must be an integer"),
-    (_document(basis=_basis("1", 2)), "algebra file: duplicate basis labels"),
+    (
+        _document(basis=_basis("y", 2.0)),
+        "algebra 'doc': degree of 'y' must be a nonnegative integer",
+    ),
+    (_document(basis=_basis("1", 2)), "algebra 'doc': duplicate basis label '1'"),
     (_document(basis=[]), "algebra 'doc': empty basis"),
     (_document(basis=_basis("", 2)), "algebra 'doc': basis labels must be nonempty strings"),
     (
@@ -581,6 +588,54 @@ MALFORMED_DOCUMENTS = [
     "doc, message", MALFORMED_DOCUMENTS, ids=[m for _, m in MALFORMED_DOCUMENTS]
 )
 def test_a_malformed_document_names_its_fault(tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli("check", str(path)) == (EXIT_INVALID, "", f"zclkit: error: {message}\n")
+
+
+_DEGREE = "algebra 'doc': degree of 'x' must be a nonnegative integer"
+
+# a fault, as (p, basis, products) in from_labels' terms, and the one message it has
+ONE_RULE_FAULTS = [
+    ("3", [("1", 0), ("x", 2)], {}, "field modulus must be an integer"),
+    (None, [("1", 0), ("x", 2.0)], {}, _DEGREE),
+    (None, [("1", 0), ("x", True)], {}, _DEGREE),
+    (None, [("1", 0), ("x", "2")], {}, _DEGREE),
+    (None, [("1", 0), ("x", 2), ("x", 4)], {}, "algebra 'doc': duplicate basis label 'x'"),
+    (
+        None, [("1", 0), ("a", 2), ("b", 2), ("c", 4)], {("b", "a"): {"c": 1}},
+        "algebra 'doc': product (b, a) must be listed with the lower basis index first",
+    ),
+    (
+        None, [("1", 0), ("x", 2)], {("x", "x"): {"z": 1}},
+        "algebra 'doc': product references unknown label 'z'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "p, basis, products, message",
+    ONE_RULE_FAULTS,
+    ids=["string-p", "float-degree", "bool-degree", "string-degree", "repeated-label",
+         "product-out-of-order", "unknown-term-label"],
+)
+def test_a_fault_has_one_message_from_a_file_and_from_the_library(
+        tmp_path, p, basis, products, message):
+    # the reader checks only the JSON form: each rule of the algebra is checked once,
+    # by Field or validate_algebra, after from_labels has built the presentation
+    with pytest.raises(ValidationError) as exc:
+        validate_algebra(AlgebraPresentation.from_labels("doc", Field(p), basis, products))
+    assert str(exc.value) == message
+    field = {"kind": "rational"} if p is None else {"kind": "prime", "p": p}
+    doc = _document(
+        field=field,
+        basis=[{"label": lbl, "degree": deg} for lbl, deg in basis],
+        products=[
+            {"left": left, "right": right,
+             "value": [{"coeff": str(c), "basis": lbl} for lbl, c in row.items()]}
+            for (left, right), row in products.items()
+        ],
+    )
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli("check", str(path)) == (EXIT_INVALID, "", f"zclkit: error: {message}\n")
@@ -878,16 +933,16 @@ def test_builtin_above_the_ceiling_is_refused_before_it_is_built(child_env):
 
 
 def test_a_command_out_of_memory_exits_4(child_env, tmp_path):
-    # a valid file whose one label is 48 MB: reading and parsing it take several
-    # copies of it, more than the 128 MB address-space cap of the child allows
+    # a valid file whose one label is as long as the child's address-space cap:
+    # one copy of it does not fit, however many copies the loader keeps
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 64 << 20 if hard == resource.RLIM_INFINITY else min(64 << 20, hard)
     path = tmp_path / "long-label.json"
     with open(path, "w") as file:
         file.write('{"name": "long", "field": {"kind": "rational"}, "basis": [{"label": "')
-        for _ in range(48):
+        for _ in range(cap >> 20):
             file.write("x" * (1 << 20))
         file.write('", "degree": 0}], "products": []}')
-    _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = 128 << 20 if hard == resource.RLIM_INFINITY else min(128 << 20, hard)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "zclkit.cli", "check", str(path)],
